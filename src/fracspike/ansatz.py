@@ -83,10 +83,6 @@ class SpikeConfig:
                 out[i, j] = out[j, i] = d
         return out
 
-    def with_centers(self, centers) -> "SpikeConfig":
-        return SpikeConfig(self.grid, centers, self.epsilon,
-                           self.delta, self.r_min)
-
 
 def config_valid(cfg: SpikeConfig) -> tuple[bool, list[str]]:
     """Check the configuration constraints; diagnostics name each violation."""

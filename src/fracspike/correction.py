@@ -156,7 +156,7 @@ class _ProjectedOperator:
 
 def projected_solve(g: Field, V: Potential, cfg: SpikeConfig,
                     bundle: AnsatzBundle, tol: float = 1e-10,
-                    max_iter: int = 500,
+                    max_iter: int = 500, x0: Field | None = None,
                     _op: _ProjectedOperator | None = None) -> ProjectedSolution:
     """Solve L_W phi = g + sum c_ij Z_ij with phi orthogonal to every Z_ij.
 
@@ -165,6 +165,10 @@ def projected_solve(g: Field, V: Potential, cfg: SpikeConfig,
     right-hand side lies in it, so the Krylov iterates never pick up Z
     components; the converged residual L_W phi - g then sits in span{Z} and
     the Gram system G c = <Z, L_W phi - g> recovers the multipliers.
+
+    x0 is an initial guess for phi. Its span{Z} part is invisible to the
+    operator and dropped with the final projection, and the tolerance stays
+    relative to ||P g||, so a guess near the solution only saves iterations.
     """
     op = _op if _op is not None else _ProjectedOperator(V, cfg, bundle)
     grid = op.grid
@@ -192,8 +196,9 @@ def projected_solve(g: Field, V: Potential, cfg: SpikeConfig,
         # preconditioned one can cross tol a cycle before the true one does
         restart = min(max_iter, 300 if n <= 16384 else 150)
         outer = -(-max_iter // restart) + 1
-        y, info = gmres(A, b, M=M, rtol=tol, atol=0.0, restart=restart,
-                        maxiter=outer,
+        y, info = gmres(A, b, x0=None if x0 is None else x0.values.ravel(),
+                        M=M, rtol=tol, atol=0.0,
+                        restart=restart, maxiter=outer,
                         callback=lambda pr: history.append(float(pr)),
                         callback_type="pr_norm")
         if info != 0:
@@ -270,7 +275,9 @@ def nonlinear_correction(V: Potential, cfg: SpikeConfig, bundle: AnsatzBundle,
     W. Convergence is measured by the weighted sup norm of the increment;
     the per-step contraction ratios are recorded, and three consecutive
     ratios >= 1 abort the iteration with converged = False (the
-    configuration is outside the contraction regime at this epsilon).
+    configuration is outside the contraction regime at this epsilon). Each
+    projected solve starts GMRES from the current iterate, which already
+    lies in span{Z}^perp.
     """
     opts = opts or CorrectionOptions()
     if bundle.E_norm_Y > opts.eta:
@@ -282,7 +289,7 @@ def nonlinear_correction(V: Potential, cfg: SpikeConfig, bundle: AnsatzBundle,
     rho = bundle.rho
     p = bundle.params.p
 
-    phi = np.zeros(grid.shape)
+    phi = Field(grid, np.zeros(grid.shape))
     c = np.zeros((cfg.k, grid.dim))
     increments: list[float] = []
     ratios: list[float] = []
@@ -291,17 +298,17 @@ def nonlinear_correction(V: Potential, cfg: SpikeConfig, bundle: AnsatzBundle,
     it = 0
     for it in range(1, opts.max_iter + 1):
         rhs = bundle.E.values + kernels.nonlinear_remainder(
-            bundle.W.values, phi, p)
+            bundle.W.values, phi.values, p)
         sol = projected_solve(Field(grid, rhs), V, cfg, bundle,
                               tol=opts.krylov_tol,
-                              max_iter=opts.krylov_maxiter, _op=op)
-        inc = float(np.max(np.abs(sol.phi.values - phi) / rho))
+                              max_iter=opts.krylov_maxiter, x0=phi, _op=op)
+        inc = float(np.max(np.abs(sol.phi.values - phi.values) / rho))
         increments.append(inc)
         if len(increments) >= 2 and increments[-2] > 0:
             ratio = inc / increments[-2]
             ratios.append(ratio)
             bad_streak = bad_streak + 1 if ratio >= 1.0 else 0
-        phi, c = sol.phi.values, sol.c
+        phi, c = sol.phi, sol.c
         if inc <= opts.tol:
             converged = True
             break
@@ -310,8 +317,8 @@ def nonlinear_correction(V: Potential, cfg: SpikeConfig, bundle: AnsatzBundle,
                         "(three non-contracting steps)", cfg.epsilon)
             break
 
-    norm_Y = float(np.max(np.abs(phi) / rho))
-    return CorrectionResult(phi=Field(grid, phi), c=c, norm_Y=norm_Y,
+    norm_Y = float(np.max(np.abs(phi.values) / rho))
+    return CorrectionResult(phi=phi, c=c, norm_Y=norm_Y,
                             iterations=it, converged=converged,
                             contraction_history=ratios,
                             increment_history=increments)
@@ -398,7 +405,6 @@ def full_newton_solve(V: Potential, epsilon: float, u0: Field, params,
                 break
             log.debug("newton: accepting gmres step at relative residual "
                       "%.3e", true_rel)
-        sup_u = float(np.max(np.abs(u)))
         step = 1.0
         improved = False
         while step > 1e-4:

@@ -1,9 +1,12 @@
 """Reduced energy, its asymptotic model, and the critical-point searches.
 
 The reduced energy I(q) is the full energy functional evaluated on the
-corrected ansatz W_q + Phi(q). Its critical points are exactly the
-configurations where all multipliers c_ij vanish, so the searches steer by
-finite-difference gradients of I but terminate on max|c_ij|. The asymptotic
+corrected ansatz W_q + Phi(q). Its gradient is carried by the multipliers
+of the same correction, grad_xi I = -alpha_ij c_ij / eps (alpha_ij =
+||Z_ij||^2, xi = eps q), so its critical points are exactly the
+configurations where all c_ij vanish. Every search step therefore costs one
+correction per configuration it visits: the Newton searches drive c to zero
+and the cluster ascent steps along the multiplier gradient. The asymptotic
 model c_* sum V^theta(xi_i) - (1/2) sum_{i!=j} c_ij |q_i-q_j|^{-(N+2s)}
 supplies cheap seeds; its constants were validated against measured overlap
 integrals (the pair factor 1/2 and the lambda exponents empirically, see
@@ -15,6 +18,7 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,7 +65,7 @@ class ReducedReport:
     q: SpikeConfig
     I_value: float
     c_matrix: np.ndarray
-    grad_fd: np.ndarray
+    grad: np.ndarray
     asymptotic_value: float
     asymptotic_gap: float
     theta: float
@@ -135,73 +139,59 @@ def asymptotic_energy(V: Potential, xi_list, epsilon: float,
 
 def reduced_energy(V: Potential, cfg: SpikeConfig, gs: GroundState,
                    mu: float | None = None,
-                   opts: CorrectionOptions | None = None,
-                   fd_step: float = 1e-3,
-                   with_gradient: bool = True) -> ReducedReport:
-    """I(q) = J_eps(W_q + Phi(q)) with multipliers and a finite-difference gradient.
+                   opts: CorrectionOptions | None = None) -> ReducedReport:
+    """I(q) = J_eps(W_q + Phi(q)) with its multipliers and gradient.
 
-    The gradient uses central differences with the given step in each center
-    component; it only steers searches, so optimizer accuracy suffices. When
-    the correction diverges the report carries converged = False and NaN for
-    I.
+    The gradient with respect to the outer positions is the multiplier
+    estimate grad_xi I = -alpha_ij c_ij / eps: moving q_ij shifts W_q along
+    -Z_ij, the corrected equation leaves the residual sum c_ij Z_ij, and
+    xi = eps q contributes the 1/eps. It needs no correction beyond the one
+    at cfg. When the correction fails the report carries converged = False
+    and NaN for I, the multipliers and the gradient.
     """
     opts = opts or CorrectionOptions(eta=SEARCH_ETA)
-    bundle = build_ansatz(V, cfg, gs, mu=mu)
-    corr = nonlinear_correction(V, cfg, bundle, opts)
     theta = energy_scaling_exponent(gs.params, gs.grid.dim)
     c_star = gs.energy
     a_val = asymptotic_energy(V, cfg.xi, cfg.epsilon, gs)
-    inter = interaction_constants(gs, bundle.lambdas) if cfg.k > 1 else \
+    inter = interaction_constants(gs, cfg.lambdas(V)) if cfg.k > 1 else \
         np.zeros((cfg.k, cfg.k))
+    try:
+        pt = _corrected(V, cfg, gs, mu, opts)
+    except SolverDivergence:
+        nan = np.full((cfg.k, cfg.grid.dim), np.nan)
+        return ReducedReport(q=cfg, I_value=np.nan, c_matrix=nan,
+                             grad=nan.copy(), asymptotic_value=a_val,
+                             asymptotic_gap=np.nan, theta=theta,
+                             c_star=c_star, interaction_constants=inter,
+                             converged=False)
+    return ReducedReport(q=cfg, I_value=pt.I, c_matrix=pt.c, grad=pt.grad,
+                         asymptotic_value=a_val,
+                         asymptotic_gap=abs(pt.I - a_val), theta=theta,
+                         c_star=c_star, interaction_constants=inter,
+                         converged=True, correction=pt.correction)
 
+
+class _Corrected(NamedTuple):
+    I: float
+    c: np.ndarray
+    grad: np.ndarray
+    correction: CorrectionResult
+
+
+def _corrected(V, cfg, gs, mu, opts) -> _Corrected:
+    """Build the ansatz at cfg and correct it once: I, c and grad_xi I.
+
+    Raises SolverDivergence when the correction does not converge.
+    """
+    bundle = build_ansatz(V, cfg, gs, mu=mu)
+    corr = nonlinear_correction(V, cfg, bundle, opts)
     if not corr.converged:
-        return ReducedReport(q=cfg, I_value=np.nan, c_matrix=corr.c,
-                             grad_fd=np.full((cfg.k, cfg.grid.dim), np.nan),
-                             asymptotic_value=a_val, asymptotic_gap=np.nan,
-                             theta=theta, c_star=c_star,
-                             interaction_constants=inter,
-                             converged=False, correction=corr)
-
+        raise SolverDivergence(f"correction diverged at centers "
+                               f"{cfg.centers.tolist()}")
     u = bundle.W.values + corr.phi.values
     I_val = energy_with_potential(cfg.grid, gs.params, bundle.V_grid, u)
-
-    grad = np.full((cfg.k, cfg.grid.dim), np.nan)
-    if with_gradient:
-        for i in range(cfg.k):
-            for a in range(cfg.grid.dim):
-                vals = []
-                for sgn in (+1.0, -1.0):
-                    centers = cfg.centers.copy()
-                    centers[i, a] += sgn * fd_step
-                    vals.append(_I_only(V, cfg.with_centers(centers), gs,
-                                        mu, opts))
-                grad[i, a] = (vals[0] - vals[1]) / (2.0 * fd_step)
-
-    return ReducedReport(q=cfg, I_value=I_val, c_matrix=corr.c,
-                         grad_fd=grad, asymptotic_value=a_val,
-                         asymptotic_gap=abs(I_val - a_val), theta=theta,
-                         c_star=c_star, interaction_constants=inter,
-                         converged=True, correction=corr)
-
-
-def _I_only(V, cfg, gs, mu, opts) -> float:
-    bundle = build_ansatz(V, cfg, gs, mu=mu)
-    corr = nonlinear_correction(V, cfg, bundle, opts)
-    if not corr.converged:
-        raise SolverDivergence(
-            f"correction diverged during gradient evaluation at centers "
-            f"{cfg.centers.tolist()}")
-    u = bundle.W.values + corr.phi.values
-    return energy_with_potential(cfg.grid, gs.params, bundle.V_grid, u)
-
-
-def _c_of(V, cfg, gs, mu, opts) -> np.ndarray:
-    bundle = build_ansatz(V, cfg, gs, mu=mu)
-    corr = nonlinear_correction(V, cfg, bundle, opts)
-    if not corr.converged:
-        raise SolverDivergence("correction diverged during multiplier "
-                               "evaluation")
-    return corr.c
+    return _Corrected(I_val, corr.c, -bundle.alphas * corr.c / cfg.epsilon,
+                      corr)
 
 
 def _model_seed(V: Potential, epsilon: float, k: int, region, mode: str,
@@ -286,11 +276,15 @@ def critical_point_search(V: Potential, epsilon: float, k: int, region,
                           seed: int = 0) -> SearchOutcome:
     """Find a spike configuration with vanishing multipliers in the region.
 
-    Seeds come from the asymptotic model; each start runs a damped Newton
-    iteration on the multiplier map q -> c(q) (Jacobian by forward
-    differences), falling back to plain multiplier-direction descent when a
-    Newton step fails to reduce max|c|. The returned outcome records the
-    best iterate even when no start converges.
+    Since grad_xi I = -alpha_ij c_ij / eps, the zeros of c are the critical
+    points of I, and c_ij = -eps (grad_xi I)_ij / alpha_ij is the reduced
+    gradient scaled by eps; c_tol defaults to 1e-6 c_* eps max|grad V^theta|
+    over the region. Seeds come from the asymptotic model; each start runs a
+    damped Newton iteration on the multiplier map q -> c(q) (Jacobian by
+    forward differences, one correction per column; a step along -c when it
+    is singular) and stops once a backtracked step no longer reduces max|c|.
+    The returned outcome records the best iterate even when no start
+    converges; its I_value comes from the final iterate's correction.
 
     region is a list of (lo, hi) intervals per axis in the outer variable
     xi; mode is one of minimize_V, maximize_V, degree_zero_of_gradV.
@@ -343,59 +337,6 @@ def critical_point_search(V: Potential, epsilon: float, k: int, region,
     return best
 
 
-def _descend_I(V, make_cfg, xi, epsilon, gs, mu, opts, mode, region,
-               n_steps=2) -> np.ndarray:
-    """A few backtracking gradient steps on I to pull a far seed closer.
-
-    Signed by mode (descent toward minima, ascent toward maxima); skipped
-    for saddle hunting where the gradient carries no useful direction.
-    """
-    sign = -1.0 if mode == "minimize_V" else 1.0
-    dim = gs.grid.dim
-    k = xi.shape[0]
-    lows = np.array([r[0] for r in region], dtype=float)
-    highs = np.array([r[1] for r in region], dtype=float)
-    span = float(np.min(highs - lows))
-    fd = max(1e-3 * span, 1e-3 * epsilon)
-    try:
-        I_cur = _I_only(V, make_cfg(xi), gs, mu, opts)
-    except SolverDivergence:
-        return xi
-    for _ in range(n_steps):
-        g = np.zeros((k, dim))
-        try:
-            for i in range(k):
-                for a in range(dim):
-                    xp, xm = xi.copy(), xi.copy()
-                    xp[i, a] += fd
-                    xm[i, a] -= fd
-                    g[i, a] = (_I_only(V, make_cfg(xp), gs, mu, opts)
-                               - _I_only(V, make_cfg(xm), gs, mu, opts)
-                               ) / (2.0 * fd)
-        except SolverDivergence:
-            break
-        gn = float(np.linalg.norm(g))
-        if gn == 0.0:
-            break
-        moved = False
-        t = 0.1 * span
-        while t > 1e-3 * span:
-            xi_try = np.clip(xi + sign * t * g / gn, lows, highs)
-            try:
-                I_try = _I_only(V, make_cfg(xi_try), gs, mu, opts)
-            except SolverDivergence:
-                t *= 0.5
-                continue
-            if sign * (I_try - I_cur) > 0.0:
-                xi, I_cur = xi_try, I_try
-                moved = True
-                break
-            t *= 0.5
-        if not moved:
-            break
-    return xi
-
-
 def _newton_on_c(V, make_cfg, xi0, epsilon, gs, mu, opts, c_tol, max_steps,
                  region, mode) -> SearchOutcome:
     """Damped Newton on q -> c(q) from one seed; steps in the xi variable."""
@@ -406,12 +347,9 @@ def _newton_on_c(V, make_cfg, xi0, epsilon, gs, mu, opts, c_tol, max_steps,
     xi = np.clip(np.asarray(xi0, dtype=float).reshape(-1, dim), lows, highs)
     k = xi.shape[0]
     n = k * dim
-    if mode in ("minimize_V", "maximize_V"):
-        xi = _descend_I(V, make_cfg, xi, epsilon, gs, mu, opts, mode, region)
 
-    cfg = make_cfg(xi)
-    c = _c_of(V, cfg, gs, mu, opts)
-    cmax = float(np.max(np.abs(c)))
+    pt = _corrected(V, make_cfg(xi), gs, mu, opts)
+    cmax = float(np.max(np.abs(pt.c)))
     history = [{"step": 0, "max_abs_c": cmax,
                 "xi": xi.ravel().tolist()}]
     # Jacobian step: small against the region, large against fd noise in c
@@ -424,12 +362,13 @@ def _newton_on_c(V, make_cfg, xi0, epsilon, gs, mu, opts, c_tol, max_steps,
         for col in range(n):
             xi_p = xi.copy().ravel()
             xi_p[col] += hx
-            c_p = _c_of(V, make_cfg(xi_p.reshape(k, dim)), gs, mu, opts)
-            J[:, col] = (c_p - c).ravel() / hx
+            c_p = _corrected(V, make_cfg(xi_p.reshape(k, dim)), gs, mu,
+                             opts).c
+            J[:, col] = (c_p - pt.c).ravel() / hx
         try:
-            delta_xi = np.linalg.solve(J, -c.ravel())
+            delta_xi = np.linalg.solve(J, -pt.c.ravel())
         except np.linalg.LinAlgError:
-            delta_xi = -c.ravel() * hx / max(cmax, 1e-300)
+            delta_xi = -pt.c.ravel() * hx / max(cmax, 1e-300)
         # cap the step at a fraction of the region
         cap = 0.25 * float(np.min(highs - lows))
         dn = float(np.linalg.norm(delta_xi))
@@ -441,13 +380,13 @@ def _newton_on_c(V, make_cfg, xi0, epsilon, gs, mu, opts, c_tol, max_steps,
         while t >= 0.0625:
             xi_try = np.clip(xi + t * delta_xi.reshape(k, dim), lows, highs)
             try:
-                c_try = _c_of(V, make_cfg(xi_try), gs, mu, opts)
+                pt_try = _corrected(V, make_cfg(xi_try), gs, mu, opts)
             except (ConfigError, SolverDivergence):
                 t *= 0.5
                 continue
-            if float(np.max(np.abs(c_try))) < cmax:
-                xi, c = xi_try, c_try
-                cmax = float(np.max(np.abs(c)))
+            if float(np.max(np.abs(pt_try.c))) < cmax:
+                xi, pt = xi_try, pt_try
+                cmax = float(np.max(np.abs(pt.c)))
                 improved = True
                 break
             t *= 0.5
@@ -458,14 +397,9 @@ def _newton_on_c(V, make_cfg, xi0, epsilon, gs, mu, opts, c_tol, max_steps,
 
     cfg = make_cfg(xi)
     v_at = np.array([float(V(*x)) for x in cfg.xi])
-    I_val = np.nan
-    try:
-        I_val = _I_only(V, cfg, gs, mu, opts)
-    except SolverDivergence:
-        pass
     return SearchOutcome(q_star=cfg, mode=mode, max_abs_c=cmax,
                          V_at_spikes=v_at, converged=bool(cmax <= c_tol),
-                         history=history, I_value=I_val)
+                         history=history, I_value=pt.I)
 
 
 def cluster_search(V: Potential, epsilon: float, k: int, region,
@@ -474,7 +408,9 @@ def cluster_search(V: Potential, epsilon: float, k: int, region,
                    ascent_tol: float = 1e-4) -> SearchOutcome:
     """Maximize I(q) under the cluster separation floor |xi_i - xi_j| >= eps^(1-s/4).
 
-    Projected gradient ascent on the finite-difference gradient of I; after
+    Projected gradient ascent along the multiplier gradient
+    grad_xi I = -alpha_ij c_ij / eps, read off the correction at the current
+    configuration, so each trial configuration costs one correction; after
     every step, any pair below the floor is pushed back to it along the pair
     direction. The outcome reports whether the maximizer ended interior or
     pinned on the separation boundary (boundary_stuck). k = 1 reduces to the
@@ -516,62 +452,42 @@ def cluster_search(V: Potential, epsilon: float, k: int, region,
         return SpikeConfig(grid, xi / epsilon, epsilon, delta=0.05,
                            r_min=0.98 * floor_q)
 
-    def I_or_none(xi):
+    def corrected_or_none(xi):
         try:
-            return _I_only(V, make_cfg(xi), gs, mu, opts)
+            return _corrected(V, make_cfg(xi), gs, mu, opts)
         except SolverDivergence:
             return None
 
-    xi = I_cur = None
+    xi = pt = None
     for cand in _model_seed(V, epsilon, k, region, "cluster_max", gs, rng):
         cand = project(np.asarray(cand, dtype=float))
-        val = I_or_none(cand)
-        if val is not None:
-            xi, I_cur = cand, val
+        pt = corrected_or_none(cand)
+        if pt is not None:
+            xi = cand
             break
-    if xi is None:
+    if pt is None:
         raise SolverDivergence("correction diverged at every cluster seed; "
                                "the separation floor admits no tractable "
                                "starting configuration")
-    history = [{"step": 0, "I": I_cur, "xi": xi.ravel().tolist()}]
+    history = [{"step": 0, "I": pt.I, "xi": xi.ravel().tolist()}]
     span = float(np.min(highs - lows))
     step_len = 0.05 * span
-    fd = max(1e-3 * span, 1e-3 * epsilon)
 
     for step in range(1, max_steps + 1):
-        g_fd = np.zeros((k, dim))
-        fd_ok = True
-        for i in range(k):
-            for a in range(dim):
-                xp, xm = xi.copy(), xi.copy()
-                xp[i, a] += fd
-                xm[i, a] -= fd
-                Ip = I_or_none(project(xp))
-                Im = I_or_none(project(xm))
-                if Ip is None or Im is None:
-                    fd_ok = False
-                    break
-                g_fd[i, a] = (Ip - Im) / (2.0 * fd)
-            if not fd_ok:
-                break
-        if not fd_ok:
-            log.warning("cluster ascent stopped: correction diverged in a "
-                        "gradient stencil at step %d", step)
-            break
-        gn = float(np.linalg.norm(g_fd))
-        if gn * span <= ascent_tol * max(abs(I_cur), 1e-300):
+        gn = float(np.linalg.norm(pt.grad))
+        if gn * span <= ascent_tol * max(abs(pt.I), 1e-300):
             break
         improved = False
         t = step_len
         while t > 1e-3 * span:
-            xi_try = project(xi + t * g_fd / gn)
-            I_try = I_or_none(xi_try)
-            if I_try is not None and I_try > I_cur:
-                xi, I_cur = xi_try, I_try
+            xi_try = project(xi + t * pt.grad / gn)
+            pt_try = corrected_or_none(xi_try)
+            if pt_try is not None and pt_try.I > pt.I:
+                xi, pt = xi_try, pt_try
                 improved = True
                 break
             t *= 0.5
-        history.append({"step": step, "I": I_cur, "xi": xi.ravel().tolist()})
+        history.append({"step": step, "I": pt.I, "xi": xi.ravel().tolist()})
         if not improved:
             break
 
@@ -580,13 +496,10 @@ def cluster_search(V: Potential, epsilon: float, k: int, region,
     min_sep_xi = float(np.min(seps)) * epsilon if k > 1 else np.inf
     stuck = bool(min_sep_xi <= 1.02 * floor_xi)
     v_at = np.array([float(V(*x)) for x in cfg.xi])
-    try:
-        c_final = float(np.max(np.abs(_c_of(V, cfg, gs, mu, opts))))
-    except SolverDivergence:
-        c_final = np.nan
-    return SearchOutcome(q_star=cfg, mode="cluster_max", max_abs_c=c_final,
+    return SearchOutcome(q_star=cfg, mode="cluster_max",
+                         max_abs_c=float(np.max(np.abs(pt.c))),
                          V_at_spikes=v_at, converged=True, history=history,
-                         boundary_stuck=stuck, I_value=I_cur,
+                         boundary_stuck=stuck, I_value=pt.I,
                          c_tol=np.inf)
 
 

@@ -1,4 +1,5 @@
-"""Shared fixtures: a session-wide ground-state store and a seeded RNG.
+"""Shared fixtures: a session-wide ground-state store, a seeded RNG, and the
+closed-form s = 1/2 profile.
 
 Ground states are the expensive ingredient nearly every test needs, so they
 are solved once per (s, p, dim, L, M, kwargs) tuple and shared across the
@@ -36,6 +37,9 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-def closed_form_profile(grid: Grid) -> np.ndarray:
-    """w(x) = 2 / (1 + x^2), the explicit s=1/2, p=2, N=1 profile."""
-    return 2.0 / (1.0 + grid.axis ** 2)
+@pytest.fixture(scope="session")
+def closed_form_profile():
+    """Callable grid -> 2/(1 + x^2), the explicit s=1/2, p=2, N=1 profile."""
+    def profile(grid: Grid) -> np.ndarray:
+        return 2.0 / (1.0 + grid.axis ** 2)
+    return profile

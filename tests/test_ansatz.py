@@ -128,9 +128,8 @@ def test_build_ansatz_validation(gs_store):
         build_ansatz(V, SpikeConfig(other, [[0.0]], 0.1), gs)
 
 
-def test_2d_ansatz_parity():
-    from conftest import get_ground_state
-    gs = get_ground_state(0.5, 2.0, dim=2, L=10.0, M=128)
+def test_2d_ansatz_parity(gs_store):
+    gs = gs_store(0.5, 2.0, dim=2, L=10.0, M=128)
     V = builtin_potentials("well", a=2.0, b=1.0)
     cfg = SpikeConfig(gs.grid, [[0.0, 0.0]], 0.1)
     bundle = build_ansatz(V, cfg, gs)

@@ -14,9 +14,8 @@ from fracspike.potentials import builtin_potentials
 
 
 @pytest.fixture(scope="module")
-def well_setup():
-    from conftest import get_ground_state
-    gs = get_ground_state(0.5, 2.0)
+def well_setup(gs_store):
+    gs = gs_store(0.5, 2.0)
     V = builtin_potentials("well", a=2.0, b=1.0)
     cfg = SpikeConfig(gs.grid, [[0.0]], epsilon=0.1)
     bundle = build_ansatz(V, cfg, gs)
@@ -32,6 +31,32 @@ def test_kernel_direction_input_yields_zero_phi(well_setup):
     assert sol.iterations == 0  # zero-branch, no Krylov work
     # L_W phi - g = -Z_11 = sum c Z requires c_11 = -1
     assert sol.c[0, 0] == pytest.approx(-1.0, abs=1e-10)
+
+
+def test_kernel_direction_input_ignores_initial_guess(well_setup, rng):
+    """The zero branch returns phi = 0 without Krylov work even given x0."""
+    gs, V, cfg, bundle = well_setup
+    guess = Field(gs.grid, np.exp(-0.1 * gs.grid.axis ** 2)
+                  * rng.standard_normal(gs.grid.shape))
+    g = Field(gs.grid, bundle.Z[0][0].values.copy())
+    sol = projected_solve(g, V, cfg, bundle, x0=guess)
+    assert sol.phi.sup == 0.0
+    assert sol.iterations == 0
+
+
+def test_projected_solve_warm_start(well_setup):
+    """Starting from a nearby solution reproduces the cold solve, faster."""
+    gs, V, cfg, bundle = well_setup
+    x = gs.grid.axis
+    near = projected_solve(Field(gs.grid, np.exp(-0.05 * (x - 3.0) ** 2)),
+                           V, cfg, bundle)
+    g = Field(gs.grid, np.exp(-0.05 * (x - 3.02) ** 2))
+    cold = projected_solve(g, V, cfg, bundle)
+    warm = projected_solve(g, V, cfg, bundle, x0=near.phi)
+    assert warm.iterations < cold.iterations
+    np.testing.assert_allclose(warm.phi.values, cold.phi.values, rtol=0,
+                               atol=1e-8 * cold.phi.sup)
+    np.testing.assert_allclose(warm.c, cold.c, rtol=1e-8)
 
 
 def test_projected_solve_orthogonality(well_setup, rng):

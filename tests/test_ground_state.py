@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from conftest import closed_form_profile
 from fracspike.errors import ConfigError, SolverDivergence
 from fracspike.grid import FracParams, Grid
 from fracspike.ground_state import (energy, energy_scaling_exponent,
@@ -11,7 +10,7 @@ from fracspike.ground_state import (energy, energy_scaling_exponent,
                                     solve_ground_state)
 
 
-def test_closed_form_profile(gs_store):
+def test_closed_form_profile(gs_store, closed_form_profile):
     # the L = 40 box truncates a tail worth ~2e-3 of the peak; the tighter
     # 1e-3 comparison runs at L = 80, M = 4096 in the acceptance suite
     gs = gs_store(0.5, 2.0)
@@ -31,7 +30,7 @@ def test_profile_is_even(gs_store):
     assert abs(gs.grid.axis[i_max]) < gs.grid.spacing
 
 
-def test_energy_matches_functional(gs_store):
+def test_energy_matches_functional(gs_store, closed_form_profile):
     gs = gs_store(0.5, 2.0)
     direct = energy(gs.grid, gs.params, 1.0, gs.values)
     assert gs.energy == pytest.approx(direct, rel=1e-12)

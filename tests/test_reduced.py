@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from fracspike import reduced
 from fracspike.ansatz import SpikeConfig
+from fracspike.correction import CorrectionOptions
 from fracspike.errors import ConfigError
 from fracspike.ground_state import energy_scaling_exponent
 from fracspike.potentials import builtin_potentials
@@ -18,7 +20,7 @@ def test_constant_potential_energy_identity(gs_store):
     lam = 1.3
     V = builtin_potentials("constant", lam=lam)
     cfg = SpikeConfig(gs.grid, [[2.0]], epsilon=0.1)
-    rep = reduced_energy(V, cfg, gs, with_gradient=False)
+    rep = reduced_energy(V, cfg, gs)
     theta = energy_scaling_exponent(gs.params, 1)
     assert rep.converged
     assert rep.I_value == pytest.approx(lam ** theta * gs.energy, rel=1e-2)
@@ -33,12 +35,88 @@ def test_reduced_gradient_tracks_multipliers(gs_store):
     V = builtin_potentials("well", a=2.0, b=1.0)
     center = reduced_energy(V, SpikeConfig(gs.grid, [[0.0]], 0.1), gs)
     off = reduced_energy(V, SpikeConfig(gs.grid, [[4.0]], 0.1), gs)
-    assert abs(center.grad_fd[0, 0]) < 1e-5
+    assert abs(center.grad[0, 0]) < 1e-5
     assert np.max(np.abs(center.c_matrix)) < 1e-6
-    assert abs(off.grad_fd[0, 0]) > 10 * abs(center.grad_fd[0, 0])
+    assert abs(off.grad[0, 0]) > 10 * abs(center.grad[0, 0])
     assert np.max(np.abs(off.c_matrix)) > 1e-4
     # moving toward the minimum lowers I
     assert center.I_value < off.I_value
+
+
+def test_reduced_energy_reports_failed_correction(gs_store):
+    """A correction that cannot start yields a NaN report, not an exception."""
+    gs = gs_store(0.5, 2.0)
+    V = builtin_potentials("well", a=2.0, b=1.0)
+    cfg = SpikeConfig(gs.grid, [[4.0]], 0.1)
+    rep = reduced_energy(V, cfg, gs, opts=CorrectionOptions(eta=1e-6))
+    assert not rep.converged
+    assert np.isnan(rep.I_value)
+    assert rep.c_matrix.shape == rep.grad.shape == (1, 1)
+    assert np.all(np.isnan(rep.c_matrix)) and np.all(np.isnan(rep.grad))
+
+
+CLUSTER_BUMP = dict(a=1.0, bumps=[{"b": 1.0, "center": [0.0], "sigma": 1.0}])
+
+
+@pytest.mark.parametrize("potential, xi", [
+    (CLUSTER_BUMP, [[0.5], [-0.3]]),
+    (CLUSTER_BUMP, [[0.8], [-0.8]]),
+    (dict(a=2.0, b=1.0), [[0.4]]),
+])
+def test_multiplier_gradient_matches_central_differences(gs_store, potential,
+                                                         xi):
+    """-alpha c / eps is grad_xi I: within 10% of central differences."""
+    gs = gs_store(0.5, 2.0)
+    kind = "gaussian_bumps" if "bumps" in potential else "well"
+    V = builtin_potentials(kind, **potential)
+    eps, h = 0.1, 1e-3
+    xi = np.array(xi)
+    rep = reduced_energy(V, SpikeConfig(gs.grid, xi / eps, eps), gs)
+    assert rep.converged
+    fd = np.zeros_like(xi)
+    for idx in np.ndindex(xi.shape):
+        vals = []
+        for sgn in (1.0, -1.0):
+            shifted = xi.copy()
+            shifted[idx] += sgn * h
+            vals.append(reduced_energy(
+                V, SpikeConfig(gs.grid, shifted / eps, eps), gs).I_value)
+        fd[idx] = (vals[0] - vals[1]) / (2.0 * h)
+    assert np.all(np.sign(rep.grad) == np.sign(fd)), (rep.grad, fd)
+    np.testing.assert_allclose(rep.grad, fd, rtol=0.1)
+
+
+def _count_corrections(monkeypatch):
+    calls = []
+    inner = reduced.nonlinear_correction
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(reduced, "nonlinear_correction", counting)
+    return calls
+
+
+def test_two_well_search_correction_budget(gs_store, monkeypatch):
+    """The criterion-11 search in 1d needs at most 8 corrections."""
+    gs = gs_store(0.5, 2.0)
+    V = builtin_potentials("gaussian_bumps", a=2.0, bumps=[
+        {"b": -0.9, "center": c, "sigma": 0.5} for c in ([-1.0], [1.0])])
+    calls = _count_corrections(monkeypatch)
+    out = critical_point_search(V, 0.1, 2, [(-2.0, 2.0)], "minimize_V", gs)
+    assert out.converged
+    assert len(calls) <= 8
+
+
+def test_minimum_search_correction_budget(gs_store, monkeypatch):
+    """The well minimum at eps = 0.1 needs at most 4 corrections."""
+    gs = gs_store(0.5, 2.0)
+    V = builtin_potentials("well", a=2.0, b=1.0)
+    calls = _count_corrections(monkeypatch)
+    out = critical_point_search(V, 0.1, 1, [(-2.0, 2.0)], "minimize_V", gs)
+    assert out.converged
+    assert len(calls) <= 4
 
 
 def test_interaction_constants_shape_and_symmetry(gs_store):
