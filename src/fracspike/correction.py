@@ -166,9 +166,10 @@ def projected_solve(g: Field, V: Potential, cfg: SpikeConfig,
     components; the converged residual L_W phi - g then sits in span{Z} and
     the Gram system G c = <Z, L_W phi - g> recovers the multipliers.
 
-    x0 is an initial guess for phi. Its span{Z} part is invisible to the
-    operator and dropped with the final projection, and the tolerance stays
-    relative to ||P g||, so a guess near the solution only saves iterations.
+    x0 is an initial guess for phi. Its span{Z} part is projected out on
+    entry, and the tolerance stays relative to ||P g||, so a guess near the
+    solution only saves iterations. Every Krylov vector then lies in
+    span{Z}^perp, so the operators project their outputs only.
     """
     op = _op if _op is not None else _ProjectedOperator(V, cfg, bundle)
     grid = op.grid
@@ -176,12 +177,10 @@ def projected_solve(g: Field, V: Potential, cfg: SpikeConfig,
     shape = grid.shape
 
     def mv(y):
-        yy = op.project(y.reshape(shape))
-        return op.project(op.apply_lw(yy)).ravel()
+        return op.project(op.apply_lw(y.reshape(shape))).ravel()
 
     def pmv(r):
-        rr = op.project(r.reshape(shape))
-        return op.project(op.apply_tm(rr)).ravel()
+        return op.project(op.apply_tm(r.reshape(shape))).ravel()
 
     b = op.project(g.values).ravel()
     history: list[float] = []
@@ -196,8 +195,8 @@ def projected_solve(g: Field, V: Potential, cfg: SpikeConfig,
         # preconditioned one can cross tol a cycle before the true one does
         restart = min(max_iter, 300 if n <= 16384 else 150)
         outer = -(-max_iter // restart) + 1
-        y, info = gmres(A, b, x0=None if x0 is None else x0.values.ravel(),
-                        M=M, rtol=tol, atol=0.0,
+        y0 = None if x0 is None else op.project(x0.values).ravel()
+        y, info = gmres(A, b, x0=y0, M=M, rtol=tol, atol=0.0,
                         restart=restart, maxiter=outer,
                         callback=lambda pr: history.append(float(pr)),
                         callback_type="pr_norm")
@@ -268,7 +267,8 @@ def multiplier_estimate(phi: Field, g: Field, bundle: AnsatzBundle,
 
 
 def nonlinear_correction(V: Potential, cfg: SpikeConfig, bundle: AnsatzBundle,
-                         opts: CorrectionOptions | None = None) -> CorrectionResult:
+                         opts: CorrectionOptions | None = None,
+                         phi0: Field | None = None) -> CorrectionResult:
     """Fixed point phi <- T_q(E + N(phi)) for the full correction Phi(q).
 
     N(phi) is the quadratic-and-higher remainder of the nonlinearity around
@@ -278,6 +278,9 @@ def nonlinear_correction(V: Potential, cfg: SpikeConfig, bundle: AnsatzBundle,
     configuration is outside the contraction regime at this epsilon). Each
     projected solve starts GMRES from the current iterate, which already
     lies in span{Z}^perp.
+
+    phi0, typically the correction at a nearby configuration, starts the
+    fixed point from its projection onto span{Z}^perp instead of from 0.
     """
     opts = opts or CorrectionOptions()
     if bundle.E_norm_Y > opts.eta:
@@ -289,7 +292,8 @@ def nonlinear_correction(V: Potential, cfg: SpikeConfig, bundle: AnsatzBundle,
     rho = bundle.rho
     p = bundle.params.p
 
-    phi = Field(grid, np.zeros(grid.shape))
+    phi = Field(grid, np.zeros(grid.shape) if phi0 is None
+                else op.project(phi0.values))
     c = np.zeros((cfg.k, grid.dim))
     increments: list[float] = []
     ratios: list[float] = []

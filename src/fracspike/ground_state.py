@@ -37,7 +37,6 @@ __all__ = [
     "energy_scaling_exponent",
     "decay_fit",
     "linearization_spectrum",
-    "apply_linearization",
     "radial_profile",
 ]
 
@@ -335,7 +334,12 @@ def _dilate_free_space(gs: GroundState, scale: float) -> np.ndarray:
         raise SolverDivergence(
             "rescale to lambda > 1 needs a converged far-field fit on the "
             "source profile to continue the tail across periods")
-    inner = w_t - _image_tail(gs.decay, coords, L, grid.dim)
+    # sigma is exactly 0 beyond 0.5 L: sum the image tail only where it is not
+    near = sigma > 0.0
+    inner = np.zeros(grid.shape)
+    inner[near] = w_t[near] - _image_tail(
+        gs.decay, [np.broadcast_to(c, grid.shape)[near] for c in coords], L,
+        grid.dim)
     outer = gs.decay.tail_model(np.maximum(y_r, 1e-6))
     return sigma * inner + (1.0 - sigma) * outer
 
@@ -374,14 +378,6 @@ def rescale(gs: GroundState, lam_new: float) -> GroundState:
         energy=energy(gs.grid, gs.params, lam_new, vals),
         decay=decay_fit(gs.grid, gs.params, vals),
         spectrum=None, source="rescale")
-
-
-def apply_linearization(gs: GroundState, v: np.ndarray) -> np.ndarray:
-    """L v with L = (-Delta)^s + lambda - p w^(p-1) around the profile."""
-    grid, params = gs.grid, gs.params
-    apply_A, _ = _resolve_apply(grid, params.s, gs.lam)
-    coeff = params.p * kernels.positive_power(gs.values, params.p - 1.0)
-    return apply_A(v) - coeff * v
 
 
 def linearization_spectrum(gs: GroundState, n_eigs: int = 6,

@@ -8,9 +8,9 @@ configurations where all c_ij vanish. Every search step therefore costs one
 correction per configuration it visits: the Newton searches drive c to zero
 and the cluster ascent steps along the multiplier gradient. The asymptotic
 model c_* sum V^theta(xi_i) - (1/2) sum_{i!=j} c_ij |q_i-q_j|^{-(N+2s)}
-supplies cheap seeds; its constants were validated against measured overlap
-integrals (the pair factor 1/2 and the lambda exponents empirically, see
-tests).
+supplies cheap seeds and the Jacobian the Newton searches start from; its
+constants were validated against measured overlap integrals (the pair
+factor 1/2 and the lambda exponents empirically, see tests).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from fracspike import kernels
 from fracspike import spectral as sp
-from fracspike.ansatz import AnsatzBundle, SpikeConfig, build_ansatz
+from fracspike.ansatz import SpikeConfig, build_ansatz
 from fracspike.correction import (CorrectionOptions, CorrectionResult,
                                   nonlinear_correction)
 from fracspike.errors import ConfigError, SolverDivergence
@@ -176,22 +176,44 @@ class _Corrected(NamedTuple):
     c: np.ndarray
     grad: np.ndarray
     correction: CorrectionResult
+    alphas: np.ndarray
 
 
-def _corrected(V, cfg, gs, mu, opts) -> _Corrected:
+def _corrected(V, cfg, gs, mu, opts, phi0=None) -> _Corrected:
     """Build the ansatz at cfg and correct it once: I, c and grad_xi I.
 
+    phi0 starts the fixed point from a nearby configuration's correction.
     Raises SolverDivergence when the correction does not converge.
     """
     bundle = build_ansatz(V, cfg, gs, mu=mu)
-    corr = nonlinear_correction(V, cfg, bundle, opts)
+    corr = nonlinear_correction(V, cfg, bundle, opts, phi0=phi0)
     if not corr.converged:
         raise SolverDivergence(f"correction diverged at centers "
                                f"{cfg.centers.tolist()}")
     u = bundle.W.values + corr.phi.values
     I_val = energy_with_potential(cfg.grid, gs.params, bundle.V_grid, u)
     return _Corrected(I_val, corr.c, -bundle.alphas * corr.c / cfg.epsilon,
-                      corr)
+                      corr, bundle.alphas)
+
+
+def _model_jacobian(V: Potential, xi: np.ndarray, epsilon: float,
+                    gs: GroundState, alphas: np.ndarray) -> np.ndarray:
+    """Model Jacobian of xi -> c, blocks -(eps/alpha_i) c_* hess V^theta(xi_i).
+
+    From c = -eps grad_xi I / alpha and I ~ c_* sum V^theta(xi_i); the pair
+    interaction is left out, for the Broyden updates to pick up.
+    """
+    theta = energy_scaling_exponent(gs.params, gs.grid.dim)
+    dim = xi.shape[1]
+    J = np.zeros((xi.size, xi.size))
+    for i, x in enumerate(xi):
+        lam, g = float(V(*x)), np.array(V.grad(*x), dtype=float)
+        hess_vt = theta * lam ** (theta - 2.0) * (
+            lam * np.array(V.hess(*x), dtype=float)
+            + (theta - 1.0) * np.outer(g, g))
+        J[i * dim:(i + 1) * dim, i * dim:(i + 1) * dim] = \
+            -(epsilon * gs.energy / alphas[i][:, None]) * hess_vt
+    return J
 
 
 def _model_seed(V: Potential, epsilon: float, k: int, region, mode: str,
@@ -280,11 +302,15 @@ def critical_point_search(V: Potential, epsilon: float, k: int, region,
     points of I, and c_ij = -eps (grad_xi I)_ij / alpha_ij is the reduced
     gradient scaled by eps; c_tol defaults to 1e-6 c_* eps max|grad V^theta|
     over the region. Seeds come from the asymptotic model; each start runs a
-    damped Newton iteration on the multiplier map q -> c(q) (Jacobian by
-    forward differences, one correction per column; a step along -c when it
-    is singular) and stops once a backtracked step no longer reduces max|c|.
-    The returned outcome records the best iterate even when no start
-    converges; its I_value comes from the final iterate's correction.
+    damped quasi-Newton iteration on q -> c(q) from the model Jacobian
+    (_model_jacobian) with good-Broyden updates. When a backtracked step
+    fails to lower max|c|, and at the start when V has no Hessian, the
+    Jacobian is rebuilt by forward differences (one correction per column);
+    the search stops when that one fails too. Corrections start their fixed
+    point from the current point's phi; history entries name the Jacobian
+    ("model", "broyden" or "fd") of each step. The returned outcome records
+    the best iterate even when no start converges; its I_value comes from
+    the final iterate's correction.
 
     region is a list of (lo, hi) intervals per axis in the outer variable
     xi; mode is one of minimize_V, maximize_V, degree_zero_of_gradV.
@@ -339,7 +365,7 @@ def critical_point_search(V: Potential, epsilon: float, k: int, region,
 
 def _newton_on_c(V, make_cfg, xi0, epsilon, gs, mu, opts, c_tol, max_steps,
                  region, mode) -> SearchOutcome:
-    """Damped Newton on q -> c(q) from one seed; steps in the xi variable."""
+    """Damped good-Broyden iteration on q -> c(q) from one seed, in xi."""
     grid = gs.grid
     dim = grid.dim
     lows = np.array([r[0] for r in region], dtype=float)
@@ -354,46 +380,59 @@ def _newton_on_c(V, make_cfg, xi0, epsilon, gs, mu, opts, c_tol, max_steps,
                 "xi": xi.ravel().tolist()}]
     # Jacobian step: small against the region, large against fd noise in c
     hx = max(1e-3 * float(np.min(highs - lows)), 1e-3 * epsilon)
+    cap = 0.25 * float(np.min(highs - lows))  # step cap against the region
 
-    for step in range(1, max_steps + 1):
-        if cmax <= c_tol:
-            break
-        J = np.zeros((n, n))
-        for col in range(n):
-            xi_p = xi.copy().ravel()
-            xi_p[col] += hx
-            c_p = _corrected(V, make_cfg(xi_p.reshape(k, dim)), gs, mu,
-                             opts).c
-            J[:, col] = (c_p - pt.c).ravel() / hx
+    def corrected_near(xi_new):
+        return _corrected(V, make_cfg(xi_new), gs, mu, opts,
+                          phi0=pt.correction.phi)
+
+    def fd_jacobian():
+        return np.column_stack([
+            (corrected_near(xi + hx * e.reshape(k, dim)).c - pt.c).ravel()
+            for e in np.eye(n)]) / hx
+
+    def backtracked_step(J):
+        """(xi, point) of the first halving of the step that lowers max|c|."""
         try:
             delta_xi = np.linalg.solve(J, -pt.c.ravel())
         except np.linalg.LinAlgError:
             delta_xi = -pt.c.ravel() * hx / max(cmax, 1e-300)
-        # cap the step at a fraction of the region
-        cap = 0.25 * float(np.min(highs - lows))
         dn = float(np.linalg.norm(delta_xi))
         if dn > cap:
             delta_xi *= cap / dn
-
-        improved = False
         t = 1.0
         while t >= 0.0625:
             xi_try = np.clip(xi + t * delta_xi.reshape(k, dim), lows, highs)
+            t *= 0.5
             try:
-                pt_try = _corrected(V, make_cfg(xi_try), gs, mu, opts)
+                pt_try = corrected_near(xi_try)
             except (ConfigError, SolverDivergence):
-                t *= 0.5
                 continue
             if float(np.max(np.abs(pt_try.c))) < cmax:
-                xi, pt = xi_try, pt_try
-                cmax = float(np.max(np.abs(pt.c)))
-                improved = True
-                break
-            t *= 0.5
-        history.append({"step": step, "max_abs_c": cmax,
-                        "xi": xi.ravel().tolist()})
-        if not improved:
+                return xi_try, pt_try
+        return None
+
+    # without a Hessian the first step refreshes J, like a failed one
+    J = _model_jacobian(V, xi, epsilon, gs, pt.alphas) if V.has_hess else None
+    kind = "model"
+    for step in range(1, max_steps + 1):
+        if cmax <= c_tol:
             break
+        new = None if J is None else backtracked_step(J)
+        if new is None and kind != "fd":
+            J, kind = fd_jacobian(), "fd"
+            new = backtracked_step(J)
+        if new is not None:
+            s_xi, y_c = (new[0] - xi).ravel(), (new[1].c - pt.c).ravel()
+            if s_xi.any():  # clipping can leave xi where it was
+                J = J + np.outer(y_c - J @ s_xi, s_xi) / (s_xi @ s_xi)
+            xi, pt = new
+            cmax = float(np.max(np.abs(pt.c)))
+        history.append({"step": step, "max_abs_c": cmax,
+                        "xi": xi.ravel().tolist(), "jacobian": kind})
+        if new is None:
+            break
+        kind = "broyden"
 
     cfg = make_cfg(xi)
     v_at = np.array([float(V(*x)) for x in cfg.xi])

@@ -59,6 +59,23 @@ def test_projected_solve_warm_start(well_setup):
     np.testing.assert_allclose(warm.c, cold.c, rtol=1e-8)
 
 
+def test_projected_solve_drops_span_z_part_of_initial_guess(well_setup):
+    """An x0 with an added Z component gives the clean x0's phi and c."""
+    gs, V, cfg, bundle = well_setup
+    x = gs.grid.axis
+    near = projected_solve(Field(gs.grid, np.exp(-0.05 * (x - 3.0) ** 2)),
+                           V, cfg, bundle)
+    g = Field(gs.grid, np.exp(-0.05 * (x - 3.02) ** 2))
+    z = bundle.Z[0][0].values
+    dirty = Field(gs.grid, near.phi.values
+                  + 0.5 * near.phi.sup * z / np.max(np.abs(z)))
+    clean = projected_solve(g, V, cfg, bundle, x0=near.phi)
+    sol = projected_solve(g, V, cfg, bundle, x0=dirty)
+    np.testing.assert_allclose(sol.phi.values, clean.phi.values, rtol=0,
+                               atol=1e-12 * clean.phi.sup)
+    np.testing.assert_allclose(sol.c, clean.c, rtol=1e-12)
+
+
 def test_projected_solve_orthogonality(well_setup, rng):
     gs, V, cfg, bundle = well_setup
     g = Field(gs.grid, np.exp(-0.1 * gs.grid.axis ** 2)
@@ -121,6 +138,18 @@ def test_nonlinear_correction_well(well_setup):
     assert ip <= 1e-8 * max(sp.norm_l2(res.phi), 1e-30)
     # multipliers are O(eps * V') sized, tiny for the centered spike
     assert np.max(np.abs(res.c)) < 1e-3
+
+
+def test_correction_from_its_own_fixed_point(well_setup):
+    """phi0 = the converged phi: one iteration, the same phi."""
+    gs, V, cfg, bundle = well_setup
+    opts = CorrectionOptions(eta=0.5)
+    res = nonlinear_correction(V, cfg, bundle, opts)
+    again = nonlinear_correction(V, cfg, bundle, opts, phi0=res.phi)
+    assert res.iterations > 1
+    assert again.converged and again.iterations == 1
+    np.testing.assert_allclose(again.phi.values, res.phi.values, rtol=0,
+                               atol=1e-10 * res.phi.sup)
 
 
 def test_correction_preserves_symmetry(well_setup):

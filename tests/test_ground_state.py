@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from fracspike import ground_state
+from fracspike import spectral as sp
 from fracspike.errors import ConfigError, SolverDivergence
 from fracspike.grid import FracParams, Grid
 from fracspike.ground_state import (energy, energy_scaling_exponent,
@@ -81,6 +83,25 @@ def test_rescale_splices_tail(gs_store):
         assert resc.source == "rescale"
         assert resc.residual_norm < 1e-2
     assert rescale(gs, 1.0).values == pytest.approx(gs.values)
+
+
+@pytest.mark.parametrize("lam", [0.9, 1.05, 1.1, 1.2, 1.3])
+def test_dilation_image_tail_only_where_blended(gs_store, lam):
+    """Summing the image tail only where sigma > 0 changes no sample."""
+    gs = gs_store(0.5, 2.0, dim=2, L=10.0, M=128)
+    scale = lam ** (1.0 / (2.0 * gs.params.s))
+    L = gs.grid.half_width
+    coords = [scale * c for c in gs.grid.coords()]
+    y_r = np.sqrt(sum(c ** 2 for c in coords))
+    lo, hi = 0.40 * L, 0.50 * L
+    sigma = 0.5 * (1.0 + np.cos(np.pi * np.clip((y_r - lo) / (hi - lo),
+                                                0.0, 1.0)))
+    assert np.any(sigma == 0.0)
+    inner = sp.dilate(gs.field, scale).values - ground_state._image_tail(
+        gs.decay, coords, L, 2)
+    full = sigma * inner + (1.0 - sigma) * gs.decay.tail_model(
+        np.maximum(y_r, 1e-6))
+    assert np.array_equal(ground_state._dilate_free_space(gs, scale), full)
 
 
 def test_rescale_validation(gs_store):

@@ -8,7 +8,7 @@ from fracspike.ansatz import SpikeConfig
 from fracspike.correction import CorrectionOptions
 from fracspike.errors import ConfigError
 from fracspike.ground_state import energy_scaling_exponent
-from fracspike.potentials import builtin_potentials
+from fracspike.potentials import builtin_potentials, potential_from_config
 from fracspike.reduced import (SEARCH_ETA, asymptotic_energy, brouwer_degree,
                                cluster_search, critical_point_search,
                                interaction_constants, reduced_energy)
@@ -98,15 +98,89 @@ def _count_corrections(monkeypatch):
     return calls
 
 
+TWO_WELL_1D = dict(a=2.0, bumps=[{"b": -0.9, "center": c, "sigma": 0.5}
+                                  for c in ([-1.0], [1.0])])
+
+
 def test_two_well_search_correction_budget(gs_store, monkeypatch):
-    """The criterion-11 search in 1d needs at most 8 corrections."""
+    """The criterion-11 search in 1d needs at most 3 corrections."""
     gs = gs_store(0.5, 2.0)
-    V = builtin_potentials("gaussian_bumps", a=2.0, bumps=[
-        {"b": -0.9, "center": c, "sigma": 0.5} for c in ([-1.0], [1.0])])
+    V = builtin_potentials("gaussian_bumps", **TWO_WELL_1D)
     calls = _count_corrections(monkeypatch)
     out = critical_point_search(V, 0.1, 2, [(-2.0, 2.0)], "minimize_V", gs)
     assert out.converged
-    assert len(calls) <= 8
+    assert len(calls) <= 3
+
+
+def test_double_well_search_correction_budget(gs_store, monkeypatch):
+    """The k = 2 double-well search in 1d needs at most 5 corrections."""
+    gs = gs_store(0.5, 2.0)
+    V = builtin_potentials("double_well", a=1.0, b=1.0)
+    calls = _count_corrections(monkeypatch)
+    out = critical_point_search(V, 0.1, 2, [(-2.0, 2.0)], "minimize_V", gs)
+    assert out.converged
+    assert len(calls) <= 5
+    assert out.history[1]["jacobian"] == "model"
+
+
+def test_model_jacobian_matches_forward_differences(gs_store):
+    """At the criterion-11 seed the model Jacobian is within 25% (Frobenius)."""
+    gs = gs_store(0.5, 2.0)
+    V = builtin_potentials("gaussian_bumps", **TWO_WELL_1D)
+    eps, region = 0.1, [(-2.0, 2.0)]
+    xi = reduced._model_seed(V, eps, 2, region, "minimize_V", gs,
+                             np.random.default_rng(0))[0]
+    opts = CorrectionOptions(eta=SEARCH_ETA)
+
+    def corrected(x):
+        return reduced._corrected(V, SpikeConfig(gs.grid, x / eps, eps), gs,
+                                  None, opts)
+
+    pt = corrected(xi)
+    h = 4e-3  # the search's difference step on this region
+    fd = np.zeros((2, 2))
+    for col in range(2):
+        shifted = xi.copy()
+        shifted[col, 0] += h
+        fd[:, col] = (corrected(shifted).c - pt.c).ravel() / h
+    model = reduced._model_jacobian(V, xi, eps, gs, pt.alphas)
+    assert np.linalg.norm(model - fd) <= 0.25 * np.linalg.norm(fd)
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.3])
+def test_search_without_hessian(gs_store, monkeypatch, shift):
+    """A tabulated V has no Hessian: the first step differences c, and a
+    seed already at the minimum (0 is on the seed lattice, 0.3 is not)
+    costs its own correction only."""
+    gs = gs_store(0.5, 2.0)
+    well = builtin_potentials("well", a=2.0, b=1.0)
+    axis = np.linspace(-3.0, 3.0, 601)
+    V = potential_from_config({"kind": "user_table", "axes": [axis.tolist()],
+                               "values": well(axis - shift).tolist()})
+    calls = _count_corrections(monkeypatch)
+    out = critical_point_search(V, 0.1, 1, [(-2.0, 2.0)], "minimize_V", gs)
+    assert out.converged and out.max_abs_c <= out.c_tol
+    assert abs(out.xi_star[0, 0] - shift) < 1e-2
+    if shift == 0.0:
+        assert len(calls) == 1
+    else:
+        assert out.history[1]["jacobian"] == "fd"
+
+
+@pytest.mark.parametrize("factor, refreshed", [(10.0, False), (-1.0, True)])
+def test_bad_model_jacobian_still_converges(gs_store, monkeypatch, factor,
+                                            refreshed):
+    """A model Jacobian 10x too large is repaired by the Broyden update; one
+    of the wrong sign fails its line search and is replaced by differences."""
+    gs = gs_store(0.5, 2.0)
+    V = builtin_potentials("gaussian_bumps", **TWO_WELL_1D)
+    model = reduced._model_jacobian
+    monkeypatch.setattr(reduced, "_model_jacobian",
+                        lambda *args: factor * model(*args))
+    out = critical_point_search(V, 0.1, 2, [(-2.0, 2.0)], "minimize_V", gs)
+    assert out.converged and out.max_abs_c <= out.c_tol
+    kinds = [h["jacobian"] for h in out.history[1:]]
+    assert ("fd" in kinds) == refreshed
 
 
 def test_minimum_search_correction_budget(gs_store, monkeypatch):
@@ -117,6 +191,18 @@ def test_minimum_search_correction_budget(gs_store, monkeypatch):
     out = critical_point_search(V, 0.1, 1, [(-2.0, 2.0)], "minimize_V", gs)
     assert out.converged
     assert len(calls) <= 4
+
+
+def test_search_pinned_at_region_boundary(gs_store):
+    """With the minimum outside the region the search stops on its boundary,
+    where a clipped step can leave xi in place, without NaN arithmetic."""
+    gs = gs_store(0.5, 2.0)
+    V = builtin_potentials("well", a=2.0, b=1.0)
+    with np.errstate(invalid="raise", divide="raise"):
+        out = critical_point_search(V, 0.1, 1, [(0.5, 1.5)], "minimize_V",
+                                    gs)
+    assert not out.converged
+    assert out.xi_star[0, 0] == 1.5
 
 
 def test_interaction_constants_shape_and_symmetry(gs_store):
