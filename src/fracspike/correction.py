@@ -5,11 +5,23 @@ The correction phi to the ansatz W solves
     (-Delta)^s phi + V(eps x) phi - p W^(p-1) phi = g + sum_ij c_ij Z_ij,
     <phi, Z_ij> = 0,
 
-with g = E + N(phi) in the fixed point. The solver works on the projected
-preconditioned system A y = P T_m L_W P y = P T_m g, whose Krylov space
-stays inside span{Z}^perp by construction, and recovers the multipliers
-from the Gram system afterwards. An independent damped Newton solver on the
-unprojected equation provides the validation path.
+with g = E + N(phi) in the fixed point. The Galerkin form of this system is
+P L_W y = P g for y in span{Z}^perp, with P the orthogonal projection onto
+span{Z}^perp, preconditioned by P T_m, T_m = ((-Delta)^s + m)^(-1), m =
+min V. GMRES iterates the preconditioned operator
+
+    P T_m P L_W y = y + P T_m (shift y - Q (L_W Q)^T y),
+    shift = V(eps x) - m - p W^(p-1),
+
+which is the same operator written so that one application costs a single
+FFT pair: T_m L_W = I + T_m (shift .) because T_m inverts the Fourier part
+of L_W, P y = y on span{Z}^perp, and, L_W being symmetric (real, even
+symbol), the span{Z} part Q Q^T L_W y of L_W y equals Q (L_W Q)^T y with
+L_W Q computed once per operator. The Krylov space stays inside
+span{Z}^perp by construction, and the multipliers come from the Gram
+system afterwards. An independent damped Newton solver on the unprojected
+equation, preconditioned the same way (T_m J = I + T_m (shift .)),
+provides the validation path.
 """
 
 from __future__ import annotations
@@ -18,10 +30,10 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from fracspike import kernels
 from fracspike import spectral as sp
+from fracspike._krylov import gmres
 from fracspike.ansatz import AnsatzBundle, SpikeConfig
 from fracspike.errors import ConfigError, SolverDivergence
 from fracspike.grid import Field, Grid
@@ -105,7 +117,11 @@ class NewtonResult:
 
 
 class _ProjectedOperator:
-    """Shared machinery: L_W, T_m, the Z projection, and the Gram system."""
+    """Shared machinery: L_W, T_m, the Z projection, and the Gram system.
+
+    Q, the orthonormal basis of span{Z}, is kept as the contiguous rows of
+    Q^T, with L_W Q beside it for the fused preconditioned operator.
+    """
 
     def __init__(self, V: Potential, cfg: SpikeConfig, bundle: AnsatzBundle):
         grid = bundle.grid
@@ -119,7 +135,8 @@ class _ProjectedOperator:
         self.m = float(np.min(self.V_grid))
         if not self.m > 0:
             raise ConfigError("potential is not positive on the grid")
-        self.coeff = params.p * kernels.positive_power(
+        self.inv_sym = 1.0 / (self.sym + self.m)
+        self.shift = self.V_grid - self.m - params.p * kernels.positive_power(
             bundle.W.values, params.p - 1.0)
 
         zmat = np.stack([z.values.ravel() for z in bundle.z_flat()], axis=1)
@@ -130,23 +147,30 @@ class _ProjectedOperator:
             raise ConfigError(
                 f"Z Gram system nearly singular (cond {self.gram_cond:.2e}); "
                 f"spikes too close for a stable projection")
-        # orthonormal basis of span{Z} for the projection
-        self.qbasis, _ = np.linalg.qr(zmat)
+        self.qt = np.ascontiguousarray(np.linalg.qr(zmat)[0].T)
+        self.lq = np.stack([self.apply_lw(q.reshape(grid.shape)).ravel()
+                            for q in self.qt])
         self.k = bundle.cfg.k
         self.dim = grid.dim
 
     def apply_lw(self, v: np.ndarray) -> np.ndarray:
         lap = np.fft.irfftn(self.sym * np.fft.rfftn(v, axes=self.axes),
                             s=self.grid.shape, axes=self.axes)
-        return lap + (self.V_grid - self.coeff) * v
+        return lap + (self.shift + self.m) * v
 
     def apply_tm(self, v: np.ndarray) -> np.ndarray:
-        return np.fft.irfftn(np.fft.rfftn(v, axes=self.axes) / (self.sym + self.m),
+        return np.fft.irfftn(np.fft.rfftn(v, axes=self.axes) * self.inv_sym,
                              s=self.grid.shape, axes=self.axes)
 
     def project(self, v: np.ndarray) -> np.ndarray:
         flat = v.ravel()
-        return (flat - self.qbasis @ (self.qbasis.T @ flat)).reshape(v.shape)
+        return (flat - (self.qt @ flat) @ self.qt).reshape(v.shape)
+
+    def apply_fused(self, y: np.ndarray) -> np.ndarray:
+        """P T_m P L_W y for flat y in span{Z}^perp, at one FFT pair."""
+        f = self.shift.ravel() * y - (self.lq @ y) @ self.qt
+        return y + self.project(self.apply_tm(
+            f.reshape(self.grid.shape))).ravel()
 
     def gram_solve(self, rhs_flat: np.ndarray) -> np.ndarray:
         """Solve G c = <Z, r> for the (k, dim) multiplier matrix."""
@@ -164,12 +188,12 @@ def projected_solve(g: Field, V: Potential, cfg: SpikeConfig,
     P T_m P. Both operators map the constraint space into itself and the
     right-hand side lies in it, so the Krylov iterates never pick up Z
     components; the converged residual L_W phi - g then sits in span{Z} and
-    the Gram system G c = <Z, L_W phi - g> recovers the multipliers.
+    the Gram system G c = <Z, L_W phi - g> recovers the multipliers. Each
+    Krylov iteration applies the fused P T_m P L_W (one FFT pair).
 
     x0 is an initial guess for phi. Its span{Z} part is projected out on
     entry, and the tolerance stays relative to ||P g||, so a guess near the
-    solution only saves iterations. Every Krylov vector then lies in
-    span{Z}^perp, so the operators project their outputs only.
+    solution only saves iterations.
     """
     op = _op if _op is not None else _ProjectedOperator(V, cfg, bundle)
     grid = op.grid
@@ -188,30 +212,32 @@ def projected_solve(g: Field, V: Potential, cfg: SpikeConfig,
     if float(np.linalg.norm(b)) <= 1e-12 * float(np.linalg.norm(g.values)):
         # g in span{Z} up to roundoff: phi = 0, the Gram solve yields c
         phi_vals = np.zeros(shape)
+        resid = -g.values
     else:
-        A = LinearOperator((n, n), matvec=mv, dtype=float)
-        M = LinearOperator((n, n), matvec=pmv, dtype=float)
-        # scipy checks the true residual only at cycle boundaries, and the
+        # the true residual is checked only at cycle boundaries, and the
         # preconditioned one can cross tol a cycle before the true one does
         restart = min(max_iter, 300 if n <= 16384 else 150)
         outer = -(-max_iter // restart) + 1
         y0 = None if x0 is None else op.project(x0.values).ravel()
-        y, info = gmres(A, b, x0=y0, M=M, rtol=tol, atol=0.0,
-                        restart=restart, maxiter=outer,
-                        callback=lambda pr: history.append(float(pr)),
-                        callback_type="pr_norm")
-        if info != 0:
-            true_rel = float(np.linalg.norm(b - mv(y))) / float(np.linalg.norm(b))
+        sol = gmres(op.apply_fused, mv, pmv, b, x0=y0, rtol=tol,
+                    restart=restart, maxiter=outer)
+        history = sol.history
+        if sol.info != 0:
+            true_rel = float(np.linalg.norm(sol.residual)) / \
+                float(np.linalg.norm(b))
             if true_rel > 10.0 * tol:
                 tail = ", ".join(f"{h:.3e}" for h in history[-5:])
                 raise SolverDivergence(
-                    f"projected solve did not converge (info={info}, "
+                    f"projected solve did not converge (info={sol.info}, "
                     f"{len(history)} iterations, true relative residual "
                     f"{true_rel:.3e}, last preconditioned [{tail}])")
             log.debug("projected solve: accepting true residual %.3e", true_rel)
         iterations = len(history)
-        phi_vals = op.project(y.reshape(shape))
-    resid = op.apply_lw(phi_vals) - g.values
+        phi_vals = op.project(sol.x.reshape(shape))
+        # L_W phi - g = -(P g - P L_W phi) + Q Q^T (L_W phi - g), where
+        # Q^T L_W phi = (L_W Q)^T phi needs no transform
+        qpart = (op.lq @ phi_vals.ravel() - op.qt @ g.values.ravel()) @ op.qt
+        resid = (qpart - sol.residual).reshape(shape)
     c = op.gram_solve(resid.ravel())
     model = (op.zmat @ c.ravel()).reshape(shape)
     gnorm = float(np.linalg.norm(g.values))
@@ -346,10 +372,12 @@ def full_newton_solve(V: Potential, epsilon: float, u0: Field, params,
     """Damped Newton on F(u) = (-Delta)^s u + V(eps x) u - u_+^p.
 
     Independent of the projection machinery: the Jacobian
-    (-Delta)^s + V(eps x) - p u_+^(p-1) is applied matrix-free and inverted
-    by resolvent-preconditioned GMRES; steps are halved until the sup-norm
-    residual decreases. Spike centers of the solution are its strict local
-    maxima above half the peak.
+    J = (-Delta)^s + V(eps x) - p u_+^(p-1) is applied matrix-free and
+    inverted by GMRES on the resolvent-preconditioned T_m J = I +
+    T_m (shift .), shift = V(eps x) - m - p u_+^(p-1), one FFT pair per
+    Krylov iteration; steps are halved until the sup-norm residual
+    decreases. Spike centers of the solution are its strict local maxima
+    above half the peak.
     """
     grid = u0.grid
     axes = tuple(range(grid.dim))
@@ -358,6 +386,7 @@ def full_newton_solve(V: Potential, epsilon: float, u0: Field, params,
     m = float(np.min(V_grid))
     if not m > 0:
         raise ConfigError("potential is not positive on the grid")
+    inv_sym = 1.0 / (sym + m)
     p = params.p
     n = u0.values.size
 
@@ -369,8 +398,8 @@ def full_newton_solve(V: Potential, epsilon: float, u0: Field, params,
         return lap(u) + V_grid * u - kernels.positive_power(u, p)
 
     def tm(v):
-        return np.fft.irfftn(np.fft.rfftn(v, axes=axes) / (sym + m),
-                             s=grid.shape, axes=axes)
+        return np.fft.irfftn(np.fft.rfftn(v.reshape(grid.shape), axes=axes)
+                             * inv_sym, s=grid.shape, axes=axes).ravel()
 
     u = u0.values.copy()
     sup0 = float(np.max(np.abs(u)))
@@ -383,29 +412,28 @@ def full_newton_solve(V: Potential, epsilon: float, u0: Field, params,
     for _ in range(max_iter):
         if converged:
             break
-        coeff = p * kernels.positive_power(u, p - 1.0)
+        shift = (V_grid - m - p * kernels.positive_power(u, p - 1.0)).ravel()
 
         def jmv(v):
-            vv = v.reshape(grid.shape)
-            return (lap(vv) + (V_grid - coeff) * vv).ravel()
+            return (lap(v.reshape(grid.shape)).ravel()
+                    + (shift + m) * v)
 
-        def pmv(v):
-            return tm(v.reshape(grid.shape)).ravel()
+        def tjmv(v):
+            return v + tm(shift * v)
 
-        J = LinearOperator((n, n), matvec=jmv, dtype=float)
-        M = LinearOperator((n, n), matvec=pmv, dtype=float)
         restart = krylov_maxiter if n <= 16384 else 200
         outer = -(-krylov_maxiter // restart)
-        delta, info = gmres(J, res.ravel(), M=M, rtol=krylov_tol, atol=0.0,
-                            restart=restart, maxiter=outer)
-        if info != 0:
-            # scipy re-checks the unpreconditioned residual at cycle ends and
+        sol = gmres(tjmv, jmv, tm, res.ravel(), rtol=krylov_tol,
+                    restart=restart, maxiter=outer)
+        delta = sol.x
+        if sol.info != 0:
+            # the unpreconditioned residual is re-checked at cycle ends and
             # reports failure even when the step is already usable
-            true_rel = float(np.linalg.norm(jmv(delta) - res.ravel())) / \
+            true_rel = float(np.linalg.norm(sol.residual)) / \
                 max(float(np.linalg.norm(res)), 1e-300)
             if true_rel > 1e-6:
                 log.warning("newton: inner gmres stalled (info=%s, relative "
-                            "residual %.3e)", info, true_rel)
+                            "residual %.3e)", sol.info, true_rel)
                 break
             log.debug("newton: accepting gmres step at relative residual "
                       "%.3e", true_rel)

@@ -18,10 +18,11 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigsh, gmres, lobpcg
+from scipy.sparse.linalg import LinearOperator, eigsh, lobpcg
 
 from fracspike import kernels
 from fracspike import spectral as sp
+from fracspike._krylov import gmres
 from fracspike.errors import ConfigError, SolverDivergence
 from fracspike.grid import Field, FracParams, Grid
 
@@ -247,30 +248,34 @@ def solve_ground_state(grid: Grid, params: FracParams, lam: float = 1.0,
 
 
 def _newton_polish(grid, params, lam, u, apply_A, apply_T, tol, max_steps=8):
-    """Damped Newton on F(u) = A u - u^p with resolvent-preconditioned GMRES."""
+    """Damped Newton on F(u) = A u - u^p with resolvent-preconditioned GMRES.
+
+    GMRES iterates T J = I - T (p u^(p-1) .), one FFT pair per iteration.
+    """
     p = params.p
-    n = u.size
     steps = 0
     res = float(np.max(np.abs(apply_A(u) - _power(u, p))) / np.max(np.abs(u)))
     for _ in range(max_steps):
         if res <= tol:
             break
         F = apply_A(u) - _power(u, p)
-        coeff = p * _power(u, p - 1.0)
+        coeff = (p * _power(u, p - 1.0)).ravel()
 
         def jmv(v):
-            vv = v.reshape(grid.shape)
-            return (apply_A(vv) - coeff * vv).ravel()
+            return apply_A(v.reshape(grid.shape)).ravel() - coeff * v
 
         def pmv(v):
             return apply_T(v.reshape(grid.shape)).ravel()
 
-        J = LinearOperator((n, n), matvec=jmv, dtype=float)
-        M = LinearOperator((n, n), matvec=pmv, dtype=float)
-        delta, info = gmres(J, F.ravel(), M=M, rtol=1e-10, atol=0.0, maxiter=400)
-        if info != 0:
-            log.debug("newton polish: gmres info=%s", info)
+        def tjmv(v):
+            return v - pmv(coeff * v)
+
+        sol = gmres(tjmv, jmv, pmv, F.ravel(), rtol=1e-10, restart=20,
+                    maxiter=400)
+        if sol.info != 0:
+            log.debug("newton polish: gmres info=%s", sol.info)
             break
+        delta = sol.x
         step = 1.0
         u_max = float(np.max(np.abs(u)))
         while step > 1e-4:

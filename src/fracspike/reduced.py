@@ -404,6 +404,8 @@ def _newton_on_c(V, make_cfg, xi0, epsilon, gs, mu, opts, c_tol, max_steps,
         while t >= 0.0625:
             xi_try = np.clip(xi + t * delta_xi.reshape(k, dim), lows, highs)
             t *= 0.5
+            if np.array_equal(xi_try, xi):  # clipped onto xi: same max|c|
+                continue
             try:
                 pt_try = corrected_near(xi_try)
             except (ConfigError, SolverDivergence):

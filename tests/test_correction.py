@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from fracspike import correction
 from fracspike import spectral as sp
 from fracspike.ansatz import SpikeConfig, build_ansatz
-from fracspike.correction import (CorrectionOptions, detect_spike_centers,
+from fracspike.correction import (CorrectionOptions, _ProjectedOperator,
+                                  detect_spike_centers,
                                   full_newton_solve, multiplier_estimate,
                                   nonlinear_correction, projected_solve)
 from fracspike.errors import ConfigError, SolverDivergence
@@ -92,7 +94,6 @@ def test_projected_solve_solves_equation(well_setup, rng):
     gs, V, cfg, bundle = well_setup
     g = Field(gs.grid, np.exp(-0.05 * (gs.grid.axis - 3.0) ** 2))
     sol = projected_solve(g, V, cfg, bundle)
-    from fracspike.correction import _ProjectedOperator
     op = _ProjectedOperator(V, cfg, bundle)
     lhs = op.apply_lw(sol.phi.values)
     rhs = g.values + (op.zmat @ sol.c.ravel()).reshape(gs.grid.shape)
@@ -203,3 +204,83 @@ def test_correction_two_spikes(gs_store):
     assert res.c.shape == (2, 1)
     # off-center spikes feel the potential slope: c is antisymmetric-ish
     assert res.c[0, 0] == pytest.approx(-res.c[1, 0], rel=0.05)
+
+
+def _two_spike_setup(gs, xi=1.0):
+    """Criterion-11 two-well bumps at eps = 0.1, spikes at (+-xi, 0)."""
+    dim = gs.grid.dim
+    wells = [[-1.0] + [0.0] * (dim - 1), [1.0] + [0.0] * (dim - 1)]
+    V = builtin_potentials("gaussian_bumps", a=2.0, bumps=[
+        {"b": -0.9, "center": c, "sigma": 0.5} for c in wells])
+    cfg = SpikeConfig(gs.grid, xi * np.array(wells) / 0.1, epsilon=0.1)
+    return V, cfg, build_ansatz(V, cfg, gs)
+
+
+@pytest.mark.parametrize("gs_args, xi", [
+    (dict(), 1.0),  # the 1d criterion-11 configuration
+    (dict(dim=2, L=10.0, M=128), 0.3),
+], ids=["1d", "2d"])
+def test_fused_operator_matches_composition(gs_store, rng, gs_args, xi):
+    """y + P T_m(shift y - Q (L_W Q)^T y) is P T_m P L_W y on span{Z}^perp,
+    and v + T_m(shift v) is T_m L_W v, the form the Newton solve iterates."""
+    gs = gs_store(0.5, 2.0, **gs_args)
+    V, cfg, bundle = _two_spike_setup(gs, xi)
+    op = _ProjectedOperator(V, cfg, bundle)
+    shape = gs.grid.shape
+    for _ in range(3):
+        y = op.project(rng.standard_normal(shape))
+        fused = op.apply_fused(y.ravel()).reshape(shape)
+        composed = op.project(op.apply_tm(op.project(op.apply_lw(y))))
+        assert np.linalg.norm(fused - composed) <= \
+            1e-12 * np.linalg.norm(composed)
+        v = rng.standard_normal(shape)
+        newton_form = v + op.apply_tm(op.shift * v)
+        reference = op.apply_tm(op.apply_lw(v))
+        assert np.linalg.norm(newton_form - reference) <= \
+            1e-12 * np.linalg.norm(reference)
+
+
+def _count_rfftn(monkeypatch):
+    calls = []
+    inner = np.fft.rfftn
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfftn", counting)
+    return calls
+
+
+def test_projected_solve_one_transform_per_krylov_iteration(gs_store,
+                                                            monkeypatch):
+    """Past operator set-up, a solve makes at most iterations + 4 forward
+    transforms: one per Krylov iteration plus a fixed few per cycle."""
+    gs = gs_store(0.5, 2.0)
+    V, cfg, bundle = _two_spike_setup(gs)
+    op = _ProjectedOperator(V, cfg, bundle)
+    calls = _count_rfftn(monkeypatch)
+    sol = projected_solve(bundle.E, V, cfg, bundle, _op=op)
+    assert sol.iterations >= 10
+    assert len(calls) <= sol.iterations + 4
+
+
+def test_newton_one_transform_per_krylov_iteration(gs_store, monkeypatch):
+    """The Newton certificate makes at most one forward transform per Krylov
+    iteration plus four per Newton step and one for the seed residual."""
+    gs = gs_store(0.5, 2.0)
+    V, cfg, bundle = _two_spike_setup(gs)
+    iterations = []
+    inner = correction.gmres
+
+    def counting_gmres(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        iterations.append(len(out.history))
+        return out
+
+    monkeypatch.setattr(correction, "gmres", counting_gmres)
+    calls = _count_rfftn(monkeypatch)
+    out = full_newton_solve(V, cfg.epsilon, bundle.W, gs.params)
+    assert out.converged and out.iterations >= 1
+    assert sum(iterations) >= 10
+    assert len(calls) <= sum(iterations) + 4 * len(iterations) + 1

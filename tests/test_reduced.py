@@ -205,6 +205,20 @@ def test_search_pinned_at_region_boundary(gs_store):
     assert out.xi_star[0, 0] == 1.5
 
 
+@pytest.mark.parametrize("region, edge", [((0.5, 1.5), 1.5),
+                                          ((-1.5, -0.5), -1.5)])
+def test_pinned_search_correction_budget(gs_store, monkeypatch, region, edge):
+    """A trial step clipped back onto the current xi costs no correction:
+    the search pinned at the region boundary needs at most 30."""
+    gs = gs_store(0.5, 2.0)
+    V = builtin_potentials("well", a=2.0, b=1.0)
+    calls = _count_corrections(monkeypatch)
+    out = critical_point_search(V, 0.1, 1, [region], "minimize_V", gs)
+    assert not out.converged
+    assert out.xi_star[0, 0] == edge
+    assert len(calls) <= 30
+
+
 def test_interaction_constants_shape_and_symmetry(gs_store):
     gs = gs_store(0.5, 2.0, L=80.0, M=2048)
     lam = np.array([1.0, 1.5])
