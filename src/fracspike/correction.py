@@ -21,7 +21,8 @@ L_W Q computed once per operator. The Krylov space stays inside
 span{Z}^perp by construction, and the multipliers come from the Gram
 system afterwards. An independent damped Newton solver on the unprojected
 equation, preconditioned the same way (T_m J = I + T_m (shift .)),
-provides the validation path.
+provides the validation path. Both apply (-Delta)^s and T_m through the
+shared `spectral.FracOperator`.
 """
 
 from __future__ import annotations
@@ -128,14 +129,12 @@ class _ProjectedOperator:
         params = bundle.params
         self.grid = grid
         self.p = params.p
-        self.axes = tuple(range(grid.dim))
-        self.sym = grid.symbol(2.0 * params.s)
         self.V_grid = bundle.V_grid if bundle.V_grid is not None \
             else V.on_grid(grid, cfg.epsilon)
         self.m = float(np.min(self.V_grid))
         if not self.m > 0:
             raise ConfigError("potential is not positive on the grid")
-        self.inv_sym = 1.0 / (self.sym + self.m)
+        self.frac = sp.FracOperator(grid, params.s, self.m)
         self.shift = self.V_grid - self.m - params.p * kernels.positive_power(
             bundle.W.values, params.p - 1.0)
 
@@ -154,13 +153,11 @@ class _ProjectedOperator:
         self.dim = grid.dim
 
     def apply_lw(self, v: np.ndarray) -> np.ndarray:
-        lap = np.fft.irfftn(self.sym * np.fft.rfftn(v, axes=self.axes),
-                            s=self.grid.shape, axes=self.axes)
-        return lap + (self.shift + self.m) * v
+        """L_W v for grid-shaped v."""
+        return self.frac.laplacian(v) + (self.shift + self.m) * v
 
     def apply_tm(self, v: np.ndarray) -> np.ndarray:
-        return np.fft.irfftn(np.fft.rfftn(v, axes=self.axes) * self.inv_sym,
-                             s=self.grid.shape, axes=self.axes)
+        return self.frac.resolvent(v)
 
     def project(self, v: np.ndarray) -> np.ndarray:
         flat = v.ravel()
@@ -169,8 +166,7 @@ class _ProjectedOperator:
     def apply_fused(self, y: np.ndarray) -> np.ndarray:
         """P T_m P L_W y for flat y in span{Z}^perp, at one FFT pair."""
         f = self.shift.ravel() * y - (self.lq @ y) @ self.qt
-        return y + self.project(self.apply_tm(
-            f.reshape(self.grid.shape))).ravel()
+        return y + self.project(self.apply_tm(f))
 
     def gram_solve(self, rhs_flat: np.ndarray) -> np.ndarray:
         """Solve G c = <Z, r> for the (k, dim) multiplier matrix."""
@@ -204,7 +200,7 @@ def projected_solve(g: Field, V: Potential, cfg: SpikeConfig,
         return op.project(op.apply_lw(y.reshape(shape))).ravel()
 
     def pmv(r):
-        return op.project(op.apply_tm(r.reshape(shape))).ravel()
+        return op.project(op.apply_tm(r))
 
     b = op.project(g.values).ravel()
     history: list[float] = []
@@ -380,26 +376,16 @@ def full_newton_solve(V: Potential, epsilon: float, u0: Field, params,
     above half the peak.
     """
     grid = u0.grid
-    axes = tuple(range(grid.dim))
-    sym = grid.symbol(2.0 * params.s)
     V_grid = V.on_grid(grid, epsilon)
     m = float(np.min(V_grid))
     if not m > 0:
         raise ConfigError("potential is not positive on the grid")
-    inv_sym = 1.0 / (sym + m)
+    op = sp.FracOperator(grid, params.s, m)
     p = params.p
     n = u0.values.size
 
-    def lap(v):
-        return np.fft.irfftn(sym * np.fft.rfftn(v, axes=axes),
-                             s=grid.shape, axes=axes)
-
     def residual_field(u):
-        return lap(u) + V_grid * u - kernels.positive_power(u, p)
-
-    def tm(v):
-        return np.fft.irfftn(np.fft.rfftn(v.reshape(grid.shape), axes=axes)
-                             * inv_sym, s=grid.shape, axes=axes).ravel()
+        return op.laplacian(u) + V_grid * u - kernels.positive_power(u, p)
 
     u = u0.values.copy()
     sup0 = float(np.max(np.abs(u)))
@@ -415,15 +401,14 @@ def full_newton_solve(V: Potential, epsilon: float, u0: Field, params,
         shift = (V_grid - m - p * kernels.positive_power(u, p - 1.0)).ravel()
 
         def jmv(v):
-            return (lap(v.reshape(grid.shape)).ravel()
-                    + (shift + m) * v)
+            return op.laplacian(v) + (shift + m) * v
 
         def tjmv(v):
-            return v + tm(shift * v)
+            return v + op.resolvent(shift * v)
 
         restart = krylov_maxiter if n <= 16384 else 200
         outer = -(-krylov_maxiter // restart)
-        sol = gmres(tjmv, jmv, tm, res.ravel(), rtol=krylov_tol,
+        sol = gmres(tjmv, jmv, op.resolvent, res.ravel(), rtol=krylov_tol,
                     restart=restart, maxiter=outer)
         delta = sol.x
         if sol.info != 0:

@@ -30,7 +30,6 @@ log = logging.getLogger(__name__)
 
 __all__ = [
     "GroundState",
-    "DecayFit",
     "SpectrumSummary",
     "solve_ground_state",
     "rescale",
@@ -38,7 +37,6 @@ __all__ = [
     "energy_scaling_exponent",
     "decay_fit",
     "linearization_spectrum",
-    "radial_profile",
 ]
 
 
@@ -47,34 +45,6 @@ def _power(u: np.ndarray, p: float) -> np.ndarray:
     if float(p).is_integer():
         return u ** int(p)
     return np.sign(u) * np.abs(u) ** p
-
-
-@dataclass
-class DecayFit:
-    """Far-field fit w(r) ~ c0 * r^exponent over the window (absolute radii).
-
-    `contaminated` flags a box too small for the tail to be meaningful
-    (profile still above 1e-3 of its peak at r = L/2).
-    """
-
-    c0: float
-    exponent: float
-    c0_raw: float
-    exponent_raw: float
-    variation: float
-    window: tuple[float, float]
-    ok: bool
-    contaminated: bool
-    coefficients: tuple[float, float, float] = (np.nan, np.nan, np.nan)
-    exponents: tuple[float, float, float] = (np.nan, np.nan, np.nan)
-
-    def tail_model(self, r):
-        """Fitted free-space tail sum c_i * r^(-e_i)."""
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        for c, e in zip(self.coefficients, self.exponents):
-            out += c * r ** (-e)
-        return out
 
 
 @dataclass
@@ -105,7 +75,7 @@ class GroundState:
     iterations: int
     newton_steps: int
     energy: float
-    decay: DecayFit
+    decay: sp.FarFieldFit
     spectrum: SpectrumSummary | None = None
     source: str = "solve"
 
@@ -114,19 +84,10 @@ class GroundState:
         return Field(self.grid, self.values)
 
 
-def _resolve_apply(grid: Grid, s: float, lam: float):
-    sym = grid.symbol(2.0 * s)
-    axes = tuple(range(grid.dim))
-
-    def apply_A(u):
-        return np.fft.irfftn(sym * np.fft.rfftn(u, axes=axes),
-                             s=grid.shape, axes=axes) + lam * u
-
-    def apply_T(u):
-        return np.fft.irfftn(np.fft.rfftn(u, axes=axes) / (sym + lam),
-                             s=grid.shape, axes=axes)
-
-    return apply_A, apply_T
+def _relative_residual(op: sp.FracOperator, u: np.ndarray, p: float) -> float:
+    """max |A u - u^p| / max |u|, A = (-Delta)^s + lambda: the certified norm."""
+    return float(np.max(np.abs(op.shifted(u) - _power(u, p)))
+                 / np.max(np.abs(u)))
 
 
 def energy(grid: Grid, params: FracParams, lam: float, values: np.ndarray) -> float:
@@ -144,36 +105,19 @@ def energy_scaling_exponent(params: FracParams, dim: int) -> float:
     return (params.p + 1.0) / (params.p - 1.0) - dim / (2.0 * params.s)
 
 
-def radial_profile(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bin a field into radial shells of width h about the origin."""
-    if grid.dim == 1:
-        r_all = np.abs(grid.axis)
-    else:
-        r_all = np.sqrt(grid.axis[:, None] ** 2 + grid.axis[None, :] ** 2)
-    h, L = grid.spacing, grid.half_width
-    nbins = int(L / h) + 2
-    sums, counts = kernels.radial_bin(values, r_all, h, nbins)
-    keep = counts > 0
-    keep[-1] = False
-    r = (np.arange(nbins)[keep] + 0.5) * h
-    return r, sums[keep] / counts[keep]
-
-
 def decay_fit(grid: Grid, params: FracParams, values: np.ndarray,
-              window: tuple[float, float] = (0.2, 0.4)) -> DecayFit:
-    """Fit the algebraic tail of a profile; target exponent is -(N+2s)."""
-    r, v = radial_profile(grid, values)
+              window: tuple[float, float] = (0.2, 0.4)) -> sp.FarFieldFit:
+    """Fit the algebraic tail of a profile; target exponent is -(N+2s).
+
+    The window comes back in absolute radii; `contaminated` is set when the
+    profile is still above 1e-3 of its peak at r = L/2.
+    """
+    r, v = sp.radial_profile(grid, values)
     fit = sp.far_field_fit(r, v, grid.half_width, grid.dim, params.s, window)
     v_max = float(np.max(np.abs(values)))
     half = np.argmin(np.abs(r - grid.half_width / 2.0))
-    contaminated = bool(np.abs(v[half]) > 1e-3 * v_max)
-    L = grid.half_width
-    return DecayFit(c0=fit.amplitude, exponent=fit.slope,
-                    c0_raw=fit.amplitude_raw, exponent_raw=fit.slope_raw,
-                    variation=fit.variation,
-                    window=(window[0] * L, window[1] * L),
-                    ok=fit.ok, contaminated=contaminated,
-                    coefficients=fit.coefficients, exponents=fit.exponents)
+    fit.contaminated = bool(np.abs(v[half]) > 1e-3 * v_max)
+    return fit
 
 
 def solve_ground_state(grid: Grid, params: FracParams, lam: float = 1.0,
@@ -202,7 +146,7 @@ def solve_ground_state(grid: Grid, params: FracParams, lam: float = 1.0,
     if not lam > 0:
         raise ConfigError(f"lambda must be positive, got {lam}")
     p, s = params.p, params.s
-    apply_A, apply_T = _resolve_apply(grid, s, lam)
+    op = sp.FracOperator(grid, s, lam)
 
     coords = grid.coords()
     r2 = sum(c ** 2 for c in coords)
@@ -214,22 +158,21 @@ def solve_ground_state(grid: Grid, params: FracParams, lam: float = 1.0,
     newton_steps = 0
     for it in range(1, max_iter + 1):
         up = _power(u, p)
-        Au = apply_A(u)
+        Au = op.shifted(u)
         denom = float(np.sum(u * up))
         if denom == 0.0:
             raise SolverDivergence("fixed-point iterate collapsed to zero")
         S = float(np.sum(u * Au)) / denom
         if not (0.0 < S < np.inf):
             raise SolverDivergence(f"stabilizing factor left (0, inf): S = {S}")
-        u_new = S ** gamma * apply_T(up)
+        u_new = S ** gamma * op.resolvent(up)
         increment = float(np.max(np.abs(u_new - u)) / np.max(np.abs(u)))
         u = u_new
-        residual = float(np.max(np.abs(apply_A(u) - _power(u, p))) / np.max(np.abs(u)))
+        residual = _relative_residual(op, u, p)
         if residual <= tol:
             break
         if increment < newton_threshold:
-            u, residual, newton_steps = _newton_polish(
-                grid, params, lam, u, apply_A, apply_T, tol)
+            u, residual, newton_steps = _newton_polish(op, p, u, tol)
             break
     if residual > tol:
         raise SolverDivergence(
@@ -247,40 +190,37 @@ def solve_ground_state(grid: Grid, params: FracParams, lam: float = 1.0,
     return gs
 
 
-def _newton_polish(grid, params, lam, u, apply_A, apply_T, tol, max_steps=8):
+def _newton_polish(op, p, u, tol, max_steps=8):
     """Damped Newton on F(u) = A u - u^p with resolvent-preconditioned GMRES.
 
     GMRES iterates T J = I - T (p u^(p-1) .), one FFT pair per iteration.
+    Every trial is judged by its own relative residual, the norm the fixed
+    point reports.
     """
-    p = params.p
     steps = 0
-    res = float(np.max(np.abs(apply_A(u) - _power(u, p))) / np.max(np.abs(u)))
+    res = _relative_residual(op, u, p)
     for _ in range(max_steps):
         if res <= tol:
             break
-        F = apply_A(u) - _power(u, p)
+        F = op.shifted(u) - _power(u, p)
         coeff = (p * _power(u, p - 1.0)).ravel()
 
         def jmv(v):
-            return apply_A(v.reshape(grid.shape)).ravel() - coeff * v
-
-        def pmv(v):
-            return apply_T(v.reshape(grid.shape)).ravel()
+            return op.shifted(v) - coeff * v
 
         def tjmv(v):
-            return v - pmv(coeff * v)
+            return v - op.resolvent(coeff * v)
 
-        sol = gmres(tjmv, jmv, pmv, F.ravel(), rtol=1e-10, restart=20,
-                    maxiter=400)
+        sol = gmres(tjmv, jmv, op.resolvent, F.ravel(), rtol=1e-10,
+                    restart=20, maxiter=400)
         if sol.info != 0:
             log.debug("newton polish: gmres info=%s", sol.info)
             break
-        delta = sol.x
+        delta = sol.x.reshape(u.shape)
         step = 1.0
-        u_max = float(np.max(np.abs(u)))
         while step > 1e-4:
-            u_try = u - step * delta.reshape(grid.shape)
-            res_try = float(np.max(np.abs(apply_A(u_try) - _power(u_try, p))) / u_max)
+            u_try = u - step * delta
+            res_try = _relative_residual(op, u_try, p)
             if res_try < res:
                 u, res = u_try, res_try
                 break
@@ -291,7 +231,7 @@ def _newton_polish(grid, params, lam, u, apply_A, apply_T, tol, max_steps=8):
     return u, res, steps
 
 
-def _image_tail(decay: DecayFit, coords: list[np.ndarray], L: float,
+def _image_tail(decay: sp.FarFieldFit, coords: list[np.ndarray], L: float,
                 dim: int, n_images: int = 3) -> np.ndarray:
     """Estimated wrap-around contribution sum_{k != 0} w(|y - 2Lk|).
 
@@ -374,11 +314,10 @@ def rescale(gs: GroundState, lam_new: float) -> GroundState:
     else:
         vals = amp * _dilate_free_space(gs, scale)
 
-    apply_A, _ = _resolve_apply(gs.grid, s, lam_new)
-    residual = float(np.max(np.abs(apply_A(vals) - _power(vals, p))) / np.max(np.abs(vals)))
     return GroundState(
         grid=gs.grid, params=gs.params, lam=lam_new, values=vals,
-        residual_norm=residual, iterations=gs.iterations,
+        residual_norm=_relative_residual(sp.FracOperator(gs.grid, s, lam_new),
+                                         vals, p), iterations=gs.iterations,
         newton_steps=gs.newton_steps,
         energy=energy(gs.grid, gs.params, lam_new, vals),
         decay=decay_fit(gs.grid, gs.params, vals),
@@ -397,12 +336,12 @@ def linearization_spectrum(gs: GroundState, n_eigs: int = 6,
     """
     grid, params = gs.grid, gs.params
     n = gs.values.size
-    apply_A, apply_T = _resolve_apply(grid, params.s, gs.lam)
-    coeff = params.p * kernels.positive_power(gs.values, params.p - 1.0)
+    op = sp.FracOperator(grid, params.s, gs.lam)
+    coeff = (params.p * kernels.positive_power(gs.values, params.p - 1.0)).ravel()
 
     def mv(v):
-        vv = v.reshape(grid.shape)
-        return (apply_A(vv) - coeff * vv).ravel()
+        v = v.ravel()  # lobpcg passes (n, 1) columns
+        return op.shifted(v) - coeff * v
 
     A = LinearOperator((n, n), matvec=mv, dtype=float)
     # mix the profile with its translation modes so the Krylov space is not
@@ -422,11 +361,7 @@ def linearization_spectrum(gs: GroundState, n_eigs: int = 6,
                            ncv=min(n, max(40, 4 * n_eigs)))
     except Exception as exc:  # ArpackNoConvergence or breakdown
         log.debug("eigsh failed (%s); falling back to lobpcg", exc)
-
-        def pmv(v):
-            return apply_T(v.reshape(grid.shape)).ravel()
-
-        M = LinearOperator((n, n), matvec=pmv, dtype=float)
+        M = LinearOperator((n, n), matvec=op.resolvent, dtype=float)
         rng = np.random.default_rng(1234)
         cols = [gs.values.ravel()]
         for ax in range(grid.dim):

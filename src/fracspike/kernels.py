@@ -1,8 +1,7 @@
-"""Reference numpy implementations of the hot pointwise kernels.
+"""Pointwise array kernels of the solver: the spike weight, the nonlinearity
+and its remainder, the ansatz error, periodic local maxima and radial binning.
 
-These are the fallback backend; `fracspike.kernels` prefers the compiled
-Cython twin when it imported cleanly. Semantics here are authoritative: the
-compiled versions must match these to rounding.
+BACKEND names the implementation; the benchmark records it with each run.
 """
 
 import numpy as np
@@ -78,6 +77,7 @@ def local_maxima_1d(u, threshold):
     right = np.roll(u, -1)
     mask = (u > left) & (u > right) & (u > threshold)
     return np.nonzero(mask)[0].astype(np.int64)
+
 
 def local_maxima_2d(u, threshold):
     """(n, 2) indices of strict periodic 8-neighbour local maxima above threshold."""

@@ -95,16 +95,17 @@ class SearchOutcome:
 def interaction_constants(gs: GroundState, lambdas) -> np.ndarray:
     """Pairwise constants c_ij = c0 * lambda_i^alpha * lambda_j^beta.
 
-    c0 = decay_c0 * h^N int w^p from the lambda = 1 profile; alpha and beta
-    are the tail and mass scaling exponents of the rescaled profiles.
+    c0 = A * h^N int w^p with A the tail amplitude of the lambda = 1
+    profile's decay fit; alpha and beta are the tail and mass scaling
+    exponents of the rescaled profiles.
     """
-    if not np.isfinite(gs.decay.c0) or gs.decay.c0 <= 0:
+    if not np.isfinite(gs.decay.amplitude) or gs.decay.amplitude <= 0:
         raise ConfigError("interaction constants need a valid decay fit")
     p, s = gs.params.p, gs.params.s
     dim = gs.grid.dim
     alpha = 1.0 / (p - 1.0) - (dim + 2.0 * s) / (2.0 * s)
     beta = p / (p - 1.0) - dim / (2.0 * s)
-    c0 = gs.decay.c0 * gs.grid.cell_volume * float(
+    c0 = gs.decay.amplitude * gs.grid.cell_volume * float(
         np.sum(kernels.positive_power(gs.values, p)))
     lam = np.asarray(lambdas, dtype=float)
     return c0 * np.outer(lam ** alpha, lam ** beta)

@@ -26,7 +26,7 @@ from fracspike.correction import (CorrectionOptions, full_newton_solve,
                                   nonlinear_correction)
 from fracspike.errors import ConfigError, SolverDivergence
 from fracspike.grid import Field, FracParams, Grid
-from fracspike.ground_state import GroundState, radial_profile, rescale
+from fracspike.ground_state import GroundState, rescale
 from fracspike.potentials import Potential, potential_from_config
 from fracspike.ratefit import fit_rate
 
@@ -307,7 +307,7 @@ def _ground_state_mode(sc: Scenario, run_dir, cache_dir, files, workers):
         _write_csv(prof, ["x", "u"],
                    zip(sc.grid.axis.tolist(), gs.values.tolist()))
     else:
-        r, v = radial_profile(sc.grid, gs.values)
+        r, v = sp.radial_profile(sc.grid, gs.values)
         _write_csv(prof, ["r", "u"], zip(r.tolist(), v.tolist()))
     files.append(prof)
     d = gs.decay
@@ -318,7 +318,7 @@ def _ground_state_mode(sc: Scenario, run_dir, cache_dir, files, workers):
         "iterations": gs.iterations,
         "newton_steps": gs.newton_steps,
         "decay_fit": {
-            "c0": d.c0, "exponent": d.exponent,
+            "c0": d.amplitude, "exponent": d.slope,
             "target_exponent": -(sc.grid.dim + 2.0 * sc.params.s),
             "variation": d.variation, "window": list(d.window),
             "ok": d.ok, "contaminated": d.contaminated,

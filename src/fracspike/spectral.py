@@ -2,7 +2,10 @@
 
 The fractional Laplacian acts as the multiplier |xi|^(2s) on the discrete
 frequencies xi = pi*n/L (zero mode annihilated exactly), and the resolvent
-((-Delta)^s + m)^(-1) as 1/(|xi|^(2s) + m). Band-limited translation and
+((-Delta)^s + m)^(-1) as 1/(|xi|^(2s) + m). Every real Fourier multiplier
+goes through `apply_multiplier` (one rfftn/irfftn pair), and the solvers
+share `FracOperator`, which applies (-Delta)^s, (-Delta)^s + m and
+T_m = ((-Delta)^s + m)^(-1) to raw arrays. Band-limited translation and
 dilation let profiles be moved off-grid and rescaled without losing spectral
 accuracy: translation is a phase twist, dilation a chirp-z resampling of the
 trigonometric interpolant.
@@ -19,6 +22,8 @@ from fracspike import kernels
 from fracspike.grid import Field, FracParams, Grid
 
 __all__ = [
+    "apply_multiplier",
+    "FracOperator",
     "fractional_laplacian",
     "resolvent",
     "kernel_profile",
@@ -27,6 +32,7 @@ __all__ = [
     "FarFieldFit",
     "weighted_sup_norm",
     "rho_field",
+    "radial_profile",
     "spectral_derivative",
     "translate",
     "dilate",
@@ -36,23 +42,54 @@ __all__ = [
 ]
 
 
-def _apply_symbol(f: Field, symbol: np.ndarray) -> Field:
-    fhat = np.fft.rfftn(f.values)
-    out = np.fft.irfftn(symbol * fhat, s=f.grid.shape,
-                        axes=tuple(range(f.grid.dim)))
-    return Field(f.grid, out)
+def apply_multiplier(values: np.ndarray, grid: Grid, multiplier) -> np.ndarray:
+    """irfftn(multiplier * rfftn(values)) on the grid, in the shape of values.
+
+    values holds grid.size samples, grid-shaped or flat; multiplier lives on
+    the rfftn half-spectrum (anything that broadcasts against it).
+    """
+    axes = tuple(range(grid.dim))
+    out = np.fft.irfftn(multiplier * np.fft.rfftn(values.reshape(grid.shape),
+                                                  axes=axes),
+                        s=grid.shape, axes=axes)
+    return out.reshape(values.shape)
+
+
+class FracOperator:
+    """(-Delta)^s, (-Delta)^s + m and T_m = ((-Delta)^s + m)^(-1) on arrays.
+
+    Each map costs one FFT pair; arrays may be grid-shaped or flat and come
+    back in the same shape.
+    """
+
+    def __init__(self, grid: Grid, s: float, m: float):
+        self.grid = grid
+        self.m = m
+        self.symbol = grid.symbol(2.0 * s)
+        self.inv_symbol = 1.0 / (self.symbol + m)
+
+    def laplacian(self, v: np.ndarray) -> np.ndarray:
+        return apply_multiplier(v, self.grid, self.symbol)
+
+    def shifted(self, v: np.ndarray) -> np.ndarray:
+        return self.laplacian(v) + self.m * v
+
+    def resolvent(self, v: np.ndarray) -> np.ndarray:
+        return apply_multiplier(v, self.grid, self.inv_symbol)
 
 
 def fractional_laplacian(f: Field, params: FracParams) -> Field:
     """(-Delta)^s f via the Fourier multiplier |xi|^(2s)."""
-    return _apply_symbol(f, f.grid.symbol(2.0 * params.s))
+    return Field(f.grid, apply_multiplier(f.values, f.grid,
+                                          f.grid.symbol(2.0 * params.s)))
 
 
 def resolvent(g: Field, params: FracParams, m: float) -> Field:
     """((-Delta)^s + m)^(-1) g for m > 0."""
     if not m > 0.0:
         raise ValueError(f"resolvent shift m must be positive, got {m}")
-    return _apply_symbol(g, 1.0 / (g.grid.symbol(2.0 * params.s) + m))
+    return Field(g.grid, apply_multiplier(
+        g.values, g.grid, 1.0 / (g.grid.symbol(2.0 * params.s) + m)))
 
 
 def spectral_derivative(f: Field, axis: int = 0) -> Field:
@@ -60,15 +97,13 @@ def spectral_derivative(f: Field, axis: int = 0) -> Field:
     grid = f.grid
     if not 0 <= axis < grid.dim:
         raise ValueError(f"axis {axis} out of range for dim {grid.dim}")
-    fhat = np.fft.rfftn(f.values)
     if grid.dim == 1:
-        fhat *= 1j * grid.rfreq
+        xi = grid.rfreq
     elif axis == 0:
-        fhat *= 1j * grid.freq[:, None]
+        xi = grid.freq[:, None]
     else:
-        fhat *= 1j * grid.rfreq[None, :]
-    return Field(grid, np.fft.irfftn(fhat, s=grid.shape,
-                                     axes=tuple(range(grid.dim))))
+        xi = grid.rfreq[None, :]
+    return Field(grid, apply_multiplier(f.values, grid, 1j * xi))
 
 
 def translate(f: Field, shift) -> Field:
@@ -77,14 +112,12 @@ def translate(f: Field, shift) -> Field:
     shift = np.atleast_1d(np.asarray(shift, dtype=float))
     if shift.shape != (grid.dim,):
         raise ValueError(f"shift must have {grid.dim} components")
-    fhat = np.fft.rfftn(f.values)
     if grid.dim == 1:
-        fhat = fhat * np.exp(-1j * grid.rfreq * shift[0])
+        phase = np.exp(-1j * grid.rfreq * shift[0])
     else:
-        fhat = fhat * np.exp(-1j * grid.freq[:, None] * shift[0])
-        fhat = fhat * np.exp(-1j * grid.rfreq[None, :] * shift[1])
-    return Field(grid, np.fft.irfftn(fhat, s=grid.shape,
-                                     axes=tuple(range(grid.dim))))
+        phase = (np.exp(-1j * grid.freq[:, None] * shift[0])
+                 * np.exp(-1j * grid.rfreq[None, :] * shift[1]))
+    return Field(grid, apply_multiplier(f.values, grid, phase))
 
 
 def _dilate_axis(values: np.ndarray, grid: Grid, scale: float, axis: int) -> np.ndarray:
@@ -199,8 +232,11 @@ class FarFieldFit:
     amplitude/slope come from the refined three-term periodized model with
     image subtraction and local-slope extrapolation; the raw windowed log-log
     fit is kept for comparison. `variation` is the spread of the
-    image-corrected product v(r) * r^target_exponent across the window and
-    `ok` means it stayed within 10% (a plateau exists at this box size).
+    image-corrected product v(r) * r^target_exponent across the window (in
+    absolute radii) and `ok` means it stayed within 10% (a plateau exists at
+    this box size). `contaminated` flags a profile still above 1e-3 of its
+    peak at r = L/2, a box too small for the tail to be meaningful; only
+    the ground-state `decay_fit` sets it.
     """
 
     amplitude: float
@@ -208,7 +244,9 @@ class FarFieldFit:
     amplitude_raw: float
     slope_raw: float
     variation: float
+    window: tuple[float, float]
     ok: bool
+    contaminated: bool = False
     coefficients: tuple[float, float, float] = (np.nan, np.nan, np.nan)
     exponents: tuple[float, float, float] = (np.nan, np.nan, np.nan)
 
@@ -233,9 +271,10 @@ def far_field_fit(r: np.ndarray, v: np.ndarray, L: float, dim: int, s: float,
     local log-log slope of the image-corrected profile to r -> infinity.
     """
     beta = dim + 2.0 * s
-    sel = (r >= window[0] * L) & (r <= window[1] * L) & (v > 0)
+    span = (window[0] * L, window[1] * L)
+    sel = (r >= span[0]) & (r <= span[1]) & (v > 0)
     if np.count_nonzero(sel) < 8:
-        return FarFieldFit(np.nan, np.nan, np.nan, np.nan, np.inf, False)
+        return FarFieldFit(np.nan, np.nan, np.nan, np.nan, np.inf, span, False)
     rs, vs = r[sel], v[sel]
     slope_raw = float(np.polyfit(np.log(rs), np.log(vs), 1)[0])
     amplitude_raw = float(np.median(vs * rs ** beta))
@@ -259,7 +298,7 @@ def far_field_fit(r: np.ndarray, v: np.ndarray, L: float, dim: int, s: float,
         slope, variation, ok = np.nan, np.inf, False
     return FarFieldFit(amplitude=amplitude, slope=slope,
                        amplitude_raw=amplitude_raw, slope_raw=slope_raw,
-                       variation=variation, ok=ok,
+                       variation=variation, window=span, ok=ok,
                        coefficients=tuple(float(c) for c in coef),
                        exponents=tuple(exps))
 
@@ -292,6 +331,24 @@ def _periodized_power_2d(r: np.ndarray, e: float, L: float,
     return r ** (-e) + acc
 
 
+def radial_profile(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bin a field into radial shells of width h about the origin.
+
+    The last bin, which collects everything past r = L, is dropped.
+    """
+    if grid.dim == 1:
+        r_all = np.abs(grid.axis)
+    else:
+        r_all = np.sqrt(grid.axis[:, None] ** 2 + grid.axis[None, :] ** 2)
+    h, L = grid.spacing, grid.half_width
+    nbins = int(L / h) + 2
+    sums, counts = kernels.radial_bin(values, r_all, h, nbins)
+    keep = counts > 0
+    keep[-1] = False
+    r = (np.arange(nbins)[keep] + 0.5) * h
+    return r, sums[keep] / counts[keep]
+
+
 def kernel_profile(grid: Grid, params: FracParams, m: float,
                    window: tuple[float, float] = (0.2, 0.4)) -> KernelProfile:
     """Radial profile, mass, and far-field fit of the resolvent kernel.
@@ -305,18 +362,8 @@ def kernel_profile(grid: Grid, params: FracParams, m: float,
     delta[origin] = 1.0 / grid.cell_volume
     k_field = resolvent(Field(grid, delta), params, m)
 
-    L, h = grid.half_width, grid.spacing
-    if grid.dim == 1:
-        r_all = np.abs(grid.axis)
-    else:
-        r_all = np.sqrt(grid.axis[:, None] ** 2 + grid.axis[None, :] ** 2)
-    nbins = int(L / h) + 2
-    sums, counts = kernels.radial_bin(k_field.values, r_all, h, nbins)
-    keep = counts > 0
-    keep[-1] = False  # clamp bin collects everything past L
-    r = (np.arange(nbins)[keep] + 0.5) * h
-    k = sums[keep] / counts[keep]
-
+    L = grid.half_width
+    r, k = radial_profile(grid, k_field.values)
     mass = grid.cell_volume * float(np.sum(k_field.values))
     fit = far_field_fit(r, k, L, grid.dim, params.s, window)
 
@@ -327,6 +374,5 @@ def kernel_profile(grid: Grid, params: FracParams, m: float,
     return KernelProfile(grid=grid, params=params, m=m, r=r, k=k, mass=mass,
                          gamma_fit=fit.amplitude, slope=fit.slope,
                          gamma_raw=fit.amplitude_raw, slope_raw=fit.slope_raw,
-                         plateau_variation=fit.variation,
-                         window=(window[0] * L, window[1] * L),
+                         plateau_variation=fit.variation, window=fit.window,
                          valid=fit.ok, tail_ok=tail_ok)

@@ -63,9 +63,9 @@ def test_decay_fit(gs_store):
     gs = gs_store(0.5, 2.0, L=80.0, M=2048)
     d = gs.decay
     assert d.ok and not d.contaminated
-    assert d.exponent == pytest.approx(-2.0, rel=0.05)  # -(N + 2s)
+    assert d.slope == pytest.approx(-2.0, rel=0.05)  # -(N + 2s)
     # the closed form 2/(1 + x^2) pins the tail constant at exactly 2
-    assert d.c0 == pytest.approx(2.0, rel=0.05)
+    assert d.amplitude == pytest.approx(2.0, rel=0.05)
     assert d.exponents[0] == pytest.approx(2.0)
     # at L = 40 the same profile is correctly flagged as box-limited
     d40 = gs_store(0.5, 2.0).decay
@@ -145,3 +145,16 @@ def test_with_spectrum_flag():
     gs = solve_ground_state(grid, FracParams(0.5, 2.0), with_spectrum=True)
     assert gs.spectrum is not None
     assert gs.spectrum.kernel_dim == 1
+
+
+@pytest.mark.parametrize("dim,L,M", [(1, 40.0, 1024), (2, 10.0, 128)])
+def test_polished_residual_is_that_of_the_values(dim, L, M):
+    """After a Newton polish, residual_norm is max|A u - u^p| / max|u| of u."""
+    grid = Grid(dim, L, M)
+    params = FracParams(0.5, 2.0)
+    gs = solve_ground_state(grid, params, newton_threshold=1e-2)
+    assert gs.newton_steps > 0
+    u = gs.values
+    Au = sp.fractional_laplacian(gs.field, params).values + u
+    recomputed = np.max(np.abs(Au - u ** 2)) / np.max(np.abs(u))
+    assert gs.residual_norm == pytest.approx(recomputed, rel=1e-12, abs=0)

@@ -1,35 +1,15 @@
-"""Backend agreement: the compiled kernels must match the numpy reference.
-
-Every function is exercised on random data with both backends loaded
-directly (bypassing the import-time selection), so a rebuilt extension that
-drifts from the reference semantics fails here first.
-"""
+"""Pointwise kernels: clamping, remainder order, periodic maxima, binning,
+and the spike weight against its periodic-distance definition."""
 
 import numpy as np
 import pytest
 
 from fracspike import kernels
-from fracspike.kernels import _ref
-
-try:
-    from fracspike.kernels import _corekern
-except ImportError:
-    _corekern = None
-
-needs_compiled = pytest.mark.skipif(
-    _corekern is None, reason="compiled kernel backend not built")
-
-
-def test_backend_reports_name():
-    assert kernels.BACKEND in ("cython", "numpy")
-    if _corekern is not None:
-        assert _corekern.BACKEND == "cython"
-    assert _ref.BACKEND == "numpy"
 
 
 def test_positive_power_clamps_negative_base():
     u = np.array([-2.0, -1e-9, 0.0, 0.5, 3.0])
-    out = _ref.positive_power(u, 1.5)
+    out = kernels.positive_power(u, 1.5)
     assert np.all(np.isfinite(out))
     assert out[0] == 0.0 and out[1] == 0.0
     assert out[4] == pytest.approx(3.0 ** 1.5)
@@ -40,7 +20,7 @@ def test_nonlinear_remainder_is_second_order(rng):
     phi = rng.standard_normal(128)
     p = 2.3
     for t in (1e-3, 1e-4):
-        r = _ref.nonlinear_remainder(W, t * phi, p)
+        r = kernels.nonlinear_remainder(W, t * phi, p)
         # remainder of the linearization: O(t^2) with the known Hessian term
         hess = 0.5 * p * (p - 1.0) * W ** (p - 2.0) * (t * phi) ** 2
         assert np.max(np.abs(r - hess)) <= 1e-2 * t ** 2 * np.max(phi ** 2)
@@ -51,7 +31,7 @@ def test_local_maxima_1d_periodic():
     u[0] = 2.0  # maximum at the seam checks the periodic comparison
     u[30] = 1.5
     u[31] = 1.0
-    idx = _ref.local_maxima_1d(u, 0.5)
+    idx = kernels.local_maxima_1d(u, 0.5)
     assert list(idx) == [0, 30]
 
 
@@ -59,14 +39,14 @@ def test_local_maxima_2d_periodic():
     u = np.zeros((32, 32))
     u[0, 0] = 3.0
     u[10, 20] = 2.0
-    idx = _ref.local_maxima_2d(u, 1.0)
+    idx = kernels.local_maxima_2d(u, 1.0)
     assert sorted(map(tuple, idx)) == [(0, 0), (10, 20)]
 
 
 def test_radial_bin_totals(rng):
     vals = rng.random(500)
     r = 10.0 * rng.random(500)
-    sums, counts = _ref.radial_bin(vals, r, 1.0, 12)
+    sums, counts = kernels.radial_bin(vals, r, 1.0, 12)
     assert counts.sum() == 500
     assert sums.sum() == pytest.approx(vals.sum())
     # bin content actually lands where the radii say
@@ -74,70 +54,33 @@ def test_radial_bin_totals(rng):
     assert sums[3] == pytest.approx(direct)
 
 
-@needs_compiled
+def _periodic_distance(a, b, L):
+    # distance on the circle of length 2L, taken over the nearest image
+    d = abs(a - b) % (2.0 * L)
+    return min(d, 2.0 * L - d)
+
+
 @pytest.mark.parametrize("mu", [0.7, 1.2])
-def test_rho_field_1d_matches(rng, mu):
-    x = -10.0 + 20.0 * np.arange(256) / 256
-    centers = np.array([-4.0, 8.5])
-    a = _corekern.rho_field_1d(x, centers, mu, 10.0)
-    b = _ref.rho_field_1d(x, centers, mu, 10.0)
-    np.testing.assert_allclose(a, b, rtol=1e-14, atol=0)
+def test_rho_field_1d_periodic_distance(mu):
+    L = 10.0
+    x = -L + 2.0 * L * np.arange(64) / 64
+    centers = np.array([-4.0, 9.8])  # 9.8 sits 0.2 from the seam at x = L
+    expected = [sum((1.0 + _periodic_distance(xi, c, L)) ** (-mu)
+                    for c in centers) for xi in x]
+    np.testing.assert_allclose(kernels.rho_field_1d(x, centers, mu, L),
+                               expected, rtol=1e-13, atol=0)
 
 
-@needs_compiled
-def test_rho_field_2d_matches(rng):
-    x = -5.0 + 10.0 * np.arange(64) / 64
-    centers = np.array([[1.0, -2.0], [-3.5, 4.0]])
-    a = _corekern.rho_field_2d(x, centers, 1.1, 5.0)
-    b = _ref.rho_field_2d(x, centers, 1.1, 5.0)
-    np.testing.assert_allclose(a, b, rtol=1e-14, atol=0)
-
-
-@needs_compiled
-def test_positive_power_matches(rng):
-    u = rng.standard_normal(1000)
-    for p in (1.5, 2.0, 3.0):
-        np.testing.assert_allclose(_corekern.positive_power(u, p),
-                                   _ref.positive_power(u, p),
-                                   rtol=1e-15, atol=0)
-
-
-@needs_compiled
-def test_nonlinear_remainder_matches(rng):
-    W = rng.standard_normal(512)
-    phi = 0.3 * rng.standard_normal(512)
-    for p in (2.0, 2.7):
-        np.testing.assert_allclose(
-            _corekern.nonlinear_remainder(W, phi, p),
-            _ref.nonlinear_remainder(W, phi, p), rtol=1e-13, atol=1e-15)
-
-
-@needs_compiled
-def test_ansatz_error_matches(rng):
-    w_stack = rng.random((3, 256))
-    lam = np.array([1.0, 1.3, 0.8])
-    V = 1.0 + 0.5 * rng.random(256)
-    for p in (2.0, 2.5):
-        np.testing.assert_allclose(
-            _corekern.ansatz_error(w_stack, lam, V, p),
-            _ref.ansatz_error(w_stack, lam, V, p), rtol=1e-13, atol=1e-15)
-
-
-@needs_compiled
-def test_local_maxima_match(rng):
-    u = rng.standard_normal(512)
-    np.testing.assert_array_equal(_corekern.local_maxima_1d(u, 0.5),
-                                  _ref.local_maxima_1d(u, 0.5))
-    u2 = rng.standard_normal((64, 64))
-    np.testing.assert_array_equal(_corekern.local_maxima_2d(u2, 1.0),
-                                  _ref.local_maxima_2d(u2, 1.0))
-
-
-@needs_compiled
-def test_radial_bin_matches(rng):
-    vals = rng.random(2048)
-    r = 12.0 * rng.random(2048)
-    sa, ca = _corekern.radial_bin(vals, r, 0.25, 50)
-    sb, cb = _ref.radial_bin(vals, r, 0.25, 50)
-    np.testing.assert_allclose(sa, sb, rtol=1e-14, atol=0)
-    np.testing.assert_array_equal(ca, cb)
+def test_rho_field_2d_periodic_distance():
+    L, mu = 5.0, 1.1
+    x = -L + 2.0 * L * np.arange(24) / 24
+    centers = np.array([[1.0, -2.0], [-4.9, 4.8]])  # second one at a corner
+    expected = np.zeros((x.size, x.size))
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(x):
+            for cx, cy in centers:
+                r = np.hypot(_periodic_distance(xi, cx, L),
+                             _periodic_distance(yj, cy, L))
+                expected[i, j] += (1.0 + r) ** (-mu)
+    np.testing.assert_allclose(kernels.rho_field_2d(x, centers, mu, L),
+                               expected, rtol=1e-13, atol=0)

@@ -226,7 +226,7 @@ def test_interaction_constants_shape_and_symmetry(gs_store):
     assert cij.shape == (2, 2)
     assert np.all(cij > 0)
     # alpha + beta symmetric combination enters the model energy
-    assert cij[0, 0] == pytest.approx(gs.decay.c0 * gs.grid.cell_volume
+    assert cij[0, 0] == pytest.approx(gs.decay.amplitude * gs.grid.cell_volume
                                       * float(np.sum(gs.values ** 2)), rel=1e-12)
 
 
