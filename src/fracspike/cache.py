@@ -36,10 +36,10 @@ from pathlib import Path
 
 import numpy as np
 
-from fracspike import kernels
 from fracspike import spectral as sp
-from fracspike.grid import Field, FracParams, Grid
-from fracspike.ground_state import GroundState, decay_fit, energy
+from fracspike.grid import FracParams, Grid
+from fracspike.ground_state import (GroundState, _relative_residual,
+                                    decay_fit, energy)
 
 log = logging.getLogger(__name__)
 
@@ -182,23 +182,16 @@ def load(directory, grid: Grid, params: FracParams) -> GroundState | None:
         return None
     values = values.reshape(grid.shape)
     lam = float(meta.get("lam", "1"))
-    residual = _residual_sup(grid, params, lam, values)
     return GroundState(
         grid=grid, params=params, lam=lam, values=values,
-        residual_norm=residual,
+        residual_norm=_relative_residual(
+            sp.FracOperator(grid, params.s, lam), values, params.p),
         iterations=int(meta.get("iterations", "0")),
         newton_steps=int(meta.get("newton_steps", "0")),
         energy=energy(grid, params, lam, values),
         decay=decay_fit(grid, params, values),
         source="cache",
     )
-
-
-def _residual_sup(grid, params, lam, values) -> float:
-    f = Field(grid, values)
-    res = (sp.fractional_laplacian(f, params).values + lam * values
-           - kernels.positive_power(values, params.p))
-    return float(np.max(np.abs(res)) / np.max(np.abs(values)))
 
 
 def cached_ground_state(grid: Grid, params: FracParams,

@@ -90,3 +90,14 @@ def test_cached_ground_state_solve_then_load(tmp_path, caplog):
     assert second.source == "cache"
     np.testing.assert_array_equal(first.values, second.values)
     assert any("cache" in r.message for r in caplog.records)
+
+
+def test_reload_reports_the_solver_residual_despite_undershoot(tmp_path):
+    """A coarse s = 0.99, p = 1.5 profile dips below zero in its tail; the
+    reload reports exactly the residual the solve reported, in the solver's
+    norm (odd power u^p), not one computed with u_+^p."""
+    gs = solve_ground_state(Grid(1, 60.0, 64), FracParams(0.99, 1.5))
+    assert gs.values.min() < 0.0
+    store(tmp_path, gs)
+    back = load(tmp_path, gs.grid, gs.params)
+    assert back.residual_norm == gs.residual_norm
