@@ -6,9 +6,10 @@ of the same correction, grad_xi I = -alpha_ij c_ij / eps (alpha_ij =
 ||Z_ij||^2, xi = eps q), so its critical points are exactly the
 configurations where all c_ij vanish. Every search step therefore costs one
 correction per configuration it visits: the Newton searches drive c to zero
-and the cluster ascent steps along the multiplier gradient. The asymptotic
-model c_* sum V^theta(xi_i) - (1/2) sum_{i!=j} c_ij |q_i-q_j|^{-(N+2s)}
-supplies cheap seeds and the Jacobian the Newton searches start from; its
+and the cluster ascent takes quasi-Newton steps on the multiplier gradient.
+The asymptotic model c_* sum V^theta(xi_i) - (1/2) sum_{i!=j} c_ij
+|q_i-q_j|^{-(N+2s)} supplies cheap seeds, the Jacobian the Newton searches
+start from and the Hessian the cluster ascent starts from; its
 constants were validated against measured overlap integrals (the pair
 factor 1/2 and the lambda exponents empirically, see tests).
 """
@@ -86,6 +87,7 @@ class SearchOutcome:
     boundary_stuck: bool = False
     I_value: float = np.nan
     c_tol: float = np.nan
+    correction: CorrectionResult = dc_field(repr=False, default=None)
 
     @property
     def xi_star(self) -> np.ndarray:
@@ -215,6 +217,20 @@ def _model_jacobian(V: Potential, xi: np.ndarray, epsilon: float,
         J[i * dim:(i + 1) * dim, i * dim:(i + 1) * dim] = \
             -(epsilon * gs.energy / alphas[i][:, None]) * hess_vt
     return J
+
+
+def _model_hessian(V: Potential, xi: np.ndarray, epsilon: float,
+                   gs: GroundState, h: float) -> np.ndarray:
+    """Central-difference Hessian of asymptotic_energy in the flattened xi."""
+    E, H = h * np.eye(xi.size), np.empty((xi.size, xi.size))
+
+    def f(d):
+        return asymptotic_energy(V, xi.ravel() + d, epsilon, gs)
+
+    for i, j in itertools.combinations_with_replacement(range(xi.size), 2):
+        H[i, j] = H[j, i] = (f(E[i] + E[j]) - f(E[i] - E[j])
+                             - f(E[j] - E[i]) + f(-E[i] - E[j])) / (4 * h * h)
+    return H
 
 
 def _model_seed(V: Potential, epsilon: float, k: int, region, mode: str,
@@ -441,7 +457,8 @@ def _newton_on_c(V, make_cfg, xi0, epsilon, gs, mu, opts, c_tol, max_steps,
     v_at = np.array([float(V(*x)) for x in cfg.xi])
     return SearchOutcome(q_star=cfg, mode=mode, max_abs_c=cmax,
                          V_at_spikes=v_at, converged=bool(cmax <= c_tol),
-                         history=history, I_value=pt.I)
+                         history=history, I_value=pt.I,
+                         correction=pt.correction)
 
 
 def cluster_search(V: Potential, epsilon: float, k: int, region,
@@ -450,13 +467,19 @@ def cluster_search(V: Potential, epsilon: float, k: int, region,
                    ascent_tol: float = 1e-4) -> SearchOutcome:
     """Maximize I(q) under the cluster separation floor |xi_i - xi_j| >= eps^(1-s/4).
 
-    Projected gradient ascent along the multiplier gradient
-    grad_xi I = -alpha_ij c_ij / eps, read off the correction at the current
-    configuration, so each trial configuration costs one correction; after
-    every step, any pair below the floor is pushed back to it along the pair
-    direction. The outcome reports whether the maximizer ended interior or
-    pinned on the separation boundary (boundary_stuck). k = 1 reduces to the
-    maximize mode of critical_point_search.
+    Damped quasi-Newton ascent on grad_xi I = -alpha_ij c_ij / eps, read off
+    the correction at each trial configuration (one correction per trial).
+    The curvature B ~ -hess I starts as the central-difference Hessian of
+    asymptotic_energy and takes a BFGS update after each accepted step with
+    s.y > 0; while B is not positive definite on the free coordinates the
+    step is the gradient direction of length 0.05 span. Coordinates on a
+    region bound whose gradient points outward are frozen (active set); a
+    step is capped at half the span, shortened to the separation floor, and
+    backtracked t = 1, 1/2, ..., 1/16 until I rises. converged means the free
+    gradient met |grad| span <= ascent_tol |I|; history entries name each
+    step's "kind" ("gradient", "model" or "bfgs"). boundary_stuck reports a
+    maximizer pinned on the floor. k = 1 reduces to the maximize mode of
+    critical_point_search.
     """
     if k == 1:
         return critical_point_search(V, epsilon, 1, region, "maximize_V",
@@ -469,26 +492,24 @@ def cluster_search(V: Potential, epsilon: float, k: int, region,
     opts = CorrectionOptions(eta=SEARCH_ETA)
     lows = np.array([r[0] for r in region], dtype=float)
     highs = np.array([r[1] for r in region], dtype=float)
+    pairs = list(itertools.combinations(range(k), 2))
 
-    def project(xi):
-        """Push pairs below the separation floor back to it, then clip."""
-        xi = xi.copy()
-        for _ in range(8):
-            moved = False
-            for i, j in itertools.combinations(range(k), 2):
-                dvec = xi[i] - xi[j]
-                d = float(np.linalg.norm(dvec))
-                if d < floor_xi:
-                    if d == 0.0:
-                        dvec = rng.standard_normal(dim)
-                        d = float(np.linalg.norm(dvec))
-                    push = 0.5 * (floor_xi - d) / d
-                    xi[i] += push * dvec
-                    xi[j] -= push * dvec
-                    moved = True
-            if not moved:
-                break
-        return np.clip(xi, lows, highs)
+    def spread_to_floor(xi):
+        """Scale a seed about its centroid until every pair clears the floor."""
+        d = min(float(np.linalg.norm(xi[i] - xi[j])) for i, j in pairs)
+        mid = xi.mean(axis=0)
+        return np.clip(mid + (xi - mid) * max(1.0, floor_xi / d), lows, highs)
+
+    def floor_fraction(xi, p):
+        """Largest t <= 1 keeping every pair of xi + t p on or above the floor."""
+        t = 1.0
+        for i, j in pairs:
+            a, b = xi[i] - xi[j], p[i] - p[j]
+            ab, bb = float(a @ b), float(b @ b)
+            disc = ab * ab - bb * (float(a @ a) - floor_xi ** 2)
+            if ab < 0.0 and disc > 0.0:
+                t = min(t, max(0.0, (-ab - np.sqrt(disc)) / bb))
+        return t
 
     def make_cfg(xi):
         return SpikeConfig(grid, xi / epsilon, epsilon, delta=0.05,
@@ -502,7 +523,7 @@ def cluster_search(V: Potential, epsilon: float, k: int, region,
 
     xi = pt = None
     for cand in _model_seed(V, epsilon, k, region, "cluster_max", gs, rng):
-        cand = project(np.asarray(cand, dtype=float))
+        cand = spread_to_floor(np.asarray(cand, dtype=float))
         pt = corrected_or_none(cand)
         if pt is not None:
             xi = cand
@@ -513,36 +534,55 @@ def cluster_search(V: Potential, epsilon: float, k: int, region,
                                "starting configuration")
     history = [{"step": 0, "I": pt.I, "xi": xi.ravel().tolist()}]
     span = float(np.min(highs - lows))
-    step_len = 0.05 * span
+    B = -_model_hessian(V, xi, epsilon, gs, 1e-3 * span)
+    kind = "model"
+    converged = False
 
     for step in range(1, max_steps + 1):
-        gn = float(np.linalg.norm(pt.grad))
-        if gn * span <= ascent_tol * max(abs(pt.I), 1e-300):
+        g = pt.grad.ravel()
+        free = ~(((xi <= lows) & (pt.grad < 0))
+                 | ((xi >= highs) & (pt.grad > 0))).ravel()
+        gn = float(np.linalg.norm(g[free]))
+        converged = gn * span <= ascent_tol * max(abs(pt.I), 1e-300)
+        if converged:
             break
-        improved = False
-        t = step_len
-        while t > 1e-3 * span:
-            xi_try = project(xi + t * pt.grad / gn)
-            pt_try = corrected_or_none(xi_try)
+        p, Bf = np.zeros(g.size), B[np.ix_(free, free)]
+        try:
+            np.linalg.cholesky(Bf)
+            p[free], step_kind = np.linalg.solve(Bf, g[free]), kind
+        except np.linalg.LinAlgError:
+            p[free], step_kind = 0.05 * span * g[free] / gn, "gradient"
+        p *= min(1.0, 0.5 * span / float(np.linalg.norm(p)))
+        p = np.clip(xi + p.reshape(k, dim), lows, highs) - xi
+        p *= floor_fraction(xi, p)
+        new = None
+        for t in (1.0, 0.5, 0.25, 0.125, 0.0625):
+            xi_try = xi + t * p
+            pt_try = None if np.array_equal(xi_try, xi) else \
+                corrected_or_none(xi_try)
             if pt_try is not None and pt_try.I > pt.I:
-                xi, pt = xi_try, pt_try
-                improved = True
+                new = xi_try, pt_try
                 break
-            t *= 0.5
-        history.append({"step": step, "I": pt.I, "xi": xi.ravel().tolist()})
-        if not improved:
+        if new is not None:
+            s, y = (new[0] - xi).ravel(), g - new[1].grad.ravel()
+            if s @ y > 0.0:
+                Bs = B @ s
+                B += np.outer(y, y) / (s @ y) - np.outer(Bs, Bs) / (s @ Bs)
+                kind = "bfgs"
+            xi, pt = new
+        history.append({"step": step, "I": pt.I, "xi": xi.ravel().tolist(),
+                        "kind": step_kind})
+        if new is None:
             break
 
     cfg = make_cfg(xi)
-    seps = cfg.separations()
-    min_sep_xi = float(np.min(seps)) * epsilon if k > 1 else np.inf
-    stuck = bool(min_sep_xi <= 1.02 * floor_xi)
+    stuck = bool(np.min(cfg.separations()) * epsilon <= 1.02 * floor_xi)
     v_at = np.array([float(V(*x)) for x in cfg.xi])
     return SearchOutcome(q_star=cfg, mode="cluster_max",
                          max_abs_c=float(np.max(np.abs(pt.c))),
-                         V_at_spikes=v_at, converged=True, history=history,
-                         boundary_stuck=stuck, I_value=pt.I,
-                         c_tol=np.inf)
+                         V_at_spikes=v_at, converged=converged,
+                         history=history, boundary_stuck=stuck, I_value=pt.I,
+                         c_tol=np.inf, correction=pt.correction)
 
 
 def brouwer_degree(V: Potential, box, n_samples: int = 64,

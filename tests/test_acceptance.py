@@ -183,11 +183,11 @@ def test_criterion_09_reduction_criterion(gs_store):
     assert out.converged
     assert out.max_abs_c <= out.c_tol
 
-    cfg = out.q_star
-    bundle = build_ansatz(well, cfg, gs)
-    corr = nonlinear_correction(well, cfg, bundle, CorrectionOptions(eta=0.5))
+    # the search's final correction has the options a fresh one would use
+    cfg, corr = out.q_star, out.correction
     assert corr.converged
-    seed = Field(gs.grid, bundle.W.values + corr.phi.values)
+    seed = Field(gs.grid, build_ansatz(well, cfg, gs).W.values
+                 + corr.phi.values)
     newton = full_newton_solve(well, 0.1, seed, gs.params)
     assert newton.converged and newton.iterations <= 5
     dist = float(np.max(np.abs(newton.u.values - seed.values)))
@@ -237,11 +237,10 @@ def test_criterion_11_two_well_scenario(gs_store):
         assert out.converged
         assert out.max_abs_c <= out.c_tol
 
-        bundle = build_ansatz(V, out.q_star, gs)
-        corr = nonlinear_correction(V, out.q_star, bundle,
-                                    CorrectionOptions(eta=0.5))
+        corr = out.correction
         assert corr.converged
-        seed = Field(gs.grid, bundle.W.values + corr.phi.values)
+        seed = Field(gs.grid, build_ansatz(V, out.q_star, gs).W.values
+                     + corr.phi.values)
         newton = full_newton_solve(V, 0.1, seed, gs.params)
         assert newton.converged
         spots = 0.1 * newton.spike_centers_detected

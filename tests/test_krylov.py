@@ -47,8 +47,8 @@ def _scipy(a, m, b, **kw):
                                            (False, 8)])
 def test_matches_scipy_on_projected_system(projected_system, rng, warm,
                                            restart):
-    """Same A, M, b, x0, rtol and restart: iteration counts within one,
-    solutions within 1e-9 relative."""
+    """Same A, M, b, x0, rtol and restart: at most one iteration more than
+    scipy (converging sooner is allowed), solutions within 1e-9 relative."""
     a, m, b, op = projected_system
     x0 = op.project(rng.standard_normal(b.size) * 1e-3 * np.abs(b).max()) \
         if warm else None
@@ -56,7 +56,7 @@ def test_matches_scipy_on_projected_system(projected_system, rng, warm,
     ref_x, ref_info, ref_hist = _scipy(a, m, b, **kw)
     sol = gmres(lambda v: m(a(v)), a, m, b, **kw)
     assert ref_info == 0 and sol.info == 0
-    assert abs(len(sol.history) - len(ref_hist)) <= 1
+    assert len(sol.history) <= len(ref_hist) + 1
     assert len(sol.history) >= 10
     assert np.linalg.norm(sol.x - ref_x) <= 1e-9 * np.linalg.norm(ref_x)
     np.testing.assert_allclose(sol.residual, b - a(sol.x), rtol=0,

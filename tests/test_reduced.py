@@ -1,10 +1,12 @@
 """Reduced energy, multiplier-driven searches, and degree counting."""
 
+import time
+
 import numpy as np
 import pytest
 
 from fracspike import reduced
-from fracspike.ansatz import SpikeConfig
+from fracspike.ansatz import SpikeConfig, build_ansatz
 from fracspike.correction import CorrectionOptions
 from fracspike.errors import ConfigError
 from fracspike.ground_state import energy_scaling_exponent
@@ -284,6 +286,68 @@ def test_cluster_search_k1_reduces_to_maximize(gs_store):
     out = cluster_search(V, 0.1, 1, [(-1.5, 1.5)], gs)
     assert out.mode == "maximize_V"
     assert abs(out.xi_star[0, 0]) < 1e-4
+
+
+@pytest.mark.parametrize("xi", [[[0.0], [-0.75]], [[0.2283], [-0.2283]]])
+def test_model_hessian_matches_multiplier_differences(gs_store, xi):
+    """At the criterion-12 seed, where it is indefinite, and at the maximizer,
+    where it is negative definite, the model Hessian of the cluster ascent is
+    within 15% (Frobenius) of central differences of -alpha c / eps."""
+    gs = gs_store(0.5, 2.0)
+    V = builtin_potentials("gaussian_bumps", **CLUSTER_BUMP)
+    eps, h, xi = 0.1, 3e-3, np.array(xi)
+    opts = CorrectionOptions(eta=SEARCH_ETA)
+
+    def grad(x):
+        return reduced._corrected(V, SpikeConfig(gs.grid, x / eps, eps), gs,
+                                  None, opts).grad.ravel()
+
+    fd = np.column_stack([(grad(xi + h * e.reshape(2, 1))
+                           - grad(xi - h * e.reshape(2, 1))) / (2.0 * h)
+                          for e in np.eye(2)])
+    model = reduced._model_hessian(V, xi, eps, gs, h)
+    assert np.linalg.norm(model - fd) <= 0.15 * np.linalg.norm(fd)
+    assert np.array_equal(np.sign(np.linalg.eigvalsh(model)),
+                          np.sign(np.linalg.eigvalsh(0.5 * (fd + fd.T))))
+
+
+def test_cluster_ascent_correction_budget(gs_store, monkeypatch):
+    """The criterion-12 ascent makes at most 12 corrections, counting those
+    that fail the eta gate, and ends on its gradient test after an accepted
+    step rather than on a failed line search."""
+    gs = gs_store(0.5, 2.0)
+    V = builtin_potentials("gaussian_bumps", **CLUSTER_BUMP)
+    calls = _count_corrections(monkeypatch)
+    out = cluster_search(V, 0.1, 2, [(-1.5, 1.5)], gs)
+    assert len(calls) <= 12
+    assert out.converged and out.history[-1]["I"] > out.history[-2]["I"]
+    alphas = build_ansatz(V, out.q_star, gs).alphas
+    grad = -alphas * out.correction.c / 0.1
+    assert np.linalg.norm(grad) * 3.0 <= 1e-4 * abs(out.I_value)
+    assert out.I_value >= 11.293018363  # where gradient ascent stopped
+    # the model Hessian is indefinite at the seed: the first step is a
+    # gradient step, the later ones quasi-Newton
+    kinds = [h["kind"] for h in out.history[1:]]
+    assert kinds[0] == "gradient" and set(kinds[1:]) <= {"model", "bfgs"}
+
+
+def test_cluster_ascent_pins_a_spike_on_the_region_edge(gs_store,
+                                                         monkeypatch):
+    """On a narrow bump (sigma = 0.3) the pair repulsion drives one spike to
+    the region edge; the active set freezes it there and the other converges
+    on the bump top."""
+    gs = gs_store(0.5, 2.0)
+    V = builtin_potentials("gaussian_bumps", a=1.0, bumps=[
+        {"b": 1.0, "center": [0.0], "sigma": 0.3}])
+    calls = _count_corrections(monkeypatch)
+    start = time.perf_counter()
+    out = cluster_search(V, 0.1, 2, [(-1.5, 1.5)], gs)
+    elapsed = time.perf_counter() - start
+    assert out.converged
+    assert np.isclose(float(np.min(out.xi_star)), -1.5, rtol=0, atol=1e-12)
+    assert out.I_value >= 7.6174
+    assert len(calls) <= 10
+    assert elapsed < 1.0
 
 
 def test_brouwer_degree_1d():
