@@ -195,8 +195,11 @@ def load(directory, grid: Grid, params: FracParams) -> GroundState | None:
 
 
 def cached_ground_state(grid: Grid, params: FracParams,
-                        directory=None, **solve_kw) -> GroundState:
-    """Load the lambda = 1 profile or solve and store it."""
+                        directory=None) -> GroundState:
+    """Load the lambda = 1 profile or solve and store it.
+
+    The profile is solved with the default settings of `solve_ground_state`,
+    the only ones the cache key stands for."""
     from fracspike.ground_state import solve_ground_state
 
     directory = Path(directory) if directory is not None else default_cache_dir()
@@ -206,6 +209,6 @@ def cached_ground_state(grid: Grid, params: FracParams,
                  "skipping solve", params.s, params.p, grid.dim,
                  grid.half_width, grid.points_per_axis)
         return gs
-    gs = solve_ground_state(grid, params, **solve_kw)
+    gs = solve_ground_state(grid, params)
     store(directory, gs)
     return gs

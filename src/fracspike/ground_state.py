@@ -22,7 +22,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh, lobpcg
 
 from fracspike import kernels
 from fracspike import spectral as sp
-from fracspike._krylov import gmres
+from fracspike._krylov import newton, relative_sup
 from fracspike.errors import ConfigError, SolverDivergence
 from fracspike.grid import Field, FracParams, Grid
 
@@ -86,8 +86,7 @@ class GroundState:
 
 def _relative_residual(op: sp.FracOperator, u: np.ndarray, p: float) -> float:
     """max |A u - u^p| / max |u|, A = (-Delta)^s + lambda: the certified norm."""
-    return float(np.max(np.abs(op.shifted(u) - _power(u, p)))
-                 / np.max(np.abs(u)))
+    return relative_sup(op.shifted(u) - _power(u, p), u)
 
 
 def energy(grid: Grid, params: FracParams, lam: float, values: np.ndarray) -> float:
@@ -172,7 +171,10 @@ def solve_ground_state(grid: Grid, params: FracParams, lam: float = 1.0,
         if residual <= tol:
             break
         if increment < newton_threshold:
-            u, residual, newton_steps = _newton_polish(op, p, u, tol)
+            # damped Newton on F(u) = A u - u^p, J = A - p u^(p-1)
+            u, residual, newton_steps = newton(
+                op, lambda v: op.shifted(v) - _power(v, p),
+                lambda v: -p * _power(v, p - 1.0), u, tol)
             break
     if residual > tol:
         raise SolverDivergence(
@@ -188,47 +190,6 @@ def solve_ground_state(grid: Grid, params: FracParams, lam: float = 1.0,
     if with_spectrum:
         gs.spectrum = linearization_spectrum(gs, n_eigs=n_eigs)
     return gs
-
-
-def _newton_polish(op, p, u, tol, max_steps=8):
-    """Damped Newton on F(u) = A u - u^p with resolvent-preconditioned GMRES.
-
-    GMRES iterates T J = I - T (p u^(p-1) .), one FFT pair per iteration.
-    Every trial is judged by its own relative residual, the norm the fixed
-    point reports.
-    """
-    steps = 0
-    res = _relative_residual(op, u, p)
-    for _ in range(max_steps):
-        if res <= tol:
-            break
-        F = op.shifted(u) - _power(u, p)
-        coeff = (p * _power(u, p - 1.0)).ravel()
-
-        def jmv(v):
-            return op.shifted(v) - coeff * v
-
-        def tjmv(v):
-            return v - op.resolvent(coeff * v)
-
-        sol = gmres(tjmv, jmv, op.resolvent, F.ravel(), rtol=1e-10,
-                    restart=20, maxiter=400)
-        if sol.info != 0:
-            log.debug("newton polish: gmres info=%s", sol.info)
-            break
-        delta = sol.x.reshape(u.shape)
-        step = 1.0
-        while step > 1e-4:
-            u_try = u - step * delta
-            res_try = _relative_residual(op, u_try, p)
-            if res_try < res:
-                u, res = u_try, res_try
-                break
-            step *= 0.5
-        else:
-            break
-        steps += 1
-    return u, res, steps
 
 
 def _image_tail(decay: sp.FarFieldFit, coords: list[np.ndarray], L: float,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fracspike import correction, kernels
+from fracspike import _krylov, kernels
 from fracspike import spectral as sp
 from fracspike.ansatz import SpikeConfig, build_ansatz
 from fracspike.correction import (CorrectionOptions, _ProjectedOperator,
@@ -271,14 +271,14 @@ def test_newton_one_transform_per_krylov_iteration(gs_store, monkeypatch):
     gs = gs_store(0.5, 2.0)
     V, cfg, bundle = _two_spike_setup(gs)
     iterations = []
-    inner = correction.gmres
+    inner = _krylov.gmres
 
     def counting_gmres(*args, **kwargs):
         out = inner(*args, **kwargs)
         iterations.append(len(out.history))
         return out
 
-    monkeypatch.setattr(correction, "gmres", counting_gmres)
+    monkeypatch.setattr(_krylov, "gmres", counting_gmres)
     calls = _count_rfftn(monkeypatch)
     out = full_newton_solve(V, cfg.epsilon, bundle.W, gs.params)
     assert out.converged and out.iterations >= 1
@@ -294,14 +294,14 @@ def test_two_spike_krylov_budget_and_certificate(gs_store, monkeypatch):
     gs = gs_store(0.5, 2.0)
     V, cfg, bundle = _two_spike_setup(gs)
     iterations = []
-    inner = correction.gmres
+    inner = _krylov.gmres
 
     def counting_gmres(*args, **kwargs):
         out = inner(*args, **kwargs)
         iterations.append(len(out.history))
         return out
 
-    monkeypatch.setattr(correction, "gmres", counting_gmres)
+    monkeypatch.setattr(_krylov, "gmres", counting_gmres)
     res = nonlinear_correction(V, cfg, bundle, CorrectionOptions(eta=0.5))
     assert res.converged
     assert sum(iterations) <= 125
@@ -316,3 +316,20 @@ def test_two_spike_krylov_budget_and_certificate(gs_store, monkeypatch):
          - kernels.positive_power(u, gs.params.p))
     assert out.residual_norm == np.max(np.abs(F)) / np.max(np.abs(u))
     assert out.residual_norm <= 1e-10
+
+
+def test_newton_preserves_mirror_symmetry(gs_store):
+    """Metamorphic: on a mirror-symmetric V, Newton from a mirror-symmetric
+    seed returns a mirror-symmetric solution, u(-x) = u(x)."""
+    gs = gs_store(0.5, 2.0)
+    V, cfg, bundle = _two_spike_setup(gs)
+
+    def mirror(a):  # x -> -x on the periodic grid x_i = -L + i h
+        return np.roll(a[::-1], 1)
+
+    w = bundle.W.values
+    seed = Field(gs.grid, 0.5 * (w + mirror(w)))
+    out = full_newton_solve(V, cfg.epsilon, seed, gs.params)
+    assert out.converged and out.iterations >= 1
+    u = out.u.values
+    assert np.max(np.abs(u - mirror(u))) <= 1e-9 * np.max(u)

@@ -114,3 +114,16 @@ def test_estimate_meeting_ptol_early_continues_the_basis(projected_system):
     assert np.linalg.norm(b - a(sol.x)) <= rtol * np.linalg.norm(b)
     ptol = rtol * np.linalg.norm(m(b)) / np.linalg.norm(b)
     assert min(sol.history[:-1]) <= ptol
+
+
+def test_cold_solve_iteration_budget(projected_system):
+    """A cold solve at restart 300 takes at most 18 iterations. When the
+    in-cycle check of the true residual falls short (here at step 17),
+    ptol is tightened by the cycle-end rule presid * min(factor,
+    atol / ||r||), so the next check comes one step later; multiplying the
+    factor by the shortfall instead ran to step 20."""
+    a, m, b, _ = projected_system
+    sol = gmres(lambda v: m(a(v)), a, m, b, rtol=1e-10, restart=300)
+    assert sol.info == 0
+    assert np.linalg.norm(b - a(sol.x)) <= 1e-10 * np.linalg.norm(b)
+    assert len(sol.history) <= 18
