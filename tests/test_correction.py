@@ -333,3 +333,19 @@ def test_newton_preserves_mirror_symmetry(gs_store):
     assert out.converged and out.iterations >= 1
     u = out.u.values
     assert np.max(np.abs(u - mirror(u))) <= 1e-9 * np.max(u)
+
+
+def test_correction_permutes_with_seeds(gs_store):
+    """Metamorphic: swapping the two seeds of the 1d criterion-11
+    configuration gives the same phi and c with its rows swapped."""
+    gs = gs_store(0.5, 2.0)
+    V, cfg, bundle = _two_spike_setup(gs)
+    swapped = SpikeConfig(gs.grid, cfg.centers[::-1], epsilon=cfg.epsilon)
+    opts = CorrectionOptions(eta=0.5)
+    ref = nonlinear_correction(V, cfg, bundle, opts)
+    out = nonlinear_correction(V, swapped, build_ansatz(V, swapped, gs), opts)
+    assert ref.converged and out.converged
+    phi, phi_ref = out.phi.values, ref.phi.values
+    assert np.max(np.abs(phi - phi_ref)) <= 1e-10 * np.max(np.abs(phi_ref))
+    assert np.max(np.abs(out.c - ref.c[::-1])) <= \
+        1e-10 * np.max(np.abs(ref.c))

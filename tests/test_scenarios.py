@@ -6,11 +6,12 @@ that warm cache.
 """
 
 import json
+import threading
 
 import numpy as np
 import pytest
 
-from fracspike import cli
+from fracspike import cli, scenarios
 from fracspike.errors import ConfigError
 from fracspike.scenarios import (SCHEMA, load_scenario, parse_scenario,
                                  run_scenario)
@@ -302,6 +303,25 @@ def test_sweep_rows_rates_and_worker_determinism(tmp_path, cache_dir):
     assert rate["target"] == 1.0
     assert 0.5 < rate["slope"] < 1.5
     assert rate["r_squared"] > 0.9
+
+
+def test_sweep_runs_on_calling_thread(tmp_path, cache_dir, monkeypatch):
+    """workers=2 is accepted, but every sweep entry is corrected in order
+    on the caller's own thread."""
+    calls = []
+    inner = scenarios.nonlinear_correction
+
+    def recording(V, cfg, *args, **kwargs):
+        calls.append((threading.get_ident(), cfg.epsilon))
+        return inner(V, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "nonlinear_correction", recording)
+    res = run_scenario(write_doc(tmp_path, make_doc("epsilon_sweep")),
+                       out_dir=tmp_path / "out", cache_dir=cache_dir,
+                       workers=2)
+    assert res.status == 0
+    me = threading.get_ident()
+    assert calls == [(me, 0.2), (me, 0.1), (me, 0.05)]
 
 
 # ------------------------------------------------------------------- cli
