@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from fracspike import ground_state
 from fracspike import spectral as sp
@@ -140,11 +141,55 @@ def test_linearization_kernel(gs_store):
     assert spec.spectral_gap >= 0.1
 
 
-def test_with_spectrum_flag():
+def test_spectrum_bounds_against_dense_reference():
+    """The K-path entries bound the dense spectrum of L the way
+    SpectrumSummary says, and kappa_1 = p to solver accuracy."""
     grid = Grid(1, 20.0, 256)
-    gs = solve_ground_state(grid, FracParams(0.5, 2.0), with_spectrum=True)
-    assert gs.spectrum is not None
-    assert gs.spectrum.kernel_dim == 1
+    params = FracParams(0.5, 2.0)
+    gs = solve_ground_state(grid, params)
+    spec = linearization_spectrum(gs)
+    op = sp.FracOperator(grid, params.s, gs.lam)
+    n = gs.values.size
+    L = np.column_stack([op.shifted(e) for e in np.eye(n)])
+    L = 0.5 * (L + L.T) - np.diag(params.p * gs.values ** (params.p - 1.0))
+    mu = np.linalg.eigvalsh(L)
+    kernel = np.abs(mu) <= 1e-3
+    assert mu[0] <= spec.lowest
+    assert mu[grid.dim + 1] >= spec.eigenvalues[-1]
+    assert spec.spectral_gap <= np.min(np.abs(mu[~kernel]))
+    assert spec.kernel_dim == np.count_nonzero(kernel)
+    kappa_1 = 1.0 - spec.lowest / gs.lam
+    assert abs(kappa_1 - params.p) <= 1e-8
+
+
+def test_spectrum_fft_budget(gs_store, monkeypatch):
+    """FFT work of the K path on the 2d 128^2 profile stays in budget
+    (measured 196; Lanczos on L itself took 404)."""
+    gs = gs_store(0.5, 2.0, dim=2, L=10.0, M=128)
+    calls = []
+    for name in ("rfftn", "irfftn"):
+        inner = getattr(np.fft, name)
+
+        def counting(*args, _inner=inner, **kwargs):
+            calls.append(1)
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    linearization_spectrum(gs)
+    assert len(calls) <= 240
+
+
+def test_spectrum_arpack_failure_is_solver_divergence(gs_store, monkeypatch):
+    """ARPACK giving up maps to SolverDivergence (exit code 3)."""
+    gs = gs_store(0.5, 2.0)
+
+    def stalled(A, k, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.empty(0),
+                                  np.empty((A.shape[0], 0)))
+
+    monkeypatch.setattr(ground_state, "eigsh", stalled)
+    with pytest.raises(SolverDivergence):
+        linearization_spectrum(gs)
 
 
 @pytest.mark.parametrize("dim,L,M", [(1, 40.0, 1024), (2, 10.0, 128)])
@@ -152,7 +197,7 @@ def test_polished_residual_is_that_of_the_values(dim, L, M):
     """After a Newton polish, residual_norm is max|A u - u^p| / max|u| of u."""
     grid = Grid(dim, L, M)
     params = FracParams(0.5, 2.0)
-    gs = solve_ground_state(grid, params, newton_threshold=1e-2)
+    gs = solve_ground_state(grid, params)
     assert gs.newton_steps > 0
     u = gs.values
     Au = sp.fractional_laplacian(gs.field, params).values + u
