@@ -70,7 +70,6 @@ class ProjectedSolution:
     c: np.ndarray
     iterations: int
     consistency: float
-    residual_history: list
 
     def __iter__(self):
         return iter((self.phi, self.c))
@@ -106,7 +105,6 @@ class CorrectionResult:
     iterations: int
     converged: bool
     contraction_history: list = field(default_factory=list)
-    increment_history: list = field(default_factory=list)
 
 
 @dataclass
@@ -210,7 +208,6 @@ def projected_solve(g: Field, V: Potential, cfg: SpikeConfig,
         return op.project(op.apply_tm(r))
 
     b = op.project(g.values).ravel()
-    history: list[float] = []
     iterations = 0
     if float(np.linalg.norm(b)) <= 1e-12 * float(np.linalg.norm(g.values)):
         # g in span{Z} up to roundoff: phi = 0, the Gram solve yields c
@@ -242,7 +239,7 @@ def projected_solve(g: Field, V: Potential, cfg: SpikeConfig,
     gnorm = float(np.linalg.norm(g.values))
     consistency = float(np.linalg.norm(resid - model)) / max(gnorm, 1e-300)
     return ProjectedSolution(Field(grid, phi_vals), c, iterations,
-                             consistency, history)
+                             consistency)
 
 
 def multiplier_estimate(phi: Field, g: Field, bundle: AnsatzBundle,
@@ -316,7 +313,7 @@ def nonlinear_correction(V: Potential, cfg: SpikeConfig, bundle: AnsatzBundle,
     phi = Field(grid, np.zeros(grid.shape) if phi0 is None
                 else op.project(phi0.values))
     c = np.zeros((cfg.k, grid.dim))
-    increments: list[float] = []
+    prev_inc = 0.0
     ratios: list[float] = []
     converged = False
     bad_streak = 0
@@ -327,11 +324,11 @@ def nonlinear_correction(V: Potential, cfg: SpikeConfig, bundle: AnsatzBundle,
         sol = projected_solve(Field(grid, rhs), V, cfg, bundle, x0=phi,
                               _op=op)
         inc = float(np.max(np.abs(sol.phi.values - phi.values) / rho))
-        increments.append(inc)
-        if len(increments) >= 2 and increments[-2] > 0:
-            ratio = inc / increments[-2]
+        if prev_inc > 0:
+            ratio = inc / prev_inc
             ratios.append(ratio)
             bad_streak = bad_streak + 1 if ratio >= 1.0 else 0
+        prev_inc = inc
         phi, c = sol.phi, sol.c
         if inc <= opts.tol:
             converged = True
@@ -344,8 +341,7 @@ def nonlinear_correction(V: Potential, cfg: SpikeConfig, bundle: AnsatzBundle,
     norm_Y = float(np.max(np.abs(phi.values) / rho))
     return CorrectionResult(phi=phi, c=c, norm_Y=norm_Y,
                             iterations=it, converged=converged,
-                            contraction_history=ratios,
-                            increment_history=increments)
+                            contraction_history=ratios)
 
 
 def detect_spike_centers(u: Field, frac: float = 0.5) -> np.ndarray:

@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from fracspike import kernels
 from fracspike import spectral as sp
@@ -308,6 +307,8 @@ def linearization_spectrum(gs: GroundState,
     The kernel vectors B^(-1/2) y are compared with the translation modes
     dw/dx_j. SolverDivergence if ARPACK fails.
     """
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
     grid, params, lam = gs.grid, gs.params, gs.lam
     n = gs.values.size
     half = (grid.symbol(2.0 * params.s) + lam) ** -0.5  # B^(-1/2)

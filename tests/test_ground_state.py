@@ -187,7 +187,8 @@ def test_spectrum_arpack_failure_is_solver_divergence(gs_store, monkeypatch):
         raise ArpackNoConvergence("no convergence", np.empty(0),
                                   np.empty((A.shape[0], 0)))
 
-    monkeypatch.setattr(ground_state, "eigsh", stalled)
+    # linearization_spectrum imports eigsh when called, so patch its source
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh", stalled)
     with pytest.raises(SolverDivergence):
         linearization_spectrum(gs)
 

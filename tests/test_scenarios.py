@@ -6,11 +6,16 @@ that warm cache.
 """
 
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fracspike
 from fracspike import cli, scenarios
 from fracspike.errors import ConfigError
 from fracspike.scenarios import (SCHEMA, load_scenario, parse_scenario,
@@ -387,3 +392,19 @@ def test_cli_solver_failure_exit_code(tmp_path, cache_dir, capsys):
                    "--cache", str(cache_dir)])
     capsys.readouterr()
     assert rc == 3
+
+
+def test_entry_points_import_no_scipy():
+    """Importing the scenario runner and the CLI loads no heavy scipy module
+    (a fresh interpreter, so other tests' imports do not leak in)."""
+    heavy = ["scipy.signal", "scipy.stats", "scipy.interpolate",
+             "scipy.optimize", "scipy.sparse.linalg"]
+    src = str(Path(fracspike.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, fracspike.scenarios, fracspike.cli; "
+            f"print([m for m in {heavy!r} if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.signal import czt as scipy_czt
 
 from fracspike import spectral as sp
 from fracspike.grid import FracParams, Field, Grid
@@ -110,6 +111,28 @@ def test_dilate_against_analytic():
                                    atol=1e-10)
     with pytest.raises(ValueError):
         sp.dilate(f, -1.0)
+
+
+@pytest.mark.parametrize("shape,axis", [((256, 256), 0), ((256, 256), 1),
+                                        ((1024,), 0)])
+@pytest.mark.parametrize("scale", [0.8, 1.25])
+def test_czt_matches_scipy_bitwise(shape, axis, scale, rng):
+    """At power-of-two M both run the same FFT length: identical bits."""
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    M = shape[axis]
+    w = np.exp(2j * np.pi * scale / M)
+    ref = scipy_czt(x, m=M, w=w, a=1.0, axis=axis)
+    assert np.array_equal(sp.czt(x, w, axis=axis), ref)
+
+
+@pytest.mark.parametrize("scale", [0.8, 1.25])
+def test_czt_matches_scipy_off_power_of_two(scale, rng):
+    """M = 96: scipy pads to 192, this czt to 256; same transform."""
+    x = rng.standard_normal((96, 3)) + 1j * rng.standard_normal((96, 3))
+    w = np.exp(2j * np.pi * scale / 96)
+    ref = scipy_czt(x, m=96, w=w, a=1.0, axis=0)
+    err = np.max(np.abs(sp.czt(x, w, axis=0) - ref)) / np.max(np.abs(ref))
+    assert err < 1e-13
 
 
 def test_dilate_2d_separable():
