@@ -88,6 +88,9 @@ class SpectrumSummary:
 
 @dataclass
 class GroundState:
+    """Profile of (-Delta)^s w + lam w = w^p. decay, its far-field fit, is
+    None once rescaled to lam != 1: `rescale` reads the lambda = 1 source's."""
+
     grid: Grid
     params: FracParams
     lam: float
@@ -96,7 +99,7 @@ class GroundState:
     iterations: int
     newton_steps: int
     energy: float
-    decay: sp.FarFieldFit
+    decay: sp.FarFieldFit | None
     source: str = "solve"
 
     @property
@@ -279,11 +282,8 @@ def rescale(gs: GroundState, lam_new: float) -> GroundState:
         raise ConfigError(
             f"rescaled core unresolvable: lambda^(1/2s) * h = "
             f"{scale * gs.grid.spacing:.3f} > 0.5; use a finer grid")
-    amp = lam_new ** (1.0 / (p - 1.0))
-    if scale == 1.0:
-        vals = amp * gs.values.copy()
-    else:
-        vals = amp * _dilate_free_space(gs, scale)
+    vals = lam_new ** (1.0 / (p - 1.0)) * (
+        gs.values if scale == 1.0 else _dilate_free_space(gs, scale))
 
     return GroundState(
         grid=gs.grid, params=gs.params, lam=lam_new, values=vals,
@@ -291,7 +291,7 @@ def rescale(gs: GroundState, lam_new: float) -> GroundState:
                                          vals, p), iterations=gs.iterations,
         newton_steps=gs.newton_steps,
         energy=energy(gs.grid, gs.params, lam_new, vals),
-        decay=decay_fit(gs.grid, gs.params, vals), source="rescale")
+        decay=gs.decay if scale == 1.0 else None, source="rescale")
 
 
 def linearization_spectrum(gs: GroundState,

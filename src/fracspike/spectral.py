@@ -9,7 +9,8 @@ T_m = ((-Delta)^s + m)^(-1) to raw arrays. Band-limited translation and
 dilation let profiles be moved off-grid and rescaled without losing spectral
 accuracy: translation is a phase twist, dilation a chirp-z resampling of the
 trigonometric interpolant. The chirp-z transform is Bluestein's on `numpy.fft`
-(`czt`), so importing this module loads no scipy.
+(`czt`) and the 1d far-field fit closes its image sums with an in-house
+Hurwitz zeta (`_hurwitz_zeta`), so this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ __all__ = [
     "translate",
     "dilate",
     "inner",
-    "norm_l2",
-    "physical_fft",
 ]
 
 
@@ -178,15 +177,6 @@ def inner(f: Field, g: Field) -> float:
     return float(f.grid.cell_volume * np.sum(f.values * g.values))
 
 
-def norm_l2(f: Field) -> float:
-    return float(np.sqrt(f.grid.cell_volume * np.sum(f.values ** 2)))
-
-
-def physical_fft(f: Field) -> np.ndarray:
-    """Fourier data h^N * FFT(f): approximates the continuum transform."""
-    return f.grid.cell_volume * np.fft.fftn(f.values)
-
-
 def rho_field(grid: Grid, centers, mu: float) -> np.ndarray:
     """Weight rho(x) = sum_j (1 + |x - q_j|)^(-mu), periodic distances."""
     centers = np.asarray(centers, dtype=float).reshape(-1, grid.dim)
@@ -223,9 +213,9 @@ class KernelProfile:
     a sum of three periodized power laws, subtracts the wrap-around images,
     and extrapolates the local log-log slope to r -> infinity. gamma_fit is
     the leading coefficient (the free-space tail constant), slope the
-    extrapolated exponent; the raw windowed fit is kept alongside. The profile
-    is flagged invalid when the image-corrected product k * r^(N+2s) still
-    varies by more than 10% across the window (no plateau at this box size).
+    extrapolated exponent. The profile is flagged invalid when the
+    image-corrected product k * r^(N+2s) still varies by more than 10%
+    across the window (no plateau at this box size).
     tail_ok records whether k has decayed to <= 1e-3 of its peak by r = L/2.
     """
 
@@ -237,8 +227,6 @@ class KernelProfile:
     mass: float
     gamma_fit: float
     slope: float
-    gamma_raw: float
-    slope_raw: float
     plateau_variation: float
     window: tuple[float, float]
     valid: bool
@@ -250,19 +238,16 @@ class FarFieldFit:
     """Algebraic-tail fit of a radial profile on the torus.
 
     amplitude/slope come from the refined three-term periodized model with
-    image subtraction and local-slope extrapolation; the raw windowed log-log
-    fit is kept for comparison. `variation` is the spread of the
-    image-corrected product v(r) * r^target_exponent across the window (in
-    absolute radii) and `ok` means it stayed within 10% (a plateau exists at
-    this box size). `contaminated` flags a profile still above 1e-3 of its
-    peak at r = L/2, a box too small for the tail to be meaningful; only
-    the ground-state `decay_fit` sets it.
+    image subtraction and local-slope extrapolation. `variation` is the
+    spread of the image-corrected product v(r) * r^target_exponent across the
+    window (in absolute radii) and `ok` means it stayed within 10% (a plateau
+    exists at this box size). `contaminated` flags a profile still above 1e-3
+    of its peak at r = L/2, a box too small for the tail to be meaningful;
+    only the ground-state `decay_fit` sets it.
     """
 
     amplitude: float
     slope: float
-    amplitude_raw: float
-    slope_raw: float
     variation: float
     window: tuple[float, float]
     ok: bool
@@ -294,10 +279,8 @@ def far_field_fit(r: np.ndarray, v: np.ndarray, L: float, dim: int, s: float,
     span = (window[0] * L, window[1] * L)
     sel = (r >= span[0]) & (r <= span[1]) & (v > 0)
     if np.count_nonzero(sel) < 8:
-        return FarFieldFit(np.nan, np.nan, np.nan, np.nan, np.inf, span, False)
+        return FarFieldFit(np.nan, np.nan, np.inf, span, False)
     rs, vs = r[sel], v[sel]
-    slope_raw = float(np.polyfit(np.log(rs), np.log(vs), 1)[0])
-    amplitude_raw = float(np.median(vs * rs ** beta))
 
     pper = _periodized_power_1d if dim == 1 else _periodized_power_2d
     exps = [beta, beta + 2 * s, beta + 4 * s]
@@ -317,22 +300,32 @@ def far_field_fit(r: np.ndarray, v: np.ndarray, L: float, dim: int, s: float,
     else:
         slope, variation, ok = np.nan, np.inf, False
     return FarFieldFit(amplitude=amplitude, slope=slope,
-                       amplitude_raw=amplitude_raw, slope_raw=slope_raw,
                        variation=variation, window=span, ok=ok,
                        coefficients=tuple(float(c) for c in coef),
                        exponents=tuple(exps))
 
 
-def _periodized_power_1d(r: np.ndarray, e: float, L: float, n_images: int = 3) -> np.ndarray:
-    """Angle-free image sum r^-e + sum_k |r - 2Lk|^-e, tail closed with zeta."""
-    from scipy.special import zeta
-
-    out = r ** (-e)
-    for k in range(1, n_images + 1):
-        out = out + (2 * L * k - r) ** (-e) + (2 * L * k + r) ** (-e)
-    q = n_images + 1
-    out = out + (2 * L) ** (-e) * (zeta(e, q - r / (2 * L)) + zeta(e, q + r / (2 * L)))
+def _hurwitz_zeta(e: float, a: np.ndarray) -> np.ndarray:
+    """zeta(e, a) = sum_(k >= 0) (a + k)^-e, e > 1: ten terms, then
+    Euler-Maclaurin at x = a + 10 with B_2j / (2j)! terms up to B_14 (the
+    first omitted one is < 1e-16 relative for a in [0.5, 1.5], e <= 5.5)."""
+    x = a + 10
+    out = sum((a + k) ** (-e) for k in range(10))
+    out = out + x ** (1.0 - e) / (e - 1.0) + 0.5 * x ** (-e)
+    term = e * x ** (-e - 1.0)  # (e)_(2j-1) x^(-e-2j+1)
+    for j, b in enumerate((1 / 12, -1 / 720, 1 / 30240, -1 / 1209600,
+                           1 / 47900160, -691 / 1307674368000,
+                           1 / 74724249600), start=1):
+        out = out + b * term
+        term = term * (e + 2 * j - 1) * (e + 2 * j) / (x * x)
     return out
+
+
+def _periodized_power_1d(r: np.ndarray, e: float, L: float) -> np.ndarray:
+    """Image sum r^-e + sum_(k >= 1) (2Lk -+ r)^-e, closed by Hurwitz zetas."""
+    a = r / (2 * L)
+    return r ** (-e) + (2 * L) ** (-e) * (_hurwitz_zeta(e, 1.0 - a)
+                                          + _hurwitz_zeta(e, 1.0 + a))
 
 
 def _periodized_power_2d(r: np.ndarray, e: float, L: float,
@@ -393,6 +386,5 @@ def kernel_profile(grid: Grid, params: FracParams, m: float,
 
     return KernelProfile(grid=grid, params=params, m=m, r=r, k=k, mass=mass,
                          gamma_fit=fit.amplitude, slope=fit.slope,
-                         gamma_raw=fit.amplitude_raw, slope_raw=fit.slope_raw,
                          plateau_variation=fit.variation, window=fit.window,
                          valid=fit.ok, tail_ok=tail_ok)

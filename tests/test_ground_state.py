@@ -86,6 +86,22 @@ def test_rescale_splices_tail(gs_store):
     assert rescale(gs, 1.0).values == pytest.approx(gs.values)
 
 
+def test_rescale_fits_no_tail(gs_store, monkeypatch):
+    """rescale reads the source's fit and refits nothing on its output."""
+    gs = gs_store(0.5, 2.0)
+    fit, calls = ground_state.decay_fit, []
+
+    def counting_fit(*args, **kw):
+        calls.append(args)
+        return fit(*args, **kw)
+
+    monkeypatch.setattr(ground_state, "decay_fit", counting_fit)
+    for lam in (0.5, 2.0):
+        assert rescale(gs, lam).decay is None
+    assert rescale(gs, 1.0).decay is gs.decay
+    assert calls == []
+
+
 @pytest.mark.parametrize("lam", [0.9, 1.05, 1.1, 1.2, 1.3])
 def test_dilation_image_tail_only_where_blended(gs_store, lam):
     """Summing the image tail only where sigma > 0 changes no sample."""

@@ -394,17 +394,39 @@ def test_cli_solver_failure_exit_code(tmp_path, cache_dir, capsys):
     assert rc == 3
 
 
-def test_entry_points_import_no_scipy():
-    """Importing the scenario runner and the CLI loads no heavy scipy module
-    (a fresh interpreter, so other tests' imports do not leak in)."""
-    heavy = ["scipy.signal", "scipy.stats", "scipy.interpolate",
-             "scipy.optimize", "scipy.sparse.linalg"]
+def _fresh_interpreter(code: str) -> str:
+    """Standard output of code run in a new interpreter on this source tree,
+    so other tests' imports do not leak in."""
     src = str(Path(fracspike.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_entry_points_import_no_scipy():
+    """Importing the scenario runner and the CLI loads no heavy scipy module."""
+    heavy = ["scipy.signal", "scipy.stats", "scipy.interpolate",
+             "scipy.optimize", "scipy.sparse.linalg"]
     code = ("import sys, fracspike.scenarios, fracspike.cli; "
             f"print([m for m in {heavy!r} if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert _fresh_interpreter(code).strip() == "[]"
+
+
+def test_1d_profile_load_and_rescale_import_no_scipy(tmp_path):
+    """Solving, storing, loading (with its far-field fit) and rescaling a 1d
+    profile load no scipy module at all."""
+    code = f"""
+import sys
+from fracspike.cache import cached_ground_state
+from fracspike.grid import FracParams, Grid
+from fracspike.ground_state import rescale
+args = (Grid(1, 20.0, 256), FracParams(0.5, 2.0))
+assert cached_ground_state(*args, directory={str(tmp_path)!r}).source == "solve"
+gs = cached_ground_state(*args, directory={str(tmp_path)!r})
+assert gs.source == "cache" and gs.decay.ok
+rescale(gs, 2.0)
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+    assert _fresh_interpreter(code).strip() == "[]"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.signal import czt as scipy_czt
+from scipy.special import zeta as scipy_zeta
 
 from fracspike import spectral as sp
 from fracspike.grid import FracParams, Field, Grid
@@ -147,20 +148,11 @@ def test_dilate_2d_separable():
 def test_inner_norm_consistency(rng):
     grid = Grid(1, 5.0, 128)
     f = Field(grid, rng.standard_normal(128))
-    assert sp.norm_l2(f) == pytest.approx(np.sqrt(sp.inner(f, f)))
+    assert sp.inner(f, f) == pytest.approx(
+        grid.cell_volume * np.sum(f.values ** 2), rel=1e-14)
     g = Field(Grid(1, 5.0, 64), np.zeros(64))
     with pytest.raises(ValueError):
         sp.inner(f, g)
-
-
-def test_plancherel(rng):
-    grid = Grid(1, 5.0, 128)
-    f = Field(grid, rng.standard_normal(128))
-    fhat = sp.physical_fft(f)
-    # discrete Parseval with the continuum normalization
-    lhs = sp.inner(f, f)
-    rhs = float(np.sum(np.abs(fhat) ** 2)) / (2.0 * grid.half_width)
-    assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_weighted_sup_norm_window():
@@ -186,6 +178,30 @@ def test_far_field_fit_recovers_power_law():
     assert fit.ok
     assert fit.amplitude == pytest.approx(gamma, rel=1e-6)
     assert fit.slope == pytest.approx(-beta, rel=1e-3)
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_hurwitz_zeta_matches_scipy(s):
+    a = np.linspace(0.5, 1.5, 201)
+    for e in (1 + 2 * s, 1 + 4 * s, 1 + 6 * s):  # the fit's exponents, N = 1
+        ref = scipy_zeta(e, a)
+        rel = np.abs(sp._hurwitz_zeta(e, a) - ref) / ref
+        assert np.max(rel) <= 1e-14
+
+
+@pytest.mark.parametrize("L", [10.0, 40.0])
+def test_periodized_power_1d_matches_explicit_images(L):
+    """The zeta-closed image sum against three explicit images plus a
+    scipy-zeta tail from image 4 on."""
+    r = np.linspace(0.05 * L, L, 97)
+    for e in (1.5, 2.0, 3.0, 5.5):
+        ref = r ** (-e)
+        for k in (1, 2, 3):
+            ref = ref + (2 * L * k - r) ** (-e) + (2 * L * k + r) ** (-e)
+        ref = ref + (2 * L) ** (-e) * (scipy_zeta(e, 4 - r / (2 * L))
+                                       + scipy_zeta(e, 4 + r / (2 * L)))
+        rel = np.abs(sp._periodized_power_1d(r, e, L) - ref) / ref
+        assert np.max(rel) <= 1e-14
 
 
 def test_far_field_fit_too_few_points():
