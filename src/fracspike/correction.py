@@ -48,12 +48,10 @@ log = logging.getLogger(__name__)
 
 __all__ = [
     "ProjectedSolution",
-    "MultiplierEstimate",
     "CorrectionResult",
     "NewtonResult",
     "CorrectionOptions",
     "projected_solve",
-    "multiplier_estimate",
     "nonlinear_correction",
     "full_newton_solve",
     "detect_spike_centers",
@@ -73,21 +71,6 @@ class ProjectedSolution:
 
     def __iter__(self):
         return iter((self.phi, self.c))
-
-
-@dataclass
-class MultiplierEstimate:
-    """Gram-system multipliers split into leading term and remainder.
-
-    c = leading + theta, with leading_ij = <g, Z_ij> / alpha_ij the
-    orthogonal-basis approximation and theta the correction from Gram
-    coupling, the potential term, and phi.
-    """
-
-    c: np.ndarray
-    leading: np.ndarray
-    theta: np.ndarray
-    gram_cond: float
 
 
 @dataclass
@@ -240,48 +223,6 @@ def projected_solve(g: Field, V: Potential, cfg: SpikeConfig,
     consistency = float(np.linalg.norm(resid - model)) / max(gnorm, 1e-300)
     return ProjectedSolution(Field(grid, phi_vals), c, iterations,
                              consistency)
-
-
-def multiplier_estimate(phi: Field, g: Field, bundle: AnsatzBundle,
-                        cfg: SpikeConfig,
-                        _op: _ProjectedOperator | None = None) -> MultiplierEstimate:
-    """Multipliers from the Gram system without applying the full operator.
-
-    Pairing the equation with Z_lk and moving L_W onto Z_lk (each profile
-    satisfies (-Delta)^s Z_lk = (p w_l^(p-1) - lambda_l) Z_lk) gives
-
-        sum_ij G_(lk),(ij) c_ij = <g, Z_lk>
-            - <phi, (V(eps x) - lambda_l + p (w_l^(p-1) - W^(p-1))) Z_lk>.
-
-    The leading term <g, Z_ij>/alpha_ij ignores Gram coupling and the phi
-    correction; theta is everything else. Note the sign convention: here c
-    estimates the multipliers of the equation L_W phi = g - sum c_ij Z_ij,
-    so for g = alpha Z_11, phi = 0 the estimate is c_11 = +alpha.
-    """
-    op = _op if _op is not None else _ProjectedOperator(
-        None, cfg, bundle)  # V unused when bundle carries V_grid
-    grid = bundle.grid
-    p = bundle.params.p
-    h_n = grid.cell_volume
-    wp_total = kernels.positive_power(bundle.W.values, p - 1.0)
-
-    rhs = np.zeros(op.k * op.dim)
-    lead = np.zeros((op.k, op.dim))
-    idx = 0
-    for l in range(op.k):
-        wl = kernels.positive_power(bundle.spikes[l].values, p - 1.0)
-        pot_term = (bundle.V_grid - bundle.lambdas[l]
-                    + p * (wl - wp_total))
-        for a in range(op.dim):
-            z = bundle.Z[l][a].values
-            g_z = h_n * float(np.sum(g.values * z))
-            phi_corr = h_n * float(np.sum(phi.values * pot_term * z))
-            rhs[idx] = g_z - phi_corr
-            lead[l, a] = g_z / bundle.alphas[l, a]
-            idx += 1
-    c = np.linalg.solve(op.gram, rhs).reshape(op.k, op.dim)
-    return MultiplierEstimate(c=c, leading=lead, theta=c - lead,
-                              gram_cond=op.gram_cond)
 
 
 def nonlinear_correction(V: Potential, cfg: SpikeConfig, bundle: AnsatzBundle,

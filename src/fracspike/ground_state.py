@@ -88,17 +88,18 @@ class SpectrumSummary:
 
 @dataclass
 class GroundState:
-    """Profile of (-Delta)^s w + lam w = w^p. decay, its far-field fit, is
-    None once rescaled to lam != 1: `rescale` reads the lambda = 1 source's."""
+    """Profile of (-Delta)^s w + lam w = w^p. residual_norm, energy and decay
+    (the far-field fit) are None once rescaled to lam != 1: no caller of
+    `rescale` reads them, and it reads the lambda = 1 source's fit."""
 
     grid: Grid
     params: FracParams
     lam: float
     values: np.ndarray
-    residual_norm: float
+    residual_norm: float | None
     iterations: int
     newton_steps: int
-    energy: float
+    energy: float | None
     decay: sp.FarFieldFit | None
     source: str = "solve"
 
@@ -271,6 +272,8 @@ def rescale(gs: GroundState, lam_new: float) -> GroundState:
     free-space profile: outside the window where the band-limited interpolant
     is trustworthy the fitted algebraic tail is spliced in, so compressing
     (lambda > 1) does not drag periodic images of the core into the box.
+    Only the values are computed: residual_norm, energy and decay are None,
+    or the source's at lambda = 1.
     """
     if gs.lam != 1.0:
         raise ConfigError("rescale requires a ground state solved at lambda = 1")
@@ -282,16 +285,15 @@ def rescale(gs: GroundState, lam_new: float) -> GroundState:
         raise ConfigError(
             f"rescaled core unresolvable: lambda^(1/2s) * h = "
             f"{scale * gs.grid.spacing:.3f} > 0.5; use a finer grid")
+    same = scale == 1.0
     vals = lam_new ** (1.0 / (p - 1.0)) * (
-        gs.values if scale == 1.0 else _dilate_free_space(gs, scale))
-
+        gs.values if same else _dilate_free_space(gs, scale))
     return GroundState(
         grid=gs.grid, params=gs.params, lam=lam_new, values=vals,
-        residual_norm=_relative_residual(sp.FracOperator(gs.grid, s, lam_new),
-                                         vals, p), iterations=gs.iterations,
-        newton_steps=gs.newton_steps,
-        energy=energy(gs.grid, gs.params, lam_new, vals),
-        decay=gs.decay if scale == 1.0 else None, source="rescale")
+        residual_norm=gs.residual_norm if same else None,
+        iterations=gs.iterations, newton_steps=gs.newton_steps,
+        energy=gs.energy if same else None,
+        decay=gs.decay if same else None, source="rescale")
 
 
 def linearization_spectrum(gs: GroundState,

@@ -1,4 +1,4 @@
-"""Trapping potentials V with analytic gradients and Hessians.
+"""Trapping potentials V with analytic gradients.
 
 Potentials are evaluated on per-axis coordinate arrays (broadcastable, the
 same convention as Grid.coords), so a single call serves both isolated
@@ -11,7 +11,7 @@ target grid instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,32 +24,22 @@ __all__ = ["Potential", "builtin_potentials", "potential_from_config",
 
 @dataclass(frozen=True)
 class Potential:
-    """Bounded potential with analytic first and (optionally) second derivatives.
+    """Bounded potential with analytic first derivatives.
 
-    eval/grad/hess all take per-axis coordinate arrays and broadcast; grad
-    returns one array per component, hess a dim x dim nested list.
+    eval and grad take per-axis coordinate arrays and broadcast; grad
+    returns one array per component.
     """
 
     kind: str
     parameters: dict = field(default_factory=dict)
     _eval: Callable = None
     _grad: Callable = None
-    _hess: Optional[Callable] = None
 
     def __call__(self, *axes):
         return self._eval(*axes)
 
     def grad(self, *axes):
         return self._grad(*axes)
-
-    def hess(self, *axes):
-        if self._hess is None:
-            raise ConfigError(f"potential kind {self.kind!r} has no Hessian")
-        return self._hess(*axes)
-
-    @property
-    def has_hess(self) -> bool:
-        return self._hess is not None
 
     def on_grid(self, grid: Grid, epsilon: float) -> np.ndarray:
         """Samples of V(eps * x) over the grid."""
@@ -80,11 +70,7 @@ def _constant(lam: float) -> Potential:
         z = 0.0 * sum(np.asarray(a, dtype=float) for a in axes)
         return [z.copy() for _ in axes]
 
-    def he(*axes):
-        z = 0.0 * sum(np.asarray(a, dtype=float) for a in axes)
-        return [[z.copy() for _ in axes] for _ in axes]
-
-    return Potential("constant", {"lam": lam}, ev, gr, he)
+    return Potential("constant", {"lam": lam}, ev, gr)
 
 
 def _well(a: float, b: float) -> Potential:
@@ -101,20 +87,7 @@ def _well(a: float, b: float) -> Potential:
         d2 = (1.0 + sum(x ** 2 for x in xs)) ** 2
         return [2.0 * b * x / d2 for x in xs]
 
-    def he(*axes):
-        xs = [np.asarray(x, dtype=float) for x in axes]
-        r2 = sum(x ** 2 for x in xs)
-        d3 = (1.0 + r2) ** 3
-        out = []
-        for i, xi in enumerate(xs):
-            row = []
-            for j, xj in enumerate(xs):
-                dij = 1.0 if i == j else 0.0
-                row.append(2.0 * b * (dij * (1.0 + r2) - 4.0 * xi * xj) / d3)
-            out.append(row)
-        return out
-
-    return Potential("well", {"a": a, "b": b}, ev, gr, he)
+    return Potential("well", {"a": a, "b": b}, ev, gr)
 
 
 def _gaussian_bumps(a: float, bumps: Sequence[dict]) -> Potential:
@@ -167,37 +140,18 @@ def _gaussian_bumps(a: float, bumps: Sequence[dict]) -> Potential:
                 comps[j] = comps[j] - 2.0 * (x - ci) / sig ** 2 * e
         return comps
 
-    def he(*axes):
-        _dim_check(axes)
-        xs = [np.asarray(x, dtype=float) for x in axes]
-        dim = len(xs)
-        zero = 0.0 * sum(xs)
-        out = [[zero.copy() for _ in range(dim)] for _ in range(dim)]
-        for b, c, sig in parsed:
-            r2 = sum((x - ci) ** 2 for x, ci in zip(xs, c))
-            e = b * np.exp(-r2 / sig ** 2)
-            for i in range(dim):
-                di = xs[i] - c[i]
-                for j in range(dim):
-                    dj = xs[j] - c[j]
-                    dij = 1.0 if i == j else 0.0
-                    out[i][j] = out[i][j] + e * (
-                        4.0 * di * dj / sig ** 4 - 2.0 * dij / sig ** 2)
-        return out
-
     return Potential("gaussian_bumps",
                      {"a": a, "bumps": [
                          {"b": b, "center": c.tolist(), "sigma": sig}
                          for b, c, sig in parsed]},
-                     ev, gr, he)
+                     ev, gr)
 
 
 def _double_well(a: float, b: float) -> Potential:
     """a + b (1 - |x|^2)^2 / (1 + |x|^4): wells on |x| = 1, hump at 0.
 
     With t = |x|^2 the radial part f(t) = (1-t)^2/(1+t^2) has
-    f'(t) = -2(1-t^2)/(1+t^2)^2 and f''(t) = 4t(3-t^2)/(1+t^2)^3, so the
-    gradient and Hessian are closed-form.
+    f'(t) = -2(1-t^2)/(1+t^2)^2, so the gradient is closed-form.
     """
     if not (a > 0 and b > 0):
         raise ConfigError(f"double_well requires a, b > 0, got a={a}, b={b}")
@@ -218,29 +172,15 @@ def _double_well(a: float, b: float) -> Potential:
         fp = _fp(_t(xs))
         return [2.0 * b * fp * x for x in xs]
 
-    def he(*axes):
-        xs = [np.asarray(x, dtype=float) for x in axes]
-        t = _t(xs)
-        fp = _fp(t)
-        fpp = 4.0 * t * (3.0 - t ** 2) / (1.0 + t ** 2) ** 3
-        out = []
-        for i, xi in enumerate(xs):
-            row = []
-            for j, xj in enumerate(xs):
-                dij = 1.0 if i == j else 0.0
-                row.append(2.0 * b * (2.0 * fpp * xi * xj + fp * dij))
-            out.append(row)
-        return out
-
-    return Potential("double_well", {"a": a, "b": b}, ev, gr, he)
+    return Potential("double_well", {"a": a, "b": b}, ev, gr)
 
 
 def _user_table(axes: Sequence[np.ndarray], values: np.ndarray) -> Potential:
     """Tabulated potential; linear interpolation, gradient from the table.
 
     C^0 only: gradients come from central differences of the table and are
-    interpolated the same way. No Hessian. Evaluation clamps to the table
-    edges outside its box.
+    interpolated the same way. Evaluation clamps to the table edges outside
+    its box.
     """
     from scipy.interpolate import RegularGridInterpolator
 
@@ -282,7 +222,7 @@ def _user_table(axes: Sequence[np.ndarray], values: np.ndarray) -> Potential:
 
     return Potential("user_table",
                      {"axes": [ax.tolist() for ax in nodes]},
-                     ev, gr, None)
+                     ev, gr)
 
 
 _BUILDERS = {

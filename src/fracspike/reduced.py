@@ -5,13 +5,14 @@ corrected ansatz W_q + Phi(q). Its gradient is carried by the multipliers
 of the same correction, grad_xi I = -alpha_ij c_ij / eps (alpha_ij =
 ||Z_ij||^2, xi = eps q), so its critical points are exactly the
 configurations where all c_ij vanish. Every search step therefore costs one
-correction per configuration it visits: the Newton searches drive c to zero
-and the cluster ascent takes quasi-Newton steps on the multiplier gradient.
-The asymptotic model c_* sum V^theta(xi_i) - (1/2) sum_{i!=j} c_ij
-|q_i-q_j|^{-(N+2s)} supplies cheap seeds, the Jacobian the Newton searches
-start from and the Hessian the cluster ascent starts from; its
-constants were validated against measured overlap integrals (the pair
-factor 1/2 and the lambda exponents empirically, see tests).
+correction per configuration it visits. Minima, saddles and cluster maxima
+all come from one quasi-Newton driver on xi -> c (_quasi_newton); only the
+merit differs: critical_point_search accepts a trial when max|c| falls,
+cluster_search when I rises. The asymptotic model c_* sum V^theta(xi_i) -
+(1/2) sum_{i!=j} c_ij |q_i-q_j|^{-(N+2s)} supplies cheap seeds and, by
+central differences, the Hessian every search starts from; its constants
+were validated against measured overlap integrals (the pair factor 1/2 and
+the lambda exponents empirically, see tests).
 """
 
 from __future__ import annotations
@@ -78,6 +79,16 @@ class ReducedReport:
 
 @dataclass
 class SearchOutcome:
+    """Result of one search. stop says why its iteration ended:
+    "converged"; "line_search_failed" (no trial met the merit, before or
+    after the forward-difference refresh of J); "corrections_failed" (every
+    trial's correction, or the refresh, raised, e.g. on the eta gate);
+    "box_frozen" (every coordinate sits on a region bound with its gradient
+    pointing out, a maximizer of I on the box, so converged is True); or
+    "max_steps". history holds one {step, I, max_abs_c, xi, kind} entry per
+    step of every start, kind naming the step: "start", "model", "secant",
+    "fd" or "gradient"."""
+
     q_star: SpikeConfig
     mode: str
     max_abs_c: float
@@ -88,6 +99,7 @@ class SearchOutcome:
     I_value: float = np.nan
     c_tol: float = np.nan
     correction: CorrectionResult = dc_field(repr=False, default=None)
+    stop: str = ""
 
     @property
     def xi_star(self) -> np.ndarray:
@@ -199,26 +211,6 @@ def _corrected(V, cfg, gs, mu, opts, phi0=None) -> _Corrected:
                       corr, bundle.alphas)
 
 
-def _model_jacobian(V: Potential, xi: np.ndarray, epsilon: float,
-                    gs: GroundState, alphas: np.ndarray) -> np.ndarray:
-    """Model Jacobian of xi -> c, blocks -(eps/alpha_i) c_* hess V^theta(xi_i).
-
-    From c = -eps grad_xi I / alpha and I ~ c_* sum V^theta(xi_i); the pair
-    interaction is left out, for the Broyden updates to pick up.
-    """
-    theta = energy_scaling_exponent(gs.params, gs.grid.dim)
-    dim = xi.shape[1]
-    J = np.zeros((xi.size, xi.size))
-    for i, x in enumerate(xi):
-        lam, g = float(V(*x)), np.array(V.grad(*x), dtype=float)
-        hess_vt = theta * lam ** (theta - 2.0) * (
-            lam * np.array(V.hess(*x), dtype=float)
-            + (theta - 1.0) * np.outer(g, g))
-        J[i * dim:(i + 1) * dim, i * dim:(i + 1) * dim] = \
-            -(epsilon * gs.energy / alphas[i][:, None]) * hess_vt
-    return J
-
-
 def _model_hessian(V: Potential, xi: np.ndarray, epsilon: float,
                    gs: GroundState, h: float) -> np.ndarray:
     """Central-difference Hessian of asymptotic_energy in the flattened xi."""
@@ -318,16 +310,11 @@ def critical_point_search(V: Potential, epsilon: float, k: int, region,
     Since grad_xi I = -alpha_ij c_ij / eps, the zeros of c are the critical
     points of I, and c_ij = -eps (grad_xi I)_ij / alpha_ij is the reduced
     gradient scaled by eps; c_tol defaults to 1e-6 c_* eps max|grad V^theta|
-    over the region. Seeds come from the asymptotic model; each start runs a
-    damped quasi-Newton iteration on q -> c(q) from the model Jacobian
-    (_model_jacobian) with good-Broyden updates. When a backtracked step
-    fails to lower max|c|, and at the start when V has no Hessian, the
-    Jacobian is rebuilt by forward differences (one correction per column);
-    the search stops when that one fails too. Corrections start their fixed
-    point from the current point's phi; history entries name the Jacobian
-    ("model", "broyden" or "fd") of each step. The returned outcome records
-    the best iterate even when no start converges; its I_value comes from
-    the final iterate's correction.
+    over the region. Seeds come from the asymptotic model, clipped to the
+    region; a seed that clips onto an earlier one is skipped. Each start runs
+    _quasi_newton with max|c| as its merit; the search stops at the first
+    converged start. The returned outcome is the start with the lowest
+    max|c| even when none converges, with the history of every start.
 
     region is a list of (lo, hi) intervals per axis in the outer variable
     xi; mode is one of minimize_V, maximize_V, degree_zero_of_gradV.
@@ -347,23 +334,28 @@ def critical_point_search(V: Potential, epsilon: float, k: int, region,
                 f"|xi|/eps up to {max(abs(lo), abs(hi)) / epsilon:.1f} vs "
                 f"L = {grid.half_width}")
     rng = np.random.default_rng(seed)
-    opts = CorrectionOptions(eta=SEARCH_ETA)
     scale = _c_scale(V, epsilon, region, gs)
     if c_tol is None:
         c_tol = max(1e-6 * scale, 1e-10)
     if r_min is None:
         r_min = 4.0
+    lows, highs = (np.array(b, dtype=float) for b in zip(*region))
 
     def make_cfg(xi_pts):
         return SpikeConfig(grid, np.asarray(xi_pts) / epsilon, epsilon,
                            delta=delta, r_min=r_min)
 
     best = None
-    history_all = []
+    history_all, started = [], []
     for si, xi0 in enumerate(_model_seed(V, epsilon, k, region, mode, gs, rng)):
+        xi0 = np.clip(xi0, lows, highs)
+        if any(np.array_equal(xi0, x) for x in started):
+            continue
+        started.append(xi0)
         try:
-            outcome = _newton_on_c(V, make_cfg, xi0, epsilon, gs, mu, opts,
-                                   c_tol, max_steps, region, mode)
+            outcome = _quasi_newton(V, gs, mu, make_cfg, xi0, lows, highs,
+                                    ascent=False, tol=c_tol,
+                                    max_steps=max_steps)
         except (ConfigError, SolverDivergence) as exc:
             log.warning("search start %d failed: %s", si, exc)
             continue
@@ -380,85 +372,146 @@ def critical_point_search(V: Potential, epsilon: float, k: int, region,
     return best
 
 
-def _newton_on_c(V, make_cfg, xi0, epsilon, gs, mu, opts, c_tol, max_steps,
-                 region, mode) -> SearchOutcome:
-    """Damped good-Broyden iteration on q -> c(q) from one seed, in xi."""
-    grid = gs.grid
-    dim = grid.dim
-    lows = np.array([r[0] for r in region], dtype=float)
-    highs = np.array([r[1] for r in region], dtype=float)
-    xi = np.clip(np.asarray(xi0, dtype=float).reshape(-1, dim), lows, highs)
-    k = xi.shape[0]
-    n = k * dim
+def _floor_fraction(xi: np.ndarray, p: np.ndarray, floor: float) -> float:
+    """Largest t <= 1 keeping every pair of xi + t p on or above the floor."""
+    t = 1.0
+    for i, j in itertools.combinations(range(xi.shape[0]), 2):
+        a, b = xi[i] - xi[j], p[i] - p[j]
+        ab, bb = float(a @ b), float(b @ b)
+        disc = ab * ab - bb * (float(a @ a) - floor ** 2)
+        if ab < 0.0 and disc > 0.0:
+            t = min(t, max(0.0, (-ab - np.sqrt(disc)) / bb))
+    return t
 
-    pt = _corrected(V, make_cfg(xi), gs, mu, opts)
-    cmax = float(np.max(np.abs(pt.c)))
-    history = [{"step": 0, "max_abs_c": cmax,
-                "xi": xi.ravel().tolist()}]
-    # Jacobian step: small against the region, large against fd noise in c
-    hx = max(1e-3 * float(np.min(highs - lows)), 1e-3 * epsilon)
-    cap = 0.25 * float(np.min(highs - lows))  # step cap against the region
 
-    def corrected_near(xi_new):
+def _quasi_newton(V: Potential, gs: GroundState, mu, make_cfg,
+                  xi: np.ndarray, lows: np.ndarray, highs: np.ndarray, *,
+                  ascent: bool, tol: float, max_steps: int,
+                  floor: float = 0.0) -> SearchOutcome:
+    """Damped quasi-Newton iteration on xi -> c from one start, in xi.
+
+    J, the Jacobian of xi -> c, starts as -(eps/alpha) times _model_hessian
+    and takes a good-Broyden update after each accepted step. The step solves
+    J p = -c on the free coordinates; since J = -diag(eps/alpha) hess I this
+    is also the Newton step on I. The merit decides what a trial must do:
+    max|c| falls (ascent False, converged at max|c| <= tol), or I rises
+    (ascent True, converged at |grad I| span <= tol |I| on the free
+    coordinates). Under the I merit a trial after a model, secant or fd step
+    is also accepted when it lowers max|c| on the free coordinates, since
+    near the maximizer the computed I cannot resolve the step; a step that is
+    not an ascent direction is replaced by a gradient step of 0.05 span, and
+    a coordinate on a region bound whose gradient points outward is frozen.
+    Every step is capped at a quarter span and shortened to the separation
+    floor; the trials xi + t p, t = 1, 1/2, ..., 1/16, are clipped to the
+    region (and kept on the floor), and one equal to xi or already corrected
+    in this step costs no correction. When the line search fails, J is
+    refreshed by forward differences (one correction per free coordinate)
+    and the step retried once. Trials start their fixed point from the
+    current phi. Raises SolverDivergence or ConfigError when the start itself
+    cannot be corrected.
+    """
+    opts = CorrectionOptions(eta=SEARCH_ETA)
+    cfg = make_cfg(xi)
+    epsilon = cfg.epsilon
+    pt = _corrected(V, cfg, gs, mu, opts)
+    n = xi.size
+    span = float(np.min(highs - lows))
+    hx = max(1e-3 * span, 1e-3 * epsilon)  # small against the region
+    J = -(epsilon / pt.alphas.reshape(n, 1)) * _model_hessian(V, xi, epsilon,
+                                                              gs, hx)
+
+    def entry(step, kind):
+        return {"step": step, "I": pt.I,
+                "max_abs_c": float(np.max(np.abs(pt.c))),
+                "xi": xi.ravel().tolist(), "kind": kind}
+
+    def near(xi_new):
         return _corrected(V, make_cfg(xi_new), gs, mu, opts,
                           phi0=pt.correction.phi)
 
-    def fd_jacobian():
-        return np.column_stack([
-            (corrected_near(xi + hx * e.reshape(k, dim)).c - pt.c).ravel()
-            for e in np.eye(n)]) / hx
-
-    def backtracked_step(J):
-        """(xi, point) of the first halving of the step that lowers max|c|."""
+    def line_search(J, kind, free, tried):
+        """(xi, point, kind, every trial raised) of the first accepted trial."""
+        g, c = pt.grad.ravel(), pt.c.ravel()
+        p = np.zeros(n)
         try:
-            delta_xi = np.linalg.solve(J, -pt.c.ravel())
+            p[free] = np.linalg.solve(J[np.ix_(free, free)], -c[free])
         except np.linalg.LinAlgError:
-            delta_xi = -pt.c.ravel() * hx / max(cmax, 1e-300)
-        dn = float(np.linalg.norm(delta_xi))
-        if dn > cap:
-            delta_xi *= cap / dn
-        t = 1.0
-        while t >= 0.0625:
-            xi_try = np.clip(xi + t * delta_xi.reshape(k, dim), lows, highs)
-            t *= 0.5
-            if np.array_equal(xi_try, xi):  # clipped onto xi: same max|c|
+            kind = "gradient"
+        if kind == "gradient" or (ascent and not p @ g > 0.0):
+            p[free] = 0.05 * span * g[free] / np.linalg.norm(g[free])
+            kind = "gradient"
+        p *= min(1.0, 0.25 * span / max(float(np.linalg.norm(p)), 1e-300))
+        p *= _floor_fraction(xi, p.reshape(xi.shape), floor)
+        c_free = float(np.max(np.abs(c[free])))
+        trials = raised = 0
+        for t in (1.0, 0.5, 0.25, 0.125, 0.0625):
+            d = np.clip(xi + t * p.reshape(xi.shape), lows, highs) - xi
+            xi_try = xi + _floor_fraction(xi, d, floor) * d
+            key = xi_try.tobytes()
+            if np.array_equal(xi_try, xi) or key in tried:
                 continue
+            tried.add(key)
+            trials += 1
             try:
-                pt_try = corrected_near(xi_try)
+                trial = near(xi_try)
             except (ConfigError, SolverDivergence):
+                raised += 1
                 continue
-            if float(np.max(np.abs(pt_try.c))) < cmax:
-                return xi_try, pt_try
-        return None
+            lower_c = float(np.max(np.abs(trial.c.ravel()[free]))) < c_free
+            if (trial.I > pt.I or (kind != "gradient" and lower_c)
+                    if ascent else lower_c):
+                return xi_try, trial, kind, False
+        return None, None, kind, trials > 0 and raised == trials
 
-    # without a Hessian the first step refreshes J, like a failed one
-    J = _model_jacobian(V, xi, epsilon, gs, pt.alphas) if V.has_hess else None
+    def refresh(J, free):
+        """J with its free columns replaced by forward differences of c."""
+        J = J.copy()
+        for col in np.flatnonzero(free):
+            e = np.zeros(n)
+            e[col] = hx
+            J[:, col] = (near(xi + e.reshape(xi.shape)).c - pt.c).ravel() / hx
+        return J
+
+    history = [entry(0, "start")]
     kind = "model"
-    for step in range(1, max_steps + 1):
-        if cmax <= c_tol:
+    for step in itertools.count(1):
+        free = np.ones(n, dtype=bool)
+        if ascent:
+            free = ~(((xi <= lows) & (pt.grad < 0))
+                     | ((xi >= highs) & (pt.grad > 0))).ravel()
+            converged = float(np.linalg.norm(pt.grad.ravel()[free])) * span \
+                <= tol * max(abs(pt.I), 1e-300)
+        else:
+            converged = float(np.max(np.abs(pt.c))) <= tol
+        if not free.any() or converged or step > max_steps:
+            stop = "box_frozen" if not free.any() else \
+                "converged" if converged else "max_steps"
             break
-        new = None if J is None else backtracked_step(J)
-        if new is None and kind != "fd":
-            J, kind = fd_jacobian(), "fd"
-            new = backtracked_step(J)
-        if new is not None:
-            s_xi, y_c = (new[0] - xi).ravel(), (new[1].c - pt.c).ravel()
-            if s_xi.any():  # clipping can leave xi where it was
-                J = J + np.outer(y_c - J @ s_xi, s_xi) / (s_xi @ s_xi)
-            xi, pt = new
-            cmax = float(np.max(np.abs(pt.c)))
-        history.append({"step": step, "max_abs_c": cmax,
-                        "xi": xi.ravel().tolist(), "jacobian": kind})
-        if new is None:
+        tried = set()
+        xi_new, pt_new, step_kind, raised = line_search(J, kind, free, tried)
+        if xi_new is None and kind != "fd":
+            try:
+                J, kind = refresh(J, free), "fd"
+            except (ConfigError, SolverDivergence):
+                raised = True
+            else:
+                xi_new, pt_new, step_kind, raised = line_search(J, kind, free,
+                                                                tried)
+        if xi_new is not None:
+            s, y = (xi_new - xi).ravel(), (pt_new.c - pt.c).ravel()
+            J = J + np.outer(y - J @ s, s) / (s @ s)
+            xi, pt = xi_new, pt_new
+        history.append(entry(step, step_kind))
+        if xi_new is None:
+            stop = "corrections_failed" if raised else "line_search_failed"
             break
-        kind = "broyden"
+        kind = "secant"
 
     cfg = make_cfg(xi)
-    v_at = np.array([float(V(*x)) for x in cfg.xi])
-    return SearchOutcome(q_star=cfg, mode=mode, max_abs_c=cmax,
-                         V_at_spikes=v_at, converged=bool(cmax <= c_tol),
-                         history=history, I_value=pt.I,
-                         correction=pt.correction)
+    return SearchOutcome(q_star=cfg, mode="", max_abs_c=history[-1]["max_abs_c"],
+                         V_at_spikes=np.array([float(V(*x)) for x in cfg.xi]),
+                         converged=converged, history=history, I_value=pt.I,
+                         correction=pt.correction, stop=stop)
 
 
 def cluster_search(V: Potential, epsilon: float, k: int, region,
@@ -467,122 +520,47 @@ def cluster_search(V: Potential, epsilon: float, k: int, region,
                    ascent_tol: float = 1e-4) -> SearchOutcome:
     """Maximize I(q) under the cluster separation floor |xi_i - xi_j| >= eps^(1-s/4).
 
-    Damped quasi-Newton ascent on grad_xi I = -alpha_ij c_ij / eps, read off
-    the correction at each trial configuration (one correction per trial).
-    The curvature B ~ -hess I starts as the central-difference Hessian of
-    asymptotic_energy and takes a BFGS update after each accepted step with
-    s.y > 0; while B is not positive definite on the free coordinates the
-    step is the gradient direction of length 0.05 span. Coordinates on a
-    region bound whose gradient points outward are frozen (active set); a
-    step is capped at half the span, shortened to the separation floor, and
-    backtracked t = 1, 1/2, ..., 1/16 until I rises. converged means the free
-    gradient met |grad| span <= ascent_tol |I|; history entries name each
-    step's "kind" ("gradient", "model" or "bfgs"). boundary_stuck reports a
-    maximizer pinned on the floor. k = 1 reduces to the maximize mode of
-    critical_point_search.
+    The first model seed, spread about its centroid to clear the floor, whose
+    correction converges starts _quasi_newton with I as its merit: steps on
+    grad_xi I = -alpha_ij c_ij / eps, read off the correction at each trial,
+    from the central-difference Hessian of asymptotic_energy, with the region
+    bounds as an active set and steps shortened to the floor. converged means
+    the free gradient met |grad| span <= ascent_tol |I|; stop says why the
+    ascent ended otherwise. boundary_stuck reports a maximizer pinned on the
+    floor. k = 1 reduces to the maximize mode of critical_point_search.
     """
     if k == 1:
         return critical_point_search(V, epsilon, 1, region, "maximize_V",
                                      gs, mu=mu, seed=seed)
     grid = gs.grid
-    dim = grid.dim
     floor_xi = epsilon ** (1.0 - gs.params.s / 4.0)
-    floor_q = floor_xi / epsilon
     rng = np.random.default_rng(seed)
-    opts = CorrectionOptions(eta=SEARCH_ETA)
-    lows = np.array([r[0] for r in region], dtype=float)
-    highs = np.array([r[1] for r in region], dtype=float)
-    pairs = list(itertools.combinations(range(k), 2))
-
-    def spread_to_floor(xi):
-        """Scale a seed about its centroid until every pair clears the floor."""
-        d = min(float(np.linalg.norm(xi[i] - xi[j])) for i, j in pairs)
-        mid = xi.mean(axis=0)
-        return np.clip(mid + (xi - mid) * max(1.0, floor_xi / d), lows, highs)
-
-    def floor_fraction(xi, p):
-        """Largest t <= 1 keeping every pair of xi + t p on or above the floor."""
-        t = 1.0
-        for i, j in pairs:
-            a, b = xi[i] - xi[j], p[i] - p[j]
-            ab, bb = float(a @ b), float(b @ b)
-            disc = ab * ab - bb * (float(a @ a) - floor_xi ** 2)
-            if ab < 0.0 and disc > 0.0:
-                t = min(t, max(0.0, (-ab - np.sqrt(disc)) / bb))
-        return t
+    lows, highs = (np.array(b, dtype=float) for b in zip(*region))
 
     def make_cfg(xi):
         return SpikeConfig(grid, xi / epsilon, epsilon, delta=0.05,
-                           r_min=0.98 * floor_q)
+                           r_min=0.98 * floor_xi / epsilon)
 
-    def corrected_or_none(xi):
-        try:
-            return _corrected(V, make_cfg(xi), gs, mu, opts)
-        except SolverDivergence:
-            return None
-
-    xi = pt = None
     for cand in _model_seed(V, epsilon, k, region, "cluster_max", gs, rng):
-        cand = spread_to_floor(np.asarray(cand, dtype=float))
-        pt = corrected_or_none(cand)
-        if pt is not None:
-            xi = cand
+        d = min(float(np.linalg.norm(cand[i] - cand[j]))
+                for i, j in itertools.combinations(range(k), 2))
+        mid = cand.mean(axis=0)
+        xi = np.clip(mid + (cand - mid) * max(1.0, floor_xi / d), lows, highs)
+        try:
+            out = _quasi_newton(V, gs, mu, make_cfg, xi, lows, highs,
+                                ascent=True, tol=ascent_tol,
+                                max_steps=max_steps, floor=floor_xi)
             break
-    if pt is None:
+        except SolverDivergence:
+            continue
+    else:
         raise SolverDivergence("correction diverged at every cluster seed; "
                                "the separation floor admits no tractable "
                                "starting configuration")
-    history = [{"step": 0, "I": pt.I, "xi": xi.ravel().tolist()}]
-    span = float(np.min(highs - lows))
-    B = -_model_hessian(V, xi, epsilon, gs, 1e-3 * span)
-    kind = "model"
-    converged = False
-
-    for step in range(1, max_steps + 1):
-        g = pt.grad.ravel()
-        free = ~(((xi <= lows) & (pt.grad < 0))
-                 | ((xi >= highs) & (pt.grad > 0))).ravel()
-        gn = float(np.linalg.norm(g[free]))
-        converged = gn * span <= ascent_tol * max(abs(pt.I), 1e-300)
-        if converged:
-            break
-        p, Bf = np.zeros(g.size), B[np.ix_(free, free)]
-        try:
-            np.linalg.cholesky(Bf)
-            p[free], step_kind = np.linalg.solve(Bf, g[free]), kind
-        except np.linalg.LinAlgError:
-            p[free], step_kind = 0.05 * span * g[free] / gn, "gradient"
-        p *= min(1.0, 0.5 * span / float(np.linalg.norm(p)))
-        p = np.clip(xi + p.reshape(k, dim), lows, highs) - xi
-        p *= floor_fraction(xi, p)
-        new = None
-        for t in (1.0, 0.5, 0.25, 0.125, 0.0625):
-            xi_try = xi + t * p
-            pt_try = None if np.array_equal(xi_try, xi) else \
-                corrected_or_none(xi_try)
-            if pt_try is not None and pt_try.I > pt.I:
-                new = xi_try, pt_try
-                break
-        if new is not None:
-            s, y = (new[0] - xi).ravel(), g - new[1].grad.ravel()
-            if s @ y > 0.0:
-                Bs = B @ s
-                B += np.outer(y, y) / (s @ y) - np.outer(Bs, Bs) / (s @ Bs)
-                kind = "bfgs"
-            xi, pt = new
-        history.append({"step": step, "I": pt.I, "xi": xi.ravel().tolist(),
-                        "kind": step_kind})
-        if new is None:
-            break
-
-    cfg = make_cfg(xi)
-    stuck = bool(np.min(cfg.separations()) * epsilon <= 1.02 * floor_xi)
-    v_at = np.array([float(V(*x)) for x in cfg.xi])
-    return SearchOutcome(q_star=cfg, mode="cluster_max",
-                         max_abs_c=float(np.max(np.abs(pt.c))),
-                         V_at_spikes=v_at, converged=converged,
-                         history=history, boundary_stuck=stuck, I_value=pt.I,
-                         c_tol=np.inf, correction=pt.correction)
+    out.mode, out.c_tol = "cluster_max", np.inf
+    out.boundary_stuck = bool(np.min(out.q_star.separations()) * epsilon
+                              <= 1.02 * floor_xi)
+    return out
 
 
 def brouwer_degree(V: Potential, box, n_samples: int = 64,

@@ -464,10 +464,10 @@ def _cluster_mode(sc: Scenario, run_dir, cache_dir, files):
                             seed=int(sc.tolerances.get("seed", 0)))
     hist = run_dir / "cluster_history.csv"
     dim = sc.grid.dim
-    header = ["step", "I"] + [f"xi_{i}_{a}" for i in range(sc.k)
-                              for a in range(dim)]
+    header = ["step", "kind", "I", "max_abs_c"] + [
+        f"xi_{i}_{a}" for i in range(sc.k) for a in range(dim)]
     _write_csv(hist, header,
-               [(h["step"], float(h["I"])) + tuple(h["xi"])
+               [(h["step"], h["kind"], h["I"], h["max_abs_c"]) + tuple(h["xi"])
                 for h in out.history])
     files.append(hist)
     v_max = float(np.max([sc.potential(*x) for x in
@@ -484,6 +484,7 @@ def _cluster_mode(sc: Scenario, run_dir, cache_dir, files):
             epsilon * float(np.min(out.q_star.separations())),
         "I_value": out.I_value,
         "max_abs_c": out.max_abs_c,
+        "stop": out.stop,
     }
 
 

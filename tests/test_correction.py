@@ -8,7 +8,7 @@ from fracspike import spectral as sp
 from fracspike.ansatz import SpikeConfig, build_ansatz
 from fracspike.correction import (CorrectionOptions, _ProjectedOperator,
                                   detect_spike_centers,
-                                  full_newton_solve, multiplier_estimate,
+                                  full_newton_solve,
                                   nonlinear_correction, projected_solve)
 from fracspike.errors import ConfigError, SolverDivergence
 from fracspike.grid import Field
@@ -98,21 +98,6 @@ def test_projected_solve_solves_equation(well_setup, rng):
     lhs = op.apply_lw(sol.phi.values)
     rhs = g.values + (op.zmat @ sol.c.ravel()).reshape(gs.grid.shape)
     assert np.max(np.abs(lhs - rhs)) <= 1e-8 * np.max(np.abs(g.values))
-
-
-def test_multiplier_estimate_sign_convention(well_setup):
-    """For g = alpha Z_11 and phi = 0 the estimated c_11 is +alpha."""
-    gs, V, cfg, bundle = well_setup
-    alpha = 0.37
-    g = Field(gs.grid, alpha * bundle.Z[0][0].values)
-    phi0 = Field(gs.grid, np.zeros(gs.grid.shape))
-    est = multiplier_estimate(phi0, g, bundle, cfg)
-    assert est.c[0, 0] == pytest.approx(alpha, rel=1e-10)
-    # leading term alone already carries it: theta is the small remainder
-    assert est.leading[0, 0] == pytest.approx(alpha * bundle.alphas[0, 0]
-                                              / bundle.alphas[0, 0], rel=1e-10)
-    assert abs(est.theta[0, 0]) < 1e-10
-    assert est.gram_cond < 10.0
 
 
 def test_gram_guard_rejects_overlapping_spikes(gs_store):

@@ -8,7 +8,8 @@ from fracspike import ground_state
 from fracspike import spectral as sp
 from fracspike.errors import ConfigError, SolverDivergence
 from fracspike.grid import FracParams, Grid
-from fracspike.ground_state import (energy, energy_scaling_exponent,
+from fracspike.ground_state import (_relative_residual, energy,
+                                    energy_scaling_exponent,
                                     linearization_spectrum, rescale,
                                     solve_ground_state)
 
@@ -82,8 +83,12 @@ def test_rescale_splices_tail(gs_store):
         # tail-splice accuracy is limited by the L = 40 far-field fit
         assert rel < 1e-2
         assert resc.source == "rescale"
-        assert resc.residual_norm < 1e-2
-    assert rescale(gs, 1.0).values == pytest.approx(gs.values)
+        assert resc.residual_norm is None and resc.energy is None
+        op = sp.FracOperator(gs.grid, gs.params.s, lam)
+        assert _relative_residual(op, resc.values, gs.params.p) < 1e-2
+    same = rescale(gs, 1.0)
+    assert same.values == pytest.approx(gs.values)
+    assert (same.residual_norm, same.energy) == (gs.residual_norm, gs.energy)
 
 
 def test_rescale_fits_no_tail(gs_store, monkeypatch):

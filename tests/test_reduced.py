@@ -104,56 +104,12 @@ TWO_WELL_1D = dict(a=2.0, bumps=[{"b": -0.9, "center": c, "sigma": 0.5}
                                   for c in ([-1.0], [1.0])])
 
 
-def test_two_well_search_correction_budget(gs_store, monkeypatch):
-    """The criterion-11 search in 1d needs at most 3 corrections."""
-    gs = gs_store(0.5, 2.0)
-    V = builtin_potentials("gaussian_bumps", **TWO_WELL_1D)
-    calls = _count_corrections(monkeypatch)
-    out = critical_point_search(V, 0.1, 2, [(-2.0, 2.0)], "minimize_V", gs)
-    assert out.converged
-    assert len(calls) <= 3
-
-
-def test_double_well_search_correction_budget(gs_store, monkeypatch):
-    """The k = 2 double-well search in 1d needs at most 5 corrections."""
-    gs = gs_store(0.5, 2.0)
-    V = builtin_potentials("double_well", a=1.0, b=1.0)
-    calls = _count_corrections(monkeypatch)
-    out = critical_point_search(V, 0.1, 2, [(-2.0, 2.0)], "minimize_V", gs)
-    assert out.converged
-    assert len(calls) <= 5
-    assert out.history[1]["jacobian"] == "model"
-
-
-def test_model_jacobian_matches_forward_differences(gs_store):
-    """At the criterion-11 seed the model Jacobian is within 25% (Frobenius)."""
-    gs = gs_store(0.5, 2.0)
-    V = builtin_potentials("gaussian_bumps", **TWO_WELL_1D)
-    eps, region = 0.1, [(-2.0, 2.0)]
-    xi = reduced._model_seed(V, eps, 2, region, "minimize_V", gs,
-                             np.random.default_rng(0))[0]
-    opts = CorrectionOptions(eta=SEARCH_ETA)
-
-    def corrected(x):
-        return reduced._corrected(V, SpikeConfig(gs.grid, x / eps, eps), gs,
-                                  None, opts)
-
-    pt = corrected(xi)
-    h = 4e-3  # the search's difference step on this region
-    fd = np.zeros((2, 2))
-    for col in range(2):
-        shifted = xi.copy()
-        shifted[col, 0] += h
-        fd[:, col] = (corrected(shifted).c - pt.c).ravel() / h
-    model = reduced._model_jacobian(V, xi, eps, gs, pt.alphas)
-    assert np.linalg.norm(model - fd) <= 0.25 * np.linalg.norm(fd)
-
-
 @pytest.mark.parametrize("shift", [0.0, 0.3])
 def test_search_without_hessian(gs_store, monkeypatch, shift):
-    """A tabulated V has no Hessian: the first step differences c, and a
-    seed already at the minimum (0 is on the seed lattice, 0.3 is not)
-    costs its own correction only."""
+    """A tabulated V has no closed-form Hessian: the model Hessian
+    differences the table. A seed already at the minimum (0 is on the seed
+    lattice, 0.3 is not) costs its own correction only, and the shifted
+    well converges from the model step within 5 corrections."""
     gs = gs_store(0.5, 2.0)
     well = builtin_potentials("well", a=2.0, b=1.0)
     axis = np.linspace(-3.0, 3.0, 601)
@@ -166,33 +122,23 @@ def test_search_without_hessian(gs_store, monkeypatch, shift):
     if shift == 0.0:
         assert len(calls) == 1
     else:
-        assert out.history[1]["jacobian"] == "fd"
+        assert len(calls) <= 5 and out.history[1]["kind"] == "model"
 
 
 @pytest.mark.parametrize("factor, refreshed", [(10.0, False), (-1.0, True)])
 def test_bad_model_jacobian_still_converges(gs_store, monkeypatch, factor,
                                             refreshed):
-    """A model Jacobian 10x too large is repaired by the Broyden update; one
+    """A model Hessian 10x too large is repaired by the Broyden update; one
     of the wrong sign fails its line search and is replaced by differences."""
     gs = gs_store(0.5, 2.0)
     V = builtin_potentials("gaussian_bumps", **TWO_WELL_1D)
-    model = reduced._model_jacobian
-    monkeypatch.setattr(reduced, "_model_jacobian",
+    model = reduced._model_hessian
+    monkeypatch.setattr(reduced, "_model_hessian",
                         lambda *args: factor * model(*args))
     out = critical_point_search(V, 0.1, 2, [(-2.0, 2.0)], "minimize_V", gs)
     assert out.converged and out.max_abs_c <= out.c_tol
-    kinds = [h["jacobian"] for h in out.history[1:]]
+    kinds = [h["kind"] for h in out.history[1:]]
     assert ("fd" in kinds) == refreshed
-
-
-def test_minimum_search_correction_budget(gs_store, monkeypatch):
-    """The well minimum at eps = 0.1 needs at most 4 corrections."""
-    gs = gs_store(0.5, 2.0)
-    V = builtin_potentials("well", a=2.0, b=1.0)
-    calls = _count_corrections(monkeypatch)
-    out = critical_point_search(V, 0.1, 1, [(-2.0, 2.0)], "minimize_V", gs)
-    assert out.converged
-    assert len(calls) <= 4
 
 
 def test_search_pinned_at_region_boundary(gs_store):
@@ -207,18 +153,130 @@ def test_search_pinned_at_region_boundary(gs_store):
     assert out.xi_star[0, 0] == 1.5
 
 
-@pytest.mark.parametrize("region, edge", [((0.5, 1.5), 1.5),
-                                          ((-1.5, -0.5), -1.5)])
-def test_pinned_search_correction_budget(gs_store, monkeypatch, region, edge):
-    """A trial step clipped back onto the current xi costs no correction:
-    the search pinned at the region boundary needs at most 30."""
+def _bump(sigma):
+    return builtin_potentials("gaussian_bumps", a=1.0, bumps=[
+        {"b": 1.0, "center": [0.0], "sigma": sigma}])
+
+
+def _well_search(eps, region):
+    def run(gs):
+        V = builtin_potentials("well", a=2.0, b=1.0)
+        return critical_point_search(V, eps, 1, [region], "minimize_V", gs)
+    return run
+
+
+def _cluster(sigma):
+    return lambda gs: cluster_search(_bump(sigma), 0.1, 2, [(-1.5, 1.5)], gs)
+
+
+def _pinned(edge):
+    def check(out, gs, elapsed):
+        assert not out.converged and out.stop == "line_search_failed"
+        assert out.xi_star[0, 0] == edge
+    return check
+
+
+def _converged(first_kind=None):
+    def check(out, gs, elapsed):
+        assert out.converged and out.stop == "converged"
+        if first_kind is not None:
+            assert out.history[1]["kind"] == first_kind
+    return check
+
+
+def _criterion_12(out, gs, elapsed):
+    """Ends on its gradient test, which the multiplier gradient -alpha c / eps
+    of the final correction meets; the model Hessian is indefinite at the
+    seed, so the first step is a gradient step and the later ones not."""
+    assert out.converged and out.stop == "converged"
+    alphas = build_ansatz(_bump(1.0), out.q_star, gs).alphas
+    grad = -alphas * out.correction.c / 0.1
+    assert np.linalg.norm(grad) * 3.0 <= 1e-4 * abs(out.I_value)
+    assert out.I_value >= 11.293018363  # where gradient ascent stopped
+    kinds = [h["kind"] for h in out.history[1:]]
+    assert kinds[0] == "gradient" and "gradient" not in kinds[1:]
+
+
+def _edge_pin(out, gs, elapsed):
+    """The pair repulsion drives one spike to the region edge; the active
+    set freezes it there and the other converges on the bump top."""
+    assert out.converged and out.stop == "converged"
+    assert np.isclose(float(np.min(out.xi_star)), -1.5, rtol=0, atol=1e-12)
+    assert out.I_value >= 7.6174
+    assert elapsed < 1.0
+
+
+SEARCH_BUDGETS = [
+    pytest.param(lambda gs: critical_point_search(
+        builtin_potentials("gaussian_bumps", **TWO_WELL_1D), 0.1, 2,
+        [(-2.0, 2.0)], "minimize_V", gs), 3, _converged("model"),
+        id="two_well"),
+    pytest.param(lambda gs: critical_point_search(
+        builtin_potentials("double_well", a=1.0, b=1.0), 0.1, 2,
+        [(-2.0, 2.0)], "minimize_V", gs), 5, _converged("model"),
+        id="double_well"),
+    pytest.param(_well_search(0.2, (-2.0, 2.0)), 1, _converged(),
+                 id="minimum_eps0.2"),
+    pytest.param(_well_search(0.1, (-2.0, 2.0)), 1, _converged(),
+                 id="minimum_eps0.1"),
+    pytest.param(_well_search(0.05, (-2.0, 2.0)), 1, _converged(),
+                 id="minimum_eps0.05"),
+    pytest.param(_well_search(0.1, (0.5, 1.5)), 16, _pinned(1.5),
+                 id="pinned_upper"),
+    pytest.param(_well_search(0.1, (-1.5, -0.5)), 16, _pinned(-1.5),
+                 id="pinned_lower"),
+    pytest.param(_cluster(1.0), 10, _criterion_12,
+                 id="cluster_criterion_12"),
+    pytest.param(_cluster(0.3), 10, _edge_pin, id="cluster_sigma0.3"),
+    pytest.param(_cluster(0.7), 12, _converged(), id="cluster_sigma0.7"),
+]
+
+
+@pytest.mark.parametrize("search, budget, check", SEARCH_BUDGETS)
+def test_search_correction_budget(gs_store, monkeypatch, search, budget,
+                                  check):
+    """Corrections per search, counting those that fail the eta gate. A
+    trial equal to a point already corrected in its step, and a seed that
+    clips onto an earlier start, cost none: the searches pinned on the
+    region boundary stay within 16."""
     gs = gs_store(0.5, 2.0)
-    V = builtin_potentials("well", a=2.0, b=1.0)
     calls = _count_corrections(monkeypatch)
-    out = critical_point_search(V, 0.1, 1, [region], "minimize_V", gs)
-    assert not out.converged
-    assert out.xi_star[0, 0] == edge
-    assert len(calls) <= 30
+    start = time.perf_counter()
+    out = search(gs)
+    check(out, gs, time.perf_counter() - start)
+    assert len(calls) <= budget
+
+
+def test_search_reports_why_it_stopped(gs_store):
+    """On a bump of sigma = 0.5 the eta gate rejects every trial that brings
+    the pair closer: the ascent says so instead of ending like a normal stop."""
+    gs = gs_store(0.5, 2.0)
+    out = _cluster(0.5)(gs)
+    assert not out.converged and out.stop == "corrections_failed"
+    out = critical_point_search(builtin_potentials("well", a=2.0, b=1.0),
+                                0.1, 1, [(-2.0, 2.0)], "minimize_V", gs,
+                                max_steps=0, c_tol=1e-30)
+    assert not out.converged and out.stop == "max_steps"
+
+
+@pytest.mark.parametrize("potential, search", [
+    (TWO_WELL_1D, lambda V, gs: critical_point_search(
+        V, 0.1, 2, [(-2.0, 2.0)], "minimize_V", gs)),
+    (CLUSTER_BUMP, lambda V, gs: cluster_search(V, 0.1, 2, [(-1.5, 1.5)],
+                                                gs)),
+], ids=["critical_point", "cluster"])
+def test_mirror_symmetric_potential_gives_mirror_symmetric_outcome(
+        gs_store, potential, search):
+    """V(-x) = V(x): the spikes sit at -xi and xi, and the final correction
+    is even, to the accuracy the search converged to."""
+    gs = gs_store(0.5, 2.0)
+    out = search(builtin_potentials("gaussian_bumps", **potential), gs)
+    assert out.converged
+    xi = np.sort(out.xi_star.ravel())
+    np.testing.assert_allclose(xi, -xi[::-1], rtol=0, atol=1e-6)
+    phi = out.correction.phi.values
+    mirrored = np.roll(phi[::-1], 1)  # x_j -> -x_j on the periodic grid
+    assert np.max(np.abs(phi - mirrored)) <= 1e-4 * np.max(np.abs(phi))
 
 
 def test_interaction_constants_shape_and_symmetry(gs_store):
@@ -288,13 +346,19 @@ def test_cluster_search_k1_reduces_to_maximize(gs_store):
     assert abs(out.xi_star[0, 0]) < 1e-4
 
 
-@pytest.mark.parametrize("xi", [[[0.0], [-0.75]], [[0.2283], [-0.2283]]])
-def test_model_hessian_matches_multiplier_differences(gs_store, xi):
-    """At the criterion-12 seed, where it is indefinite, and at the maximizer,
-    where it is negative definite, the model Hessian of the cluster ascent is
-    within 15% (Frobenius) of central differences of -alpha c / eps."""
+@pytest.mark.parametrize("potential, xi, rel", [
+    pytest.param(CLUSTER_BUMP, [[0.0], [-0.75]], 0.15, id="xi0"),
+    pytest.param(CLUSTER_BUMP, [[0.2283], [-0.2283]], 0.15, id="xi1"),
+    pytest.param(TWO_WELL_1D, [[-1.0], [1.0]], 0.25, id="criterion_11_seed"),
+])
+def test_model_hessian_matches_multiplier_differences(gs_store, potential,
+                                                       xi, rel):
+    """The model Hessian every search starts from is within rel (Frobenius)
+    of central differences of -alpha c / eps, with the same inertia: 15% at
+    the criterion-12 seed, where it is indefinite, and at the cluster
+    maximizer, where it is negative definite; 25% at the criterion-11 seed."""
     gs = gs_store(0.5, 2.0)
-    V = builtin_potentials("gaussian_bumps", **CLUSTER_BUMP)
+    V = builtin_potentials("gaussian_bumps", **potential)
     eps, h, xi = 0.1, 3e-3, np.array(xi)
     opts = CorrectionOptions(eta=SEARCH_ETA)
 
@@ -306,48 +370,9 @@ def test_model_hessian_matches_multiplier_differences(gs_store, xi):
                            - grad(xi - h * e.reshape(2, 1))) / (2.0 * h)
                           for e in np.eye(2)])
     model = reduced._model_hessian(V, xi, eps, gs, h)
-    assert np.linalg.norm(model - fd) <= 0.15 * np.linalg.norm(fd)
+    assert np.linalg.norm(model - fd) <= rel * np.linalg.norm(fd)
     assert np.array_equal(np.sign(np.linalg.eigvalsh(model)),
                           np.sign(np.linalg.eigvalsh(0.5 * (fd + fd.T))))
-
-
-def test_cluster_ascent_correction_budget(gs_store, monkeypatch):
-    """The criterion-12 ascent makes at most 12 corrections, counting those
-    that fail the eta gate, and ends on its gradient test after an accepted
-    step rather than on a failed line search."""
-    gs = gs_store(0.5, 2.0)
-    V = builtin_potentials("gaussian_bumps", **CLUSTER_BUMP)
-    calls = _count_corrections(monkeypatch)
-    out = cluster_search(V, 0.1, 2, [(-1.5, 1.5)], gs)
-    assert len(calls) <= 12
-    assert out.converged and out.history[-1]["I"] > out.history[-2]["I"]
-    alphas = build_ansatz(V, out.q_star, gs).alphas
-    grad = -alphas * out.correction.c / 0.1
-    assert np.linalg.norm(grad) * 3.0 <= 1e-4 * abs(out.I_value)
-    assert out.I_value >= 11.293018363  # where gradient ascent stopped
-    # the model Hessian is indefinite at the seed: the first step is a
-    # gradient step, the later ones quasi-Newton
-    kinds = [h["kind"] for h in out.history[1:]]
-    assert kinds[0] == "gradient" and set(kinds[1:]) <= {"model", "bfgs"}
-
-
-def test_cluster_ascent_pins_a_spike_on_the_region_edge(gs_store,
-                                                         monkeypatch):
-    """On a narrow bump (sigma = 0.3) the pair repulsion drives one spike to
-    the region edge; the active set freezes it there and the other converges
-    on the bump top."""
-    gs = gs_store(0.5, 2.0)
-    V = builtin_potentials("gaussian_bumps", a=1.0, bumps=[
-        {"b": 1.0, "center": [0.0], "sigma": 0.3}])
-    calls = _count_corrections(monkeypatch)
-    start = time.perf_counter()
-    out = cluster_search(V, 0.1, 2, [(-1.5, 1.5)], gs)
-    elapsed = time.perf_counter() - start
-    assert out.converged
-    assert np.isclose(float(np.min(out.xi_star)), -1.5, rtol=0, atol=1e-12)
-    assert out.I_value >= 7.6174
-    assert len(calls) <= 10
-    assert elapsed < 1.0
 
 
 def test_brouwer_degree_1d():

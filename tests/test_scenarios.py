@@ -246,6 +246,25 @@ def test_degree_mode_report(tmp_path):
         assert report["results"]["box"] == box
 
 
+def test_cluster_report_says_why_the_ascent_stopped(tmp_path, cache_dir):
+    """The cluster report carries the search's stop reason and its history
+    the kind of each step; warm-cache reruns are byte-identical."""
+    doc = make_doc("cluster", potential={
+        "kind": "gaussian_bumps", "a": 1.0,
+        "bumps": [{"b": 1.0, "center": [0.0], "sigma": 1.0}]})
+    path = write_doc(tmp_path, doc)
+    runs = [run_scenario(path, out_dir=tmp_path / name, cache_dir=cache_dir)
+            for name in ("a", "b")]
+    report = json.loads((runs[0].out_dir / "report.json").read_text())
+    assert report["results"]["stop"] == "converged"
+    rows = (runs[0].out_dir / "cluster_history.csv").read_text().splitlines()
+    assert rows[0].startswith("step,kind,I,max_abs_c,")
+    assert rows[1].split(",")[1] == "start"
+    for name in ("report.json", "cluster_history.csv"):
+        assert (runs[0].out_dir / name).read_bytes() == \
+            (runs[1].out_dir / name).read_bytes()
+
+
 def test_solve_k_spike_artifacts(tmp_path, cache_dir):
     doc = make_doc("solve_k_spike")
     res = run_scenario(write_doc(tmp_path, doc), out_dir=tmp_path / "out",
