@@ -7,25 +7,31 @@ The correction phi to the ansatz W solves
 
 with g = E + N(phi) in the fixed point. The Galerkin form of this system is
 P L_W y = P g for y in span{Z}^perp, with P the orthogonal projection onto
-span{Z}^perp, preconditioned by P T_m, T_m = ((-Delta)^s + m)^(-1), m =
+span{Z}^perp, preconditioned by P T_m P, T_m = ((-Delta)^s + m)^(-1), m =
 the median of V(eps x) over the grid. That is the value V takes on most of
 the box, so T_m L_W = I + T_m (shift .) is the identity plus a perturbation
 localized at the wells; m = min V would leave V - m of order V_max - V_min
 over the whole far field and spread the spectrum over [1, V_max / V_min].
-GMRES iterates the preconditioned operator
+Both operators are symmetric on span{Z}^perp and P T_m P is positive
+definite there, so `_krylov.minres` solves the system, with A in the split
+form
 
-    P T_m P L_W y = y + P T_m (shift y - Q (L_W Q)^T y),
+    P L_W y = T_m^(-1) y + shift y - Q (L_W Q)^T y,
     shift = V(eps x) - m - p W^(p-1),
 
-which is the same operator written so that one application costs a single
-FFT pair: T_m L_W = I + T_m (shift .) because T_m inverts the Fourier part
-of L_W, P y = y on span{Z}^perp, and, L_W being symmetric (real, even
-symbol), the span{Z} part Q Q^T L_W y of L_W y equals Q (L_W Q)^T y with
-L_W Q computed once per operator. The Krylov space stays inside
+(L_W being symmetric, real with an even symbol, the span{Z} part
+Q Q^T L_W y of L_W y equals Q (L_W Q)^T y, with L_W Q computed once per
+operator) and the preconditioner as the pair
+
+    P T_m P r = t - Q c,   T_m^(-1) P T_m P r = r - R c,
+    t = T_m r, c = Q^T t, R = T_m^(-1) Q = L_W Q - shift Q,
+
+so one iteration costs a single FFT pair. The Krylov space stays inside
 span{Z}^perp by construction, and the multipliers come from the Gram
-system afterwards. The shared damped Newton loop `_krylov.newton` on the
-unprojected equation, preconditioned the same way (T_m J = I +
-T_m (shift .)), provides the validation path. Both apply (-Delta)^s and T_m
+system afterwards. The span{Z} projections, inner products and norms on
+grid vectors run on `np.einsum`, off BLAS. The shared damped Newton loop
+`_krylov.newton` on the unprojected equation, preconditioned the same way
+by T_m, provides the validation path. Both apply (-Delta)^s and T_m
 through the shared `spectral.FracOperator`.
 """
 
@@ -112,14 +118,13 @@ class _ProjectedOperator:
     """Shared machinery: L_W, T_m, the Z projection, and the Gram system.
 
     Q, the orthonormal basis of span{Z}, is kept as the contiguous rows of
-    Q^T, with L_W Q beside it for the fused preconditioned operator.
+    Q^T, with L_W Q and R = T_m^(-1) Q beside it for the split form.
     """
 
     def __init__(self, V: Potential, cfg: SpikeConfig, bundle: AnsatzBundle):
         grid = bundle.grid
         params = bundle.params
         self.grid = grid
-        self.p = params.p
         self.V_grid = bundle.V_grid if bundle.V_grid is not None \
             else V.on_grid(grid, cfg.epsilon)
         self.m = _resolvent_shift(self.V_grid)
@@ -127,40 +132,46 @@ class _ProjectedOperator:
         self.shift = self.V_grid - self.m - params.p * kernels.positive_power(
             bundle.W.values, params.p - 1.0)
 
-        zmat = np.stack([z.values.ravel() for z in bundle.z_flat()], axis=1)
-        self.zmat = zmat
-        self.gram = grid.cell_volume * (zmat.T @ zmat)
+        # an (n, k dim) view of contiguous rows: einsum sweeps it fastest
+        self.zmat = np.stack([z.values.ravel() for z in bundle.z_flat()]).T
+        self.gram = grid.cell_volume * np.einsum("ik,il->kl", self.zmat,
+                                                 self.zmat)
         self.gram_cond = float(np.linalg.cond(self.gram))
         if self.gram_cond > GRAM_COND_LIMIT:
             raise ConfigError(
                 f"Z Gram system nearly singular (cond {self.gram_cond:.2e}); "
                 f"spikes too close for a stable projection")
-        self.qt = np.ascontiguousarray(np.linalg.qr(zmat)[0].T)
+        self.qt = np.ascontiguousarray(np.linalg.qr(self.zmat)[0].T)
         self.lq = np.stack([self.apply_lw(q.reshape(grid.shape)).ravel()
                             for q in self.qt])
-        self.k = bundle.cfg.k
-        self.dim = grid.dim
+        self.rt = self.lq - self.shift.ravel() * self.qt
 
     def apply_lw(self, v: np.ndarray) -> np.ndarray:
         """L_W v for grid-shaped v."""
         return self.frac.laplacian(v) + (self.shift + self.m) * v
 
-    def apply_tm(self, v: np.ndarray) -> np.ndarray:
-        return self.frac.resolvent(v)
-
     def project(self, v: np.ndarray) -> np.ndarray:
         flat = v.ravel()
-        return (flat - (self.qt @ flat) @ self.qt).reshape(v.shape)
+        coef = np.einsum("ki,i->k", self.qt, flat)
+        return (flat - np.einsum("ki,k->i", self.qt, coef)).reshape(v.shape)
 
-    def apply_fused(self, y: np.ndarray) -> np.ndarray:
-        """P T_m P L_W y for flat y in span{Z}^perp, at one FFT pair."""
-        f = self.shift.ravel() * y - (self.lq @ y) @ self.qt
-        return y + self.project(self.apply_tm(f))
+    def local(self, y: np.ndarray) -> np.ndarray:
+        """P L_W y - T_m^(-1) y = shift y - Q (L_W Q)^T y for flat y."""
+        coef = np.einsum("ki,i->k", self.lq, y)
+        return self.shift.ravel() * y - np.einsum("ki,k->i", self.qt, coef)
+
+    def precond(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(P T_m P r, r - R Q^T T_m r) for flat r in span{Z}^perp: the
+        preconditioned vector and its T_m^(-1) image, at one FFT pair."""
+        t = self.frac.resolvent(r)
+        coef = np.einsum("ki,i->k", self.qt, t)
+        return (t - np.einsum("ki,k->i", self.qt, coef),
+                r - np.einsum("ki,k->i", self.rt, coef))
 
     def gram_solve(self, rhs_flat: np.ndarray) -> np.ndarray:
         """Solve G c = <Z, r> for the (k, dim) multiplier matrix."""
-        rhs = self.grid.cell_volume * (self.zmat.T @ rhs_flat)
-        return np.linalg.solve(self.gram, rhs).reshape(self.k, self.dim)
+        rhs = self.grid.cell_volume * np.einsum("ik,i->k", self.zmat, rhs_flat)
+        return np.linalg.solve(self.gram, rhs).reshape(-1, self.grid.dim)
 
 
 def projected_solve(g: Field, V: Potential, cfg: SpikeConfig,
@@ -172,9 +183,9 @@ def projected_solve(g: Field, V: Potential, cfg: SpikeConfig,
     P T_m P. Both operators map the constraint space into itself and the
     right-hand side lies in it, so the Krylov iterates never pick up Z
     components; the converged residual L_W phi - g then sits in span{Z} and
-    the Gram system G c = <Z, L_W phi - g> recovers the multipliers. Each
-    Krylov iteration applies the fused P T_m P L_W (one FFT pair), and GMRES
-    runs to the relative tolerance `_krylov.KRYLOV_RTOL`.
+    the Gram system G c = <Z, L_W phi - g> recovers the multipliers. MINRES
+    runs on the split form of the module docstring (one FFT pair per
+    iteration) to the relative tolerance `_krylov.KRYLOV_RTOL`.
 
     x0 is an initial guess for phi. Its span{Z} part is projected out on
     entry, and the tolerance stays relative to ||P g||, so a guess near the
@@ -183,46 +194,40 @@ def projected_solve(g: Field, V: Potential, cfg: SpikeConfig,
     op = _op if _op is not None else _ProjectedOperator(V, cfg, bundle)
     grid = op.grid
     shape = grid.shape
-
-    def mv(y):
-        return op.project(op.apply_lw(y.reshape(shape))).ravel()
-
-    def pmv(r):
-        return op.project(op.apply_tm(r))
-
-    b = op.project(g.values).ravel()
+    g_flat = g.values.ravel()
+    b = op.project(g_flat)
+    gnorm = _krylov.norm(g_flat)
     iterations = 0
-    if float(np.linalg.norm(b)) <= 1e-12 * float(np.linalg.norm(g.values)):
+    if _krylov.norm(b) <= 1e-12 * gnorm:
         # g in span{Z} up to roundoff: phi = 0, the Gram solve yields c
-        phi_vals = np.zeros(shape)
-        resid = -g.values
+        phi_flat = np.zeros(b.size)
+        resid = -g_flat
     else:
-        y0 = None if x0 is None else op.project(x0.values).ravel()
-        sol = _krylov.gmres(op.apply_fused, mv, pmv, b, x0=y0,
-                            rtol=_krylov.KRYLOV_RTOL)
+        y0 = None if x0 is None else op.project(x0.values.ravel())
+        sol = _krylov.minres(op.frac.shifted, op.local, op.precond, b, x0=y0,
+                             rtol=_krylov.KRYLOV_RTOL)
         history = sol.history
         if sol.info != 0:
-            true_rel = float(np.linalg.norm(sol.residual)) / \
-                float(np.linalg.norm(b))
+            true_rel = _krylov.norm(sol.residual) / _krylov.norm(b)
             if true_rel > 10.0 * _krylov.KRYLOV_RTOL:
                 tail = ", ".join(f"{h:.3e}" for h in history[-5:])
                 raise SolverDivergence(
                     f"projected solve did not converge (info={sol.info}, "
                     f"{len(history)} iterations, true relative residual "
-                    f"{true_rel:.3e}, last preconditioned [{tail}])")
+                    f"{true_rel:.3e}, last estimates [{tail}])")
             log.debug("projected solve: accepting true residual %.3e", true_rel)
         iterations = len(history)
-        phi_vals = op.project(sol.x.reshape(shape))
+        phi_flat = op.project(sol.x)
         # L_W phi - g = -(P g - P L_W phi) + Q Q^T (L_W phi - g), where
         # Q^T L_W phi = (L_W Q)^T phi needs no transform
-        qpart = (op.lq @ phi_vals.ravel() - op.qt @ g.values.ravel()) @ op.qt
-        resid = (qpart - sol.residual).reshape(shape)
-    c = op.gram_solve(resid.ravel())
-    model = (op.zmat @ c.ravel()).reshape(shape)
-    gnorm = float(np.linalg.norm(g.values))
-    consistency = float(np.linalg.norm(resid - model)) / max(gnorm, 1e-300)
-    return ProjectedSolution(Field(grid, phi_vals), c, iterations,
-                             consistency)
+        coef = np.einsum("ki,i->k", op.lq, phi_flat) \
+            - np.einsum("ki,i->k", op.qt, g_flat)
+        resid = np.einsum("ki,k->i", op.qt, coef) - sol.residual
+    c = op.gram_solve(resid)
+    model = np.einsum("ik,k->i", op.zmat, c.ravel())
+    consistency = _krylov.norm(resid - model) / max(gnorm, 1e-300)
+    return ProjectedSolution(Field(grid, phi_flat.reshape(shape)), c,
+                             iterations, consistency)
 
 
 def nonlinear_correction(V: Potential, cfg: SpikeConfig, bundle: AnsatzBundle,
@@ -235,7 +240,7 @@ def nonlinear_correction(V: Potential, cfg: SpikeConfig, bundle: AnsatzBundle,
     the per-step contraction ratios are recorded, and three consecutive
     ratios >= 1 abort the iteration with converged = False (the
     configuration is outside the contraction regime at this epsilon). Each
-    projected solve starts GMRES from the current iterate, which already
+    projected solve starts MINRES from the current iterate, which already
     lies in span{Z}^perp.
 
     phi0, typically the correction at a nearby configuration, starts the
@@ -302,8 +307,8 @@ def full_newton_solve(V: Potential, epsilon: float, u0: Field, params,
 
     Independent of the projection machinery: `_krylov.newton` with
     J = (-Delta)^s + V(eps x) - p u_+^(p-1), preconditioned by T_m with m
-    the median of V(eps x) as in the projected solve, so GMRES iterates
-    T_m J = I + T_m (shift .), shift = V(eps x) - m - p u_+^(p-1). The
+    the median of V(eps x) as in the projected solve, so MINRES applies
+    J = T_m^(-1) + (shift .), shift = V(eps x) - m - p u_+^(p-1). The
     loose inner tolerances of its forcing term never reach the certificate:
     residual_norm is always max|F(u)| / max|u| recomputed from the returned
     u, and converged means it is <= tol. Spike centers of the solution are

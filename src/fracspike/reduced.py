@@ -113,14 +113,22 @@ def interaction_constants(gs: GroundState, lambdas) -> np.ndarray:
     profile's decay fit; alpha and beta are the tail and mass scaling
     exponents of the rescaled profiles.
     """
+    return _scaled_constants(gs, _profile_constant(gs), lambdas)
+
+
+def _profile_constant(gs: GroundState) -> float:
+    """c0 of interaction_constants, which depends on the profile alone."""
     if not np.isfinite(gs.decay.amplitude) or gs.decay.amplitude <= 0:
         raise ConfigError("interaction constants need a valid decay fit")
+    return gs.decay.amplitude * gs.grid.cell_volume * float(
+        np.sum(kernels.positive_power(gs.values, gs.params.p)))
+
+
+def _scaled_constants(gs: GroundState, c0: float, lambdas) -> np.ndarray:
     p, s = gs.params.p, gs.params.s
     dim = gs.grid.dim
     alpha = 1.0 / (p - 1.0) - (dim + 2.0 * s) / (2.0 * s)
     beta = p / (p - 1.0) - dim / (2.0 * s)
-    c0 = gs.decay.amplitude * gs.grid.cell_volume * float(
-        np.sum(kernels.positive_power(gs.values, p)))
     lam = np.asarray(lambdas, dtype=float)
     return c0 * np.outer(lam ** alpha, lam ** beta)
 
@@ -134,6 +142,13 @@ def asymptotic_energy(V: Potential, xi_list, epsilon: float,
     deficit; the constants are validated against measured overlap integrals
     in the test suite.
     """
+    return _model_energy(V, xi_list, epsilon, gs, None)
+
+
+def _model_energy(V: Potential, xi_list, epsilon: float, gs: GroundState,
+                  c0: float | None) -> float:
+    """asymptotic_energy, given c0 of interaction_constants (None: computed
+    here when there is a pair)."""
     xi = np.asarray(xi_list, dtype=float).reshape(-1, gs.grid.dim)
     theta = energy_scaling_exponent(gs.params, gs.grid.dim)
     lam = np.array([float(V(*x)) for x in xi])
@@ -142,7 +157,8 @@ def asymptotic_energy(V: Potential, xi_list, epsilon: float,
     c_star = gs.energy
     total = c_star * float(np.sum(lam ** theta))
     if xi.shape[0] > 1:
-        cij = interaction_constants(gs, lam)
+        cij = _scaled_constants(gs, _profile_constant(gs) if c0 is None
+                                else c0, lam)
         beta_exp = gs.grid.dim + 2.0 * gs.params.s
         for i, j in itertools.combinations(range(xi.shape[0]), 2):
             d = float(np.linalg.norm(xi[i] - xi[j])) / epsilon
@@ -215,9 +231,10 @@ def _model_hessian(V: Potential, xi: np.ndarray, epsilon: float,
                    gs: GroundState, h: float) -> np.ndarray:
     """Central-difference Hessian of asymptotic_energy in the flattened xi."""
     E, H = h * np.eye(xi.size), np.empty((xi.size, xi.size))
+    c0 = _profile_constant(gs) if xi.size > gs.grid.dim else None
 
     def f(d):
-        return asymptotic_energy(V, xi.ravel() + d, epsilon, gs)
+        return _model_energy(V, xi.ravel() + d, epsilon, gs, c0)
 
     for i, j in itertools.combinations_with_replacement(range(xi.size), 2):
         H[i, j] = H[j, i] = (f(E[i] + E[j]) - f(E[i] - E[j])
@@ -406,9 +423,10 @@ def _quasi_newton(V: Potential, gs: GroundState, mu, make_cfg,
     region (and kept on the floor), and one equal to xi or already corrected
     in this step costs no correction. When the line search fails, J is
     refreshed by forward differences (one correction per free coordinate)
-    and the step retried once. Trials start their fixed point from the
-    current phi. Raises SolverDivergence or ConfigError when the start itself
-    cannot be corrected.
+    and the step retried once, unless every trial's correction raised (the
+    search then stops with corrections_failed). Trials start their fixed
+    point from the current phi. Raises SolverDivergence or ConfigError when
+    the start itself cannot be corrected.
     """
     opts = CorrectionOptions(eta=SEARCH_ETA)
     cfg = make_cfg(xi)
@@ -489,7 +507,7 @@ def _quasi_newton(V: Potential, gs: GroundState, mu, make_cfg,
             break
         tried = set()
         xi_new, pt_new, step_kind, raised = line_search(J, kind, free, tried)
-        if xi_new is None and kind != "fd":
+        if xi_new is None and kind != "fd" and not raised:
             try:
                 J, kind = refresh(J, free), "fd"
             except (ConfigError, SolverDivergence):

@@ -1,129 +1,155 @@
-"""The in-house left-preconditioned GMRES against scipy's."""
+"""The in-house preconditioned MINRES against scipy's, and the symmetry of
+the operators it is given."""
 
 import numpy as np
 import pytest
 from scipy.sparse.linalg import LinearOperator
-from scipy.sparse.linalg import gmres as scipy_gmres
+from scipy.sparse.linalg import minres as scipy_minres
 
-from fracspike._krylov import gmres
+from fracspike._krylov import minres
 from fracspike.ansatz import SpikeConfig, build_ansatz
 from fracspike.correction import _ProjectedOperator
 from fracspike.potentials import builtin_potentials
 
 
-@pytest.fixture(scope="module")
-def projected_system(gs_store):
-    """(A, M, b) of the 1d criterion-11 projected solve, on flat vectors."""
-    gs = gs_store(0.5, 2.0)
-    wells = [[-1.0], [1.0]]
+def _two_well_operator(gs, xi=1.0):
+    """The projected operator of the criterion-11 two-well bumps at
+    eps = 0.1, spikes at (+-xi, 0), and the ansatz error E."""
+    dim = gs.grid.dim
+    wells = [[-1.0] + [0.0] * (dim - 1), [1.0] + [0.0] * (dim - 1)]
     V = builtin_potentials("gaussian_bumps", a=2.0, bumps=[
         {"b": -0.9, "center": c, "sigma": 0.5} for c in wells])
-    cfg = SpikeConfig(gs.grid, np.array(wells) / 0.1, epsilon=0.1)
+    cfg = SpikeConfig(gs.grid, xi * np.array(wells) / 0.1, epsilon=0.1)
     bundle = build_ansatz(V, cfg, gs)
-    op = _ProjectedOperator(V, cfg, bundle)
-    shape = gs.grid.shape
+    return _ProjectedOperator(V, cfg, bundle), bundle.E.values.ravel()
+
+
+@pytest.fixture(scope="module")
+def projected_system(gs_store):
+    """(A, M, b, op) of the 1d criterion-11 projected solve: A = P L_W in
+    split form and M = P T_m P, on flat vectors."""
+    op, e = _two_well_operator(gs_store(0.5, 2.0))
 
     def a(y):
-        return op.project(op.apply_lw(y.reshape(shape))).ravel()
+        return op.frac.shifted(y) + op.local(y)
 
     def m(r):
-        return op.project(op.apply_tm(r.reshape(shape))).ravel()
+        return op.precond(r)[0]
 
-    b = op.project(bundle.E.values).ravel()
-    return a, m, b, op
+    return a, m, op.project(e), op
+
+
+def _solve(op, b, **kw):
+    return minres(op.frac.shifted, op.local, op.precond, b, **kw)
 
 
 def _scipy(a, m, b, **kw):
+    """scipy's minres on the same A and M; returns x, info, iterates."""
     n = b.size
-    history = []
-    x, info = scipy_gmres(LinearOperator((n, n), matvec=a, dtype=float), b,
-                          M=LinearOperator((n, n), matvec=m, dtype=float),
-                          atol=0.0, callback=history.append,
-                          callback_type="pr_norm", **kw)
-    return x, info, history
+    iterates = []
+    x, info = scipy_minres(LinearOperator((n, n), matvec=a, dtype=float), b,
+                           M=LinearOperator((n, n), matvec=m, dtype=float),
+                           callback=lambda xk: iterates.append(xk.copy()),
+                           **kw)
+    return x, info, iterates
 
 
-@pytest.mark.parametrize("warm, restart", [(False, 300), (True, 300),
-                                           (False, 8)])
-def test_matches_scipy_on_projected_system(projected_system, rng, warm,
-                                           restart):
-    """Same A, M, b, x0, rtol and restart: at most one iteration more than
-    scipy (converging sooner is allowed), solutions within 1e-9 relative."""
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_matches_scipy_on_projected_system(projected_system, rng, warm):
+    """Same A, M, b and x0: after as many iterations as the in-house solve
+    takes to rtol = 1e-10, scipy's iterate is the same to 1e-9 relative, and
+    the returned residual is b - A x."""
     a, m, b, op = projected_system
     x0 = op.project(rng.standard_normal(b.size) * 1e-3 * np.abs(b).max()) \
         if warm else None
-    kw = dict(x0=x0, rtol=1e-10, restart=restart, maxiter=40)
-    ref_x, ref_info, ref_hist = _scipy(a, m, b, **kw)
-    sol = gmres(lambda v: m(a(v)), a, m, b, **kw)
-    assert ref_info == 0 and sol.info == 0
-    assert len(sol.history) <= len(ref_hist) + 1
-    assert len(sol.history) >= 10
+    sol = _solve(op, b, x0=x0, rtol=1e-10)
+    assert sol.info == 0 and len(sol.history) >= 10
+    assert np.linalg.norm(b - a(sol.x)) <= 1e-10 * np.linalg.norm(b)
+    ref_x, _, iterates = _scipy(a, m, b, x0=x0, rtol=1e-30,
+                                maxiter=len(sol.history))
+    assert len(iterates) == len(sol.history)
     assert np.linalg.norm(sol.x - ref_x) <= 1e-9 * np.linalg.norm(ref_x)
     np.testing.assert_allclose(sol.residual, b - a(sol.x), rtol=0,
                                atol=1e-14 * np.linalg.norm(b))
 
 
-def test_fused_operator_gives_the_same_solve(projected_system):
-    """The fused P T_m P L_W in place of m(a(.)) changes only roundoff."""
-    a, m, b, op = projected_system
-    plain = gmres(lambda v: m(a(v)), a, m, b, rtol=1e-10, restart=300)
-    fused = gmres(op.apply_fused, a, m, b, rtol=1e-10, restart=300)
-    assert abs(len(fused.history) - len(plain.history)) <= 1
-    assert np.linalg.norm(fused.x - plain.x) <= 1e-9 * np.linalg.norm(plain.x)
-
-
 def test_starved_call_reports_failure_like_scipy(projected_system):
-    a, m, b, _ = projected_system
-    kw = dict(rtol=1e-10, restart=3, maxiter=2)
-    _, ref_info, ref_hist = _scipy(a, m, b, **kw)
-    sol = gmres(lambda v: m(a(v)), a, m, b, **kw)
+    a, m, b, op = projected_system
+    _, ref_info, iterates = _scipy(a, m, b, rtol=1e-10, maxiter=6)
+    sol = _solve(op, b, rtol=1e-10, maxiter=6)
     assert ref_info > 0 and sol.info == ref_info
-    assert len(sol.history) == len(ref_hist) == 6
+    assert len(sol.history) == len(iterates) == 6
+    np.testing.assert_allclose(sol.residual, b - a(sol.x), rtol=0,
+                               atol=1e-14 * np.linalg.norm(b))
 
 
 def test_zero_right_hand_side(projected_system):
-    a, m, b, _ = projected_system
-    sol = gmres(lambda v: m(a(v)), a, m, np.zeros_like(b), rtol=1e-10)
+    _, _, b, op = projected_system
+    sol = _solve(op, np.zeros_like(b), rtol=1e-10)
     assert sol.info == 0 and not sol.x.any() and sol.history == []
 
 
 def test_exact_initial_guess_takes_no_arnoldi_step(projected_system, rng):
-    a, m, b, op = projected_system
-    x0 = op.project(rng.standard_normal(b.size))
+    """x0 solves the system: no Lanczos (symmetric Arnoldi) step, no
+    preconditioner call."""
+    a, _, _, op = projected_system
+    x0 = op.project(rng.standard_normal(op.zmat.shape[0]))
     calls = []
 
-    def counting_ma(v):
+    def counting_precond(r):
         calls.append(1)
-        return m(a(v))
+        return op.precond(r)
 
-    sol = gmres(counting_ma, a, m, a(x0), x0=x0, rtol=1e-10)
+    sol = minres(op.frac.shifted, op.local, counting_precond, a(x0), x0=x0,
+                 rtol=1e-10)
     assert sol.info == 0 and sol.history == [] and calls == []
     np.testing.assert_array_equal(sol.x, x0)
 
 
 def test_estimate_meeting_ptol_early_continues_the_basis(projected_system):
-    """Loose rtol, one allowed cycle: the preconditioned estimate meets ptol
-    steps before the true residual meets rtol. The solver checks the true
-    residual there and keeps extending the same basis, so the single cycle
-    still converges."""
-    a, m, b, _ = projected_system
-    rtol = 2e-3
-    sol = gmres(lambda v: m(a(v)), a, m, b, rtol=rtol, restart=300,
-                maxiter=1)
+    """Loose rtol: the residual estimate meets ptol before the true residual
+    meets rtol (the estimate runs ~0.6 times the true residual here). The
+    solver checks the true residual there, tightens ptol and carries the
+    same recurrence, so the same Krylov basis, on to convergence."""
+    a, _, b, op = projected_system
+    rtol = 5e-2
+    sol = _solve(op, b, rtol=rtol)
     assert sol.info == 0
     assert np.linalg.norm(b - a(sol.x)) <= rtol * np.linalg.norm(b)
-    ptol = rtol * np.linalg.norm(m(b)) / np.linalg.norm(b)
-    assert min(sol.history[:-1]) <= ptol
+    assert min(sol.history[:-1]) <= rtol
 
 
 def test_cold_solve_iteration_budget(projected_system):
-    """A cold solve at restart 300 takes at most 18 iterations. When the
-    in-cycle check of the true residual falls short (here at step 17),
-    ptol is tightened by the cycle-end rule presid * min(factor,
-    atol / ||r||), so the next check comes one step later; multiplying the
-    factor by the shortfall instead ran to step 20."""
-    a, m, b, _ = projected_system
-    sol = gmres(lambda v: m(a(v)), a, m, b, rtol=1e-10, restart=300)
+    """A cold solve to rtol = 1e-10 takes at most 18 iterations."""
+    a, _, b, op = projected_system
+    sol = _solve(op, b, rtol=1e-10)
     assert sol.info == 0
     assert np.linalg.norm(b - a(sol.x)) <= 1e-10 * np.linalg.norm(b)
     assert len(sol.history) <= 18
+
+
+@pytest.mark.parametrize("gs_args, xi", [
+    (dict(), 1.0),
+    (dict(dim=2, L=10.0, M=128), 0.3),
+], ids=["1d", "2d"])
+def test_operators_are_symmetric(gs_store, rng, gs_args, xi):
+    """MINRES needs symmetric A and M: <u, A v> = <A u, v> to 1e-12 for
+    P L_W P and P T_m P on span{Z}^perp, and for the Newton Jacobian
+    J = (-Delta)^s + m + d and T_m on the whole grid."""
+    gs = gs_store(0.5, 2.0, **gs_args)
+    op, _ = _two_well_operator(gs, xi)
+    n = op.zmat.shape[0]
+    d = op.shift.ravel() + 1e-2 * rng.standard_normal(n)
+    operators = {
+        "P L_W P": (lambda v: op.frac.shifted(v) + op.local(v), True),
+        "P T_m P": (lambda v: op.precond(v)[0], True),
+        "J": (lambda v: op.frac.shifted(v) + d * v, False),
+        "T_m": (op.frac.resolvent, False),
+    }
+    for name, (apply, projected) in operators.items():
+        u, v = rng.standard_normal(n), rng.standard_normal(n)
+        if projected:
+            u, v = op.project(u), op.project(v)
+        au, av = apply(u), apply(v)
+        gap = abs(u @ av - au @ v)
+        assert gap <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(av), name

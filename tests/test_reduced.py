@@ -184,6 +184,14 @@ def _converged(first_kind=None):
     return check
 
 
+def _gated(out, gs, elapsed):
+    """Every trial that brings the pair closer fails the eta gate; the J
+    refresh is skipped then, and the ascent stops where it stood."""
+    assert not out.converged and out.stop == "corrections_failed"
+    np.testing.assert_allclose(out.xi_star.ravel(), [0.1167015, -0.2451354],
+                               rtol=0, atol=1e-6)
+
+
 def _criterion_12(out, gs, elapsed):
     """Ends on its gradient test, which the multiplier gradient -alpha c / eps
     of the final correction meets; the model Hessian is indefinite at the
@@ -229,6 +237,7 @@ SEARCH_BUDGETS = [
                  id="cluster_criterion_12"),
     pytest.param(_cluster(0.3), 10, _edge_pin, id="cluster_sigma0.3"),
     pytest.param(_cluster(0.7), 12, _converged(), id="cluster_sigma0.7"),
+    pytest.param(_cluster(0.5), 24, _gated, id="cluster_sigma0.5"),
 ]
 
 
