@@ -14,12 +14,17 @@ so its image under A is T^(-1) M r, already in hand, plus local(.): an
 iteration costs one preconditioner call (one FFT pair) and no transform
 for A. T^(-1) itself is applied only for the true residual.
 
-The stop rule is that of scipy's GMRES: ||b - A x|| <= rtol ||b||, checked
-whenever the residual estimate meets ptol (at first rtol ||b||); a failed
-check sets ptol = presid * min(ptol_factor, atol / ||r||) with ptol_factor
+The stop rule is that of scipy's GMRES, ||b - A x|| <= atol, checked
+whenever the residual estimate meets ptol (at first atol); a failed check
+sets ptol = presid * min(ptol_factor, atol / ||r||) with ptol_factor
 quartered, and the recurrence goes on. The estimate is the M-norm of the
 residual that MINRES tracks, scaled by the ratio of the 2-norm to the
-M-norm of the initial residual.
+M-norm of the initial residual. By default atol = rtol ||b||. A caller
+that iterates on the solution, such as the fixed point of
+`correction.nonlinear_correction`, passes reduce > 0 for atol =
+max(rtol ||b||, reduce ||r0||), r0 = b - A x0 the residual of its warm
+start: the solve then removes a fixed share of the error it starts with,
+and rtol ||b|| stays the floor (a start already below it returns at once).
 
 Inner products run on `np.einsum`, not BLAS: OpenBLAS threads a dot product
 above ~10^4 elements, its threads spin between calls, and the last digits
@@ -53,12 +58,14 @@ NEWTON_MAX_STEPS = 30
 class KrylovResult(NamedTuple):
     """x; info (0 on convergence, maxiter otherwise, as in scipy); history,
     the residual estimate over ||b|| after each iteration (len(history) is
-    the number of Krylov iterations); residual, b - A x as last computed."""
+    the number of Krylov iterations); residual, b - A x as last computed;
+    atol, the bound on ||residual|| that the solve aimed at."""
 
     x: np.ndarray
     info: int
     history: list
     residual: np.ndarray
+    atol: float
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -72,17 +79,18 @@ def norm(a: np.ndarray) -> float:
 
 def minres(tinv: Apply, local: Apply, precond: Precond, b: np.ndarray,
            x0: np.ndarray | None = None, rtol: float = 1e-5,
-           maxiter: int = MAXITER) -> KrylovResult:
+           maxiter: int = MAXITER, reduce: float = 0.0) -> KrylovResult:
     """Solve A x = b, A = tinv + local symmetric, from x0 (default 0).
 
     precond(r) returns (M r, tinv(M r)) for a symmetric positive definite
-    M. All maps act on flat vectors; maxiter counts iterations.
+    M. All maps act on flat vectors; maxiter counts iterations. The solve
+    stops at ||b - A x|| <= max(rtol ||b||, reduce ||b - A x0||).
     """
     n = b.size
     history: list[float] = []
     bnrm2 = norm(b)
     if bnrm2 == 0.0:
-        return KrylovResult(np.zeros(n), 0, history, np.zeros(n))
+        return KrylovResult(np.zeros(n), 0, history, np.zeros(n), 0.0)
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float).ravel()
     atol = rtol * bnrm2
     eps = np.finfo(float).eps
@@ -93,7 +101,8 @@ def minres(tinv: Apply, local: Apply, precond: Precond, b: np.ndarray,
     r2 = residual(x) if x.any() else b.copy()
     rnorm = norm(r2)
     if rnorm < atol:
-        return KrylovResult(x, 0, history, r2)
+        return KrylovResult(x, 0, history, r2, atol)
+    atol = max(atol, reduce * rnorm)
     y, ty = precond(r2)
     beta = math.sqrt(dot(r2, y))
     scale = rnorm / beta  # M-norm estimates to the 2-norm
@@ -145,7 +154,7 @@ def minres(tinv: Apply, local: Apply, precond: Precond, b: np.ndarray,
     else:
         r = residual(x)
         rnorm = norm(r)
-    return KrylovResult(x, 0 if rnorm <= atol else maxiter, history, r)
+    return KrylovResult(x, 0 if rnorm <= atol else maxiter, history, r, atol)
 
 
 def relative_sup(F: np.ndarray, u: np.ndarray) -> float:

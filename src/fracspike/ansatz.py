@@ -184,8 +184,6 @@ def build_ansatz(V: Potential, cfg: SpikeConfig, gs: GroundState,
     w_stack = np.stack([w.values for w in spikes])
     W = Field(grid, np.sum(w_stack, axis=0))
     V_grid = V.on_grid(grid, cfg.epsilon)
-    if not float(np.min(V_grid)) > 0:
-        raise ConfigError("potential is not positive on the grid")
     E = Field(grid, kernels.ansatz_error(w_stack, lambdas, V_grid, params.p))
     rho = sp.rho_field(grid, cfg.centers, mu)
     E_norm_Y = float(np.max(np.abs(E.values) / rho))

@@ -5,7 +5,7 @@ same convention as Grid.coords), so a single call serves both isolated
 points, V(*q), and whole grids, V(*[eps * c for c in grid.coords()]). All
 builtin families are bounded with inf V > 0 on any box once their parameter
 constraints hold; positivity for sign-indefinite bump sums is checked on the
-target grid instead.
+target grid instead, by `Potential.on_grid`.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ import numpy as np
 from fracspike.errors import ConfigError
 from fracspike.grid import Grid
 
-__all__ = ["Potential", "builtin_potentials", "potential_from_config",
-           "validate_positive"]
+__all__ = ["Potential", "builtin_potentials", "potential_from_config"]
 
 
 @dataclass(frozen=True)
@@ -42,21 +41,18 @@ class Potential:
         return self._grad(*axes)
 
     def on_grid(self, grid: Grid, epsilon: float) -> np.ndarray:
-        """Samples of V(eps * x) over the grid."""
+        """Samples of V(eps * x) over the grid, raising ConfigError unless
+        all are positive: the one positivity check every solver relies on."""
         vals = self(*[epsilon * c for c in grid.coords()])
-        return np.broadcast_to(vals, grid.shape).astype(float, copy=True)
+        vals = np.broadcast_to(vals, grid.shape).astype(float, copy=True)
+        m = float(np.min(vals))
+        if not m > 0:
+            raise ConfigError(f"potential {self.kind!r} is not positive on "
+                              f"the grid: min = {m:.3e}")
+        return vals
 
     def __repr__(self):
         return f"Potential(kind={self.kind!r}, parameters={self.parameters})"
-
-
-def validate_positive(pot: Potential, grid: Grid, epsilon: float) -> float:
-    """Return inf V(eps x) over the grid, raising if it is not positive."""
-    m = float(np.min(pot.on_grid(grid, epsilon)))
-    if not m > 0:
-        raise ConfigError(
-            f"potential {pot.kind!r} is not positive on the grid: min = {m:.3e}")
-    return m
 
 
 def _constant(lam: float) -> Potential:

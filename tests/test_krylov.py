@@ -119,6 +119,53 @@ def test_estimate_meeting_ptol_early_continues_the_basis(projected_system):
     assert min(sol.history[:-1]) <= rtol
 
 
+def test_failed_check_tightens_ptol():
+    """Diagonal A = diag(lam) with M small on every third component: the
+    M-norm estimate runs far below the true residual, and sits at or below
+    rtol for many iterations before the true residual gets there. After a
+    failed true-residual check ptol falls by a further factor, so the
+    solver checks twice in all (measured 29 iterations below rtol, 2
+    checks), not at every one of those iterations."""
+    n = 30
+    lam = np.linspace(1.0, 50.0, n)
+    mu = np.ones(n)
+    mu[::3] = 1e-3
+    b = np.ones(n)
+    rtol = 1e-2
+    checks = []
+
+    def tinv(x):  # called only for the true residual
+        checks.append(1)
+        return lam * x
+
+    sol = minres(tinv, lambda x: np.zeros_like(x),
+                 lambda r: (mu * r, lam * mu * r), b, rtol=rtol)
+    assert sol.info == 0
+    assert np.linalg.norm(b - lam * sol.x) <= rtol * np.linalg.norm(b)
+    assert sum(h <= rtol for h in sol.history) >= 20
+    assert len(checks) <= 3
+
+
+def test_reduce_stops_at_a_fraction_of_the_initial_residual(projected_system):
+    """With reduce > 0 a warm solve stops once ||b - A x|| <= max(rtol ||b||,
+    reduce ||b - A x0||); with the term at 0, or below the rtol floor, the
+    output is bit-identical to the solve without it."""
+    a, _, b, op = projected_system
+    x0 = _solve(op, b, rtol=1e-4).x
+    r0 = np.linalg.norm(b - a(x0))
+    full = _solve(op, b, x0=x0, rtol=1e-10)
+    sol = _solve(op, b, x0=x0, rtol=1e-10, reduce=1e-3)
+    bound = max(1e-10 * np.linalg.norm(b), 1e-3 * r0)
+    assert sol.info == 0 and sol.atol == pytest.approx(bound, rel=1e-12)
+    assert np.linalg.norm(b - a(sol.x)) <= bound
+    assert 0 < len(sol.history) < len(full.history)
+    for reduce in (0.0, 1e-10 * np.linalg.norm(b) / r0 / 2):
+        same = _solve(op, b, x0=x0, rtol=1e-10, reduce=reduce)
+        np.testing.assert_array_equal(same.x, full.x)
+        np.testing.assert_array_equal(same.residual, full.residual)
+        assert same.history == full.history and same.atol == full.atol
+
+
 def test_cold_solve_iteration_budget(projected_system):
     """A cold solve to rtol = 1e-10 takes at most 18 iterations."""
     a, _, b, op = projected_system

@@ -5,8 +5,7 @@ import pytest
 
 from fracspike.errors import ConfigError
 from fracspike.grid import Grid
-from fracspike.potentials import (builtin_potentials, potential_from_config,
-                                  validate_positive)
+from fracspike.potentials import builtin_potentials, potential_from_config
 
 
 def fd_grad(pot, q, h=1e-6):
@@ -92,7 +91,7 @@ def test_gaussian_bumps_positivity():
         bumps=[{"b": -1.5, "center": [-5.0], "sigma": 0.5},
                {"b": -1.5, "center": [5.0], "sigma": 0.5}])
     grid = Grid(1, 10.0, 256)
-    assert validate_positive(pot, grid, 1.0) > 0
+    assert np.min(pot.on_grid(grid, 1.0)) > 0
     with pytest.raises(ConfigError):
         builtin_potentials("gaussian_bumps", a=-1.0, bumps=[])
     with pytest.raises(ConfigError):
@@ -102,13 +101,15 @@ def test_gaussian_bumps_positivity():
         builtin_potentials("gaussian_bumps", a=1.0, bumps=[{"b": 1.0}])
 
 
-def test_validate_positive_raises():
+def test_on_grid_rejects_nonpositive_potential():
+    """Sampling V on a grid is the one positivity check: the ansatz, the
+    projected operator and the Newton certificate all sample through it."""
     pot = builtin_potentials(
         "gaussian_bumps", a=1.0,
         bumps=[{"b": -2.0, "center": [0.0], "sigma": 1.0}])
     grid = Grid(1, 10.0, 64)
-    with pytest.raises(ConfigError):
-        validate_positive(pot, grid, 1.0)
+    with pytest.raises(ConfigError, match="not positive on the grid"):
+        pot.on_grid(grid, 1.0)
 
 
 def test_user_table_interpolation():
