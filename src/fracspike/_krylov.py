@@ -31,16 +31,21 @@ above ~10^4 elements, its threads spin between calls, and the last digits
 of a threaded sum depend on the thread count.
 
 `newton` is the one damped Newton-Krylov loop: the ground-state polish and
-the certificate of the full equation both call it.
+the certificate of the full equation both call it. `lanczos` finds the top
+of a symmetric spectrum for `ground_state.linearization_spectrum`; it keeps
+its whole basis and reorthogonalizes each new vector against it, so a run
+of a few dozen steps holds a few dozen vectors.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
+
+from fracspike.errors import SolverDivergence
 
 log = logging.getLogger(__name__)
 
@@ -155,6 +160,48 @@ def minres(tinv: Apply, local: Apply, precond: Precond, b: np.ndarray,
         r = residual(x)
         rnorm = norm(r)
     return KrylovResult(x, 0 if rnorm <= atol else maxiter, history, r, atol)
+
+
+def lanczos(apply: Apply, v0: np.ndarray, tols: Sequence[float],
+            maxiter: int) -> np.ndarray:
+    """The len(tols) largest eigenvalues of a symmetric map, descending.
+
+    Lanczos from v0 with full reorthogonalization (classical Gram-Schmidt,
+    twice, on einsum); the j-th largest Ritz value theta_j is accepted once
+    its residual ||A x_j - theta_j x_j|| = beta_k |s_kj| is at most
+    tols[j]. Eigenvalues whose eigenspace is orthogonal to v0 are never
+    seen, and an exactly degenerate eigenvalue shows once: deflating known
+    eigenvectors is the caller's, by projecting them out of v0 and of what
+    apply returns. Raises SolverDivergence if maxiter steps do not
+    converge.
+    """
+    k = len(tols)
+    basis = np.empty((maxiter, v0.size))
+    basis[0] = v0.ravel() / norm(v0)
+    alpha: list[float] = []
+    beta: list[float] = []
+    for j in range(maxiter):
+        V = basis[:j + 1]
+        w = apply(V[j])
+        h = np.zeros(j + 1)
+        for _ in range(2):
+            c = np.einsum("ij,j->i", V, w)
+            w -= np.einsum("ij,i->j", V, c)
+            h += c
+        alpha.append(h[j])
+        b = norm(w)
+        theta, S = np.linalg.eigh(
+            np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+        residuals = b * np.abs(S[-1, ::-1][:k])
+        if j + 1 >= k and np.all(residuals <= tols):
+            return theta[::-1][:k]
+        if b == 0.0 or j + 1 == maxiter:
+            break
+        beta.append(b)
+        np.multiply(w, 1.0 / b, out=basis[j + 1])
+    raise SolverDivergence(
+        f"lanczos: top {k} Ritz values not converged after {j + 1} steps "
+        f"(residuals {residuals.tolist()}, tolerances {list(tols)})")
 
 
 def relative_sup(F: np.ndarray, u: np.ndarray) -> float:

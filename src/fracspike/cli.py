@@ -113,6 +113,13 @@ def _cmd_ground_state(args) -> int:
               "(target %.4f)" % (res["energy"], res["residual_norm"],
                                  res["decay_fit"]["exponent"],
                                  res["decay_fit"]["target_exponent"]))
+        spec = res["spectrum"]
+        print("spectrum of L: lowest = %.6g  kernel_dim = %d  kernel_overlap "
+              "= %.6f  spectral_gap = %.6g" % (
+                  spec["lowest"], spec["kernel_dim"], spec["kernel_overlap"],
+                  spec["spectral_gap"]))
+        print("eigenvalues = " + " ".join("%.6g" % v
+                                          for v in spec["eigenvalues"]))
     return result.status
 
 

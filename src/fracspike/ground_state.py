@@ -20,10 +20,15 @@ kappa = 1 and the Morse index the number of kappa > 1; kappa_1 = p exactly,
 with eigenvector B^(1/2) w. By Ostrowski's quantitative form of the law
 (Proc. NAS 45, 1959), mu_j(L) = theta_j (1 - kappa_j) with
 theta_j >= lambda, which turns the top of K into certified bounds on the
-spectrum of L. The top N + 2 kappa converge in one Lanczos run: criterion 5's
-2d 512^2 spectrum takes ~200 FFTs and 1.6-1.9 s on 2 vCPUs (448 FFTs and
-11.8-13.0 s on L itself), with a gap bound of 0.160 lambda; the 1d cases
-give 0.245 lambda (s = 0.5, p = 2) and 0.412 lambda (s = 0.75, p = 3).
+spectrum of L. The expected kernel, B^(1/2) dw/dx_j, is deflated rather
+than searched for: its Ritz values come from an N x N compression, and an
+in-house Lanczos run (`_krylov.lanczos`) on the rest of K gives kappa_1
+and, by Cauchy interlacing, an upper bound on kappa_(N+2). An exactly
+degenerate kernel pair, such as the 2d (dw/dx, dw/dy), is thus counted
+whatever the Lanczos tolerance. On 2 vCPUs criterion 5's 2d 512^2
+spectrum takes 20 Lanczos steps, 96 FFTs and 0.6-0.7 s, with a gap bound
+of 0.160 lambda; the 1d cases take 4-6 ms warm and give 0.245 lambda
+(s = 0.5, p = 2) and 0.412 lambda (s = 0.75, p = 3).
 """
 
 from __future__ import annotations
@@ -34,14 +39,16 @@ import numpy as np
 
 from fracspike import kernels
 from fracspike import spectral as sp
-from fracspike._krylov import newton, relative_sup
+from fracspike._krylov import lanczos, newton, norm, relative_sup
 from fracspike.errors import ConfigError, SolverDivergence
 from fracspike.grid import Field, FracParams, Grid
 
 # fixed-point increment below which the Newton polish takes over
 NEWTON_HANDOFF = 1e-2
-# relative accuracy of the Ritz values of K
+# Ritz residual bound for kappa_1; the next eigenvalue takes 100 EIG_TOL
 EIG_TOL = 1e-10
+# Lanczos steps before the spectrum gives up (the 2d 512^2 profile takes 20)
+EIG_MAXITER = 100
 
 __all__ = [
     "GroundState",
@@ -70,12 +77,19 @@ class SpectrumSummary:
     eigenvalues holds lambda (1 - kappa_j), ascending. Each entry has the
     sign of mu_j and |mu_j| >= |entry|: lowest (j = 1, kappa_1 = p) is an
     upper bound on mu_1 < 0, and every entry with kappa_j < 1, the last one
-    included, is a lower bound on mu_j. kernel_dim counts entries with
-    |lambda (1 - kappa)| <= kernel_tol; kernel_overlap is the smallest
-    correlation of their vectors B^(-1/2) y with the span of the translation
-    modes dw/dx_j; spectral_gap, the smallest |entry| outside the kernel set,
-    is a lower bound on the true gap, lambda min(kappa_1 - 1, 1 - kappa_(N+2))
-    when kernel_dim = N.
+    included, is a lower bound on mu_j. The N kernel entries are the Ritz
+    values of K on Y, the orthonormalized B^(1/2) dw/dx_j, each within
+    ||R|| = ||K Y - Y (Y^T K Y)|| of an eigenvalue of K, so for them the
+    bounds hold up to lambda ||R||: 1.5e-11 in 1d and 7.6e-5 on the 2d
+    512^2 profile, but 0.03 on a 2d grid too coarse to resolve the kernel
+    (128^2, L = 10), where they are estimates only. kernel_dim counts
+    entries with |lambda (1 - kappa)| <= kernel_tol. kernel_overlap is the
+    Davis-Kahan bound sqrt(1 - (||R|| / delta)^2) on the cosine of the
+    largest angle between span Y and the invariant subspace of K that those
+    Ritz values approximate, delta their distance to kappa_1 and kappa_(N+2);
+    it is 0 when kernel_dim is 0 or ||R|| >= delta. spectral_gap, the
+    smallest |entry| outside the kernel set, is a lower bound on the true
+    gap, lambda min(kappa_1 - 1, 1 - kappa_(N+2)) when kernel_dim = N.
     """
 
     eigenvalues: np.ndarray
@@ -300,47 +314,55 @@ def linearization_spectrum(gs: GroundState,
                            kernel_tol: float = 1e-3) -> SpectrumSummary:
     """Inertia and bounds of L from the top of the compact operator K.
 
-    One ARPACK Lanczos run (largest-algebraic) on
-    K = B^(-1/2) p w^(p-1) B^(-1/2), B = (-Delta)^s + lambda, from a start
-    vector that mixes the profile with its translation modes so the Krylov
-    space is not confined to the even-symmetry sector. A degenerate kernel
-    pair enters the Krylov space only through rounding, which the tight
-    EIG_TOL leaves time for. Each apply of K is one FFT multiplier sandwich.
-    The kernel vectors B^(-1/2) y are compared with the translation modes
-    dw/dx_j. SolverDivergence if ARPACK fails.
+    K = B^(-1/2) p w^(p-1) B^(-1/2), B = (-Delta)^s + lambda, costs one FFT
+    multiplier sandwich per apply. The translation modes are deflated, not
+    searched for: Y, the orthonormalized B^(1/2) dw/dx_j, gives the kernel
+    Ritz values as the eigenvalues of H = Y^T K Y, with residual
+    R = K Y - Y H. Lanczos on the compression (I - Y Y^T) K (I - Y Y^T),
+    from a fixed-seed Gaussian vector that reaches every symmetry sector,
+    gives its top two eigenvalues nu_1 and nu_2; nu_1 = kappa_1 = p up to
+    the angle between span Y and the kernel, and by Cauchy interlacing
+    kappa_(N+2) <= nu_2. SolverDivergence if the Lanczos run does not
+    converge.
     """
-    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
-
     grid, params, lam = gs.grid, gs.params, gs.lam
-    n = gs.values.size
     half = (grid.symbol(2.0 * params.s) + lam) ** -0.5  # B^(-1/2)
     coeff = (params.p * kernels.positive_power(gs.values, params.p - 1.0)).ravel()
 
-    def mv(y):
+    def apply_k(y):
         return sp.apply_multiplier(coeff * sp.apply_multiplier(y, grid, half),
                                    grid, half)
 
-    dws = np.column_stack(
-        [sp.spectral_derivative(gs.field, ax).values.ravel()
-         for ax in range(grid.dim)])
-    v0 = (gs.values.ravel() / np.linalg.norm(gs.values)
-          + np.sum(dws / np.linalg.norm(dws, axis=0), axis=1))
-    try:
-        kappa, Y = eigsh(LinearOperator((n, n), matvec=mv, dtype=float),
-                         k=grid.dim + 2, which="LA", v0=v0, tol=EIG_TOL)
-    except ArpackError as exc:
-        raise SolverDivergence(f"linearization spectrum: {exc}") from exc
-    order = np.argsort(kappa)[::-1]
-    vals, Y = lam * (1.0 - kappa[order]), Y[:, order]
+    Y = np.zeros((grid.dim, gs.values.size))
 
-    Q, _ = np.linalg.qr(dws)  # orthonormal basis of the translation modes
+    def project(v):
+        return v - np.einsum("ij,i->j", Y, np.einsum("ij,j->i", Y, v))
+
+    for j in range(grid.dim):  # Gram-Schmidt on the rows filled so far
+        dw = sp.spectral_derivative(gs.field, j).values
+        y = project(sp.apply_multiplier(dw, grid, 1.0 / half).ravel())
+        Y[j] = y / norm(y)
+
+    KY = np.array([apply_k(y) for y in Y])
+    H = np.einsum("ik,jk->ij", Y, KY)
+    H = 0.5 * (H + H.T)
+    R = KY - np.einsum("ij,jk->ik", H, Y)
+    r_norm = float(np.sqrt(np.max(np.linalg.eigvalsh(
+        np.einsum("ik,jk->ij", R, R)))))
+    h = np.linalg.eigvalsh(H)
+
+    v0 = project(np.random.default_rng(0).standard_normal(gs.values.size))
+    nu = lanczos(lambda v: project(apply_k(v)), v0,
+                 (EIG_TOL, 100.0 * EIG_TOL), EIG_MAXITER)
+    kappa = np.sort(np.concatenate((nu, h)))[::-1]
+    vals = lam * (1.0 - kappa)
+
     kernel_mask = np.abs(vals) <= kernel_tol
-    overlaps = []
-    for i in np.nonzero(kernel_mask)[0]:
-        v = sp.apply_multiplier(Y[:, i], grid, half)
-        overlaps.append(float(np.linalg.norm(Q.T @ v) / np.linalg.norm(v)))
     kernel_dim = int(np.count_nonzero(kernel_mask))
-    kernel_overlap = min(overlaps) if overlaps else 0.0
+    separation = min(nu[0] - h[-1], h[0] - nu[1])
+    kernel_overlap = 0.0
+    if kernel_dim and r_norm < separation:
+        kernel_overlap = float(np.sqrt(1.0 - (r_norm / separation) ** 2))
     outside = np.abs(vals[~kernel_mask])
     spectral_gap = float(np.min(outside)) if outside.size else np.inf
 

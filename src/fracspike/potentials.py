@@ -10,6 +10,7 @@ target grid instead, by `Potential.on_grid`.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -171,17 +172,46 @@ def _double_well(a: float, b: float) -> Potential:
     return Potential("double_well", {"a": a, "b": b}, ev, gr)
 
 
+def _multilinear(nodes: list[np.ndarray], table: np.ndarray,
+                 xs: list[np.ndarray]) -> np.ndarray:
+    """Multilinear interpolant of table on the tensor grid of the (possibly
+    non-uniform) nodes, at flat points xs inside the grid's box.
+
+    Each coordinate falls in the cell [ax[i], ax[i+1]) with ax[i] <= x (the
+    last cell is closed), and the result sums the 2^N cell corners weighted
+    by products of the fractional offsets, as scipy's linear
+    RegularGridInterpolator does.
+    """
+    cells, offsets = [], []
+    for ax, x in zip(nodes, xs):
+        i = np.clip(np.searchsorted(ax, x, side="right") - 1, 0, ax.size - 2)
+        cells.append(i)
+        offsets.append((x - ax[i]) / (ax[i + 1] - ax[i]))
+    out = np.zeros(xs[0].shape)
+    for corner in itertools.product((0, 1), repeat=len(nodes)):
+        weight = np.ones(xs[0].shape)
+        for c, t in zip(corner, offsets):
+            weight *= t if c else 1.0 - t
+        out += weight * table[tuple(i + c for i, c in zip(cells, corner))]
+    return out
+
+
 def _user_table(axes: Sequence[np.ndarray], values: np.ndarray) -> Potential:
     """Tabulated potential; linear interpolation, gradient from the table.
 
     C^0 only: gradients come from central differences of the table and are
-    interpolated the same way. Evaluation clamps to the table edges outside
-    its box.
+    interpolated the same way. Each axis needs at least two strictly
+    increasing nodes, not necessarily evenly spaced. Evaluation clamps to
+    the table edges outside its box.
     """
-    from scipy.interpolate import RegularGridInterpolator
-
     nodes = [np.asarray(ax, dtype=float) for ax in axes]
     vals = np.asarray(values, dtype=float)
+    for k, ax in enumerate(nodes):
+        if ax.ndim != 1 or ax.size < 2 or not np.all(np.isfinite(ax)) \
+                or not np.all(np.diff(ax) > 0):
+            raise ConfigError(
+                f"table axis {k} must hold at least two finite, strictly "
+                f"increasing nodes")
     if vals.shape != tuple(len(ax) for ax in nodes):
         raise ConfigError(
             f"table shape {vals.shape} does not match axes "
@@ -191,30 +221,21 @@ def _user_table(axes: Sequence[np.ndarray], values: np.ndarray) -> Potential:
     if not np.min(vals) > 0:
         raise ConfigError(f"table minimum {np.min(vals):.3e} is not positive")
 
-    def _interp(table):
-        return RegularGridInterpolator(nodes, table, method="linear",
-                                       bounds_error=False, fill_value=None)
-
-    f = _interp(vals)
     grads = np.gradient(vals, *nodes) if len(nodes) > 1 else \
         [np.gradient(vals, nodes[0])]
-    gfs = [_interp(g) for g in grads]
 
     def _pts(axes_in):
         xs = np.broadcast_arrays(*[np.asarray(x, dtype=float) for x in axes_in])
-        shape = xs[0].shape
-        lo = [ax[0] for ax in nodes]
-        hi = [ax[-1] for ax in nodes]
-        cols = [np.clip(x, l, h).ravel() for x, l, h in zip(xs, lo, hi)]
-        return np.column_stack(cols), shape
+        cols = [np.clip(x, ax[0], ax[-1]).ravel() for x, ax in zip(xs, nodes)]
+        return cols, xs[0].shape
 
     def ev(*axes_in):
-        pts, shape = _pts(axes_in)
-        return f(pts).reshape(shape)
+        cols, shape = _pts(axes_in)
+        return _multilinear(nodes, vals, cols).reshape(shape)
 
     def gr(*axes_in):
-        pts, shape = _pts(axes_in)
-        return [g(pts).reshape(shape) for g in gfs]
+        cols, shape = _pts(axes_in)
+        return [_multilinear(nodes, g, cols).reshape(shape) for g in grads]
 
     return Potential("user_table",
                      {"axes": [ax.tolist() for ax in nodes]},

@@ -25,7 +25,8 @@ from fracspike.correction import (CorrectionOptions, full_newton_solve,
                                   nonlinear_correction)
 from fracspike.errors import ConfigError, SolverDivergence
 from fracspike.grid import Field, FracParams, Grid
-from fracspike.ground_state import GroundState, rescale
+from fracspike.ground_state import (GroundState, linearization_spectrum,
+                                    rescale)
 from fracspike.potentials import Potential, potential_from_config
 from fracspike.ratefit import fit_rate
 
@@ -313,6 +314,7 @@ def _ground_state_mode(sc: Scenario, run_dir, cache_dir, files):
         _write_csv(prof, ["r", "u"], zip(r.tolist(), v.tolist()))
     files.append(prof)
     d = gs.decay
+    spec = linearization_spectrum(gs)
     return {
         "source": gs.source,
         "energy": gs.energy,
@@ -324,6 +326,12 @@ def _ground_state_mode(sc: Scenario, run_dir, cache_dir, files):
             "target_exponent": -(sc.grid.dim + 2.0 * sc.params.s),
             "variation": d.variation, "window": list(d.window),
             "ok": d.ok, "contaminated": d.contaminated,
+        },
+        "spectrum": {
+            "lowest": spec.lowest, "eigenvalues": spec.eigenvalues.tolist(),
+            "kernel_dim": spec.kernel_dim,
+            "kernel_overlap": spec.kernel_overlap,
+            "spectral_gap": spec.spectral_gap,
         },
     }
 

@@ -1,14 +1,16 @@
-"""The in-house preconditioned MINRES against scipy's, and the symmetry of
-the operators it is given."""
+"""The in-house preconditioned MINRES against scipy's, the in-house Lanczos
+against a dense eigensolver, and the symmetry of the operators they are
+given."""
 
 import numpy as np
 import pytest
 from scipy.sparse.linalg import LinearOperator
 from scipy.sparse.linalg import minres as scipy_minres
 
-from fracspike._krylov import minres
+from fracspike._krylov import lanczos, minres
 from fracspike.ansatz import SpikeConfig, build_ansatz
 from fracspike.correction import _ProjectedOperator
+from fracspike.errors import SolverDivergence
 from fracspike.potentials import builtin_potentials
 
 
@@ -173,6 +175,20 @@ def test_cold_solve_iteration_budget(projected_system):
     assert sol.info == 0
     assert np.linalg.norm(b - a(sol.x)) <= 1e-10 * np.linalg.norm(b)
     assert len(sol.history) <= 18
+
+
+def test_lanczos_top_eigenvalues(rng):
+    """The top Ritz values of a symmetric matrix with a doubled top
+    eigenvalue match a dense solver; the doubled one shows once, and a
+    starved run raises."""
+    Q, _ = np.linalg.qr(rng.standard_normal((300, 300)))
+    mu = np.concatenate(([3.0, 3.0, 2.5, 2.0], rng.uniform(-1.0, 1.0, 296)))
+    A = (Q * mu) @ Q.T
+    top = lanczos(lambda v: A @ v, rng.standard_normal(300),
+                  (1e-10, 1e-10, 1e-8), maxiter=100)
+    np.testing.assert_allclose(top, [3.0, 2.5, 2.0], rtol=0, atol=1e-12)
+    with pytest.raises(SolverDivergence, match="after 4 steps"):
+        lanczos(lambda v: A @ v, rng.standard_normal(300), (1e-10,), 4)
 
 
 @pytest.mark.parametrize("gs_args, xi", [

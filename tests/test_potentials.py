@@ -126,6 +126,31 @@ def test_user_table_interpolation():
     assert float(pot(5.0)) == pytest.approx(float(pot(2.0)))
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_user_table_matches_scipy_interpolator(dim, rng):
+    """On non-uniform axes the in-house multilinear interpolant gives the
+    values and gradients of scipy's linear RegularGridInterpolator at the
+    clamped points, to 1e-14: inside cells, on nodes and outside the box."""
+    from scipy.interpolate import RegularGridInterpolator
+
+    nodes = [np.sort(np.concatenate(([-2.0, 2.0], rng.uniform(-2, 2, 9 + d))))
+             for d in range(dim)]
+    mesh = np.meshgrid(*nodes, indexing="ij")
+    vals = 2.0 + np.sin(sum(mesh)) * np.cos(mesh[0])
+    pot = potential_from_config(
+        {"kind": "user_table", "axes": [a.tolist() for a in nodes],
+         "values": vals.tolist()})
+    pts = [np.concatenate((rng.uniform(-3.0, 3.0, 200), ax, [-2.0, 2.0]))
+           for ax in nodes]
+    pts = [np.resize(x, max(p.size for p in pts)) for x in pts]
+    clamped = np.column_stack([np.clip(x, -2.0, 2.0) for x in pts])
+    grads = np.gradient(vals, *nodes) if dim > 1 else \
+        [np.gradient(vals, nodes[0])]
+    for table, got in zip([vals] + list(grads), [pot(*pts)] + pot.grad(*pts)):
+        ref = RegularGridInterpolator(nodes, table)(clamped)
+        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=1e-14)
+
+
 def test_user_table_validation():
     with pytest.raises(ConfigError):
         potential_from_config({"kind": "user_table",
@@ -136,6 +161,10 @@ def test_user_table_validation():
     with pytest.raises(ConfigError):
         potential_from_config({"kind": "user_table", "axes": [[0.0, 1.0]],
                                "values": [1.0, 2.0], "extra": 1})
+    for axis in ([1.0, 0.0], [0.0, 0.0], [0.0], [0.0, np.nan]):
+        with pytest.raises(ConfigError, match="strictly increasing"):
+            potential_from_config({"kind": "user_table", "axes": [axis],
+                                   "values": [1.0] * len(axis)})
 
 
 def test_config_errors():

@@ -218,6 +218,11 @@ def test_ground_state_run_artifacts(tmp_path):
     assert results["source"] == "solve"
     assert results["residual_norm"] < 1e-8
     assert results["decay_fit"]["target_exponent"] == -2.0
+    spec = results["spectrum"]
+    assert len(spec["eigenvalues"]) == 3
+    assert spec["lowest"] == spec["eigenvalues"][0] < 0
+    assert spec["kernel_dim"] == 1 and spec["kernel_overlap"] >= 0.99
+    assert spec["spectral_gap"] >= 0.1
     assert report["scenario"] == parse_scenario(doc).resolved
 
 
@@ -226,9 +231,11 @@ def test_ground_state_cache_hit_and_byte_determinism(tmp_path, cache_dir):
     path = write_doc(tmp_path, doc)
     run_scenario(path, out_dir=tmp_path / "seed", cache_dir=cache_dir)
     run_a = run_scenario(path, out_dir=tmp_path / "a", cache_dir=cache_dir)
-    run_b = run_scenario(path, out_dir=tmp_path / "b", cache_dir=cache_dir)
+    run_b = run_scenario(path, out_dir=tmp_path / "b", cache_dir=cache_dir,
+                         workers=2)
     rep = json.loads((run_a.out_dir / "report.json").read_text())
     assert rep["results"]["source"] == "cache"
+    assert rep["results"]["spectrum"]["kernel_dim"] == 1
     for name in ("report.json", "profile.csv"):
         assert (run_a.out_dir / name).read_bytes() == \
             (run_b.out_dir / name).read_bytes()
@@ -378,6 +385,7 @@ def test_cli_ground_state_command(tmp_path, cache_dir, capsys):
     assert rc == 0
     assert "energy =" in out
     assert "target -2.0000" in out
+    assert "kernel_dim = 1" in out
 
 
 def test_cli_sweep_overrides_epsilons(tmp_path, cache_dir, capsys):
@@ -434,18 +442,29 @@ def test_entry_points_import_no_scipy():
 
 
 def test_1d_profile_load_and_rescale_import_no_scipy(tmp_path):
-    """Solving, storing, loading (with its far-field fit) and rescaling a 1d
-    profile load no scipy module at all."""
+    """Solving, storing, loading (with its far-field fit), rescaling and
+    taking the linearization spectrum of a 1d profile, and running a
+    scenario on a tabulated potential, load no scipy module at all."""
+    table = make_doc("solve_k_spike", name="table", grid={
+        "dim": 1, "half_width": 20.0, "points": 256}, potential={
+        "kind": "user_table", "axes": [np.linspace(-3.0, 3.0, 61).tolist()],
+        "values": (2.0 - 1.0 / (1.0 + np.linspace(-3.0, 3.0, 61) ** 2)
+                   ).tolist()})
+    path = write_doc(tmp_path, table)
     code = f"""
 import sys
 from fracspike.cache import cached_ground_state
 from fracspike.grid import FracParams, Grid
-from fracspike.ground_state import rescale
+from fracspike.ground_state import linearization_spectrum, rescale
+from fracspike.scenarios import run_scenario
 args = (Grid(1, 20.0, 256), FracParams(0.5, 2.0))
 assert cached_ground_state(*args, directory={str(tmp_path)!r}).source == "solve"
 gs = cached_ground_state(*args, directory={str(tmp_path)!r})
 assert gs.source == "cache" and gs.decay.ok
 rescale(gs, 2.0)
+assert linearization_spectrum(gs).kernel_dim == 1
+assert run_scenario({str(path)!r}, out_dir={str(tmp_path / "out")!r},
+                    cache_dir={str(tmp_path)!r}).status == 0
 print(sorted(m for m in sys.modules if m.startswith("scipy")))
 """
     assert _fresh_interpreter(code).strip() == "[]"
