@@ -88,7 +88,8 @@ def minres(tinv: Apply, local: Apply, precond: Precond, b: np.ndarray,
     """Solve A x = b, A = tinv + local symmetric, from x0 (default 0).
 
     precond(r) returns (M r, tinv(M r)) for a symmetric positive definite
-    M. All maps act on flat vectors; maxiter counts iterations. The solve
+    M. All maps act on flat vectors, and tinv returns a fresh array, which
+    the true residual overwrites; maxiter counts iterations. The solve
     stops at ||b - A x|| <= max(rtol ||b||, reduce ||b - A x0||).
     """
     n = b.size
@@ -100,8 +101,11 @@ def minres(tinv: Apply, local: Apply, precond: Precond, b: np.ndarray,
     atol = rtol * bnrm2
     eps = np.finfo(float).eps
 
-    def residual(x):
-        return b - tinv(x) - local(x)
+    def residual(x):  # b - tinv(x) - local(x), over tinv's fresh array
+        r = tinv(x)
+        np.subtract(b, r, out=r)
+        r -= local(x)
+        return r
 
     r2 = residual(x) if x.any() else b.copy()
     rnorm = norm(r2)
@@ -211,7 +215,7 @@ def relative_sup(F: np.ndarray, u: np.ndarray) -> float:
 
 
 def newton(frac, residual: Apply, shift: Apply, u: np.ndarray,
-           tol: float) -> tuple[np.ndarray, float, int]:
+           tol: float) -> tuple[np.ndarray, float, int, float]:
     """Damped Newton on F(u) = 0, Jacobian J(u) = (-Delta)^s + m + shift(u).
 
     frac is the caller's `spectral.FracOperator` ((-Delta)^s, m and
@@ -229,10 +233,11 @@ def newton(frac, residual: Apply, shift: Apply, u: np.ndarray,
     until the residual decreases, and the loop stops when it reaches tol,
     after NEWTON_MAX_STEPS steps, or when the line search fails.
 
-    Returns (u, res, steps) with res the residual of the returned u.
+    Returns (u, res, steps, res0) with res the residual of the returned u
+    and res0 that of the seed.
     """
     F = residual(u)
-    res = relative_sup(F, u)
+    res = res0 = relative_sup(F, u)
     steps = 0
     while res > tol and steps < NEWTON_MAX_STEPS:
         d = shift(u).ravel()
@@ -261,4 +266,4 @@ def newton(frac, residual: Apply, shift: Apply, u: np.ndarray,
             log.warning("newton: line search failed at residual %.3e", res)
             break
         steps += 1
-    return u, res, steps
+    return u, res, steps, res0

@@ -146,6 +146,13 @@ def build_ansatz(V: Potential, cfg: SpikeConfig, gs: GroundState,
     because each profile solves its own constant-coefficient equation. The
     profile for each distinct lambda_j is rescaled once and band-limited
     translation moves it to its center.
+
+    That identity holds in the continuum. On the grid a rescaled profile
+    (lambda_j != 1) has a discrete residual of its own, which E leaves out:
+    on the 2d two-well problem (256^2, L = 20, lambda_j = 1.1) it peaks at
+    0.126, 2% of max W, 0.625 from the spike centre. The Newton certificate
+    therefore starts from a residual of 2e-2 there (1.4e-3 on the 1d
+    two-well), not from the 1e-11 of the lambda = 1 profile.
     """
     ok, diags = config_valid(cfg)
     if not ok:

@@ -115,9 +115,9 @@ def _cmd_ground_state(args) -> int:
                                  res["decay_fit"]["target_exponent"]))
         spec = res["spectrum"]
         print("spectrum of L: lowest = %.6g  kernel_dim = %d  kernel_overlap "
-              "= %.6f  spectral_gap = %.6g" % (
+              "= %.6f  kernel_residual = %.3e  spectral_gap = %.6g" % (
                   spec["lowest"], spec["kernel_dim"], spec["kernel_overlap"],
-                  spec["spectral_gap"]))
+                  spec["kernel_residual"], spec["spectral_gap"]))
         print("eigenvalues = " + " ".join("%.6g" % v
                                           for v in spec["eigenvalues"]))
     return result.status

@@ -19,17 +19,22 @@ form
     P L_W y = T_m^(-1) y + shift y - Q (L_W Q)^T y,
     shift = V(eps x) - m - p W^(p-1),
 
-(L_W being symmetric, real with an even symbol, the span{Z} part
-Q Q^T L_W y of L_W y equals Q (L_W Q)^T y, with L_W Q computed once per
-operator) and the preconditioner as the pair
+with Z = Q R the QR factorization of the stacked Z_ij (Q orthonormal,
+R a (k N)^2 triangle). L_W being symmetric, real with an even symbol, the
+span{Z} part Q Q^T L_W y of L_W y equals Q (L_W Q)^T y, with L_W Q
+computed once per operator. The preconditioner is the pair
 
-    P T_m P r = t - Q c,   T_m^(-1) P T_m P r = r - R c,
-    t = T_m r, c = Q^T t, R = T_m^(-1) Q = L_W Q - shift Q,
+    y = P T_m P r = t - Q c,   ty = T_m^(-1) y = r - (L_W Q) c + shift (Q c),
+    t = T_m r, c = Q^T t,
 
-so one iteration costs a single FFT pair. The Krylov space stays inside
-span{Z}^perp by construction, and the multipliers come from the Gram
-system afterwards. The span{Z} projections, inner products and norms on
-grid vectors run on `np.einsum`, off BLAS. The shared damped Newton loop
+since T_m^(-1) Q = L_W Q - shift Q, so one iteration costs a single FFT
+pair, and the operator holds Q^T and (L_W Q)^T and no other grid-sized
+block of span{Z}. The Krylov space stays inside span{Z}^perp by
+construction, and the multipliers come from the Gram system afterwards:
+G = h^N Z^T Z = h^N R^T R, so G c = h^N Z^T r reduces to R c = Q^T r, and
+cond(G) = cond(R)^2 is what GRAM_COND_LIMIT bounds. The span{Z}
+projections, inner products and norms on grid vectors run on `np.einsum`,
+off BLAS. The shared damped Newton loop
 `_krylov.newton` on the unprojected equation, preconditioned the same way
 by T_m, provides the validation path. Both apply (-Delta)^s and T_m
 through the shared `spectral.FracOperator`.
@@ -112,45 +117,50 @@ class CorrectionResult:
 
 @dataclass
 class NewtonResult:
+    """The Newton certificate. residual_norm and initial_residual are the
+    relative sup norm of F at the returned u and at the seed."""
+
     u: Field
     residual_norm: float
     iterations: int
     spike_centers_detected: np.ndarray
     converged: bool
     min_over_sup: float
+    initial_residual: float
 
 
 class _ProjectedOperator:
     """Shared machinery: L_W, T_m, the Z projection, and the Gram system.
 
-    Q, the orthonormal basis of span{Z}, is kept as the contiguous rows of
-    Q^T, with L_W Q and R = T_m^(-1) Q beside it for the split form.
+    Z = Q R is held as Q^T and (L_W Q)^T, each a (k dim, n) block of
+    contiguous rows, and the (k dim)^2 triangle R; the stack of Z lives
+    only for its QR.
     """
 
     def __init__(self, V: Potential, cfg: SpikeConfig, bundle: AnsatzBundle):
         grid = bundle.grid
         params = bundle.params
         self.grid = grid
-        self.V_grid = bundle.V_grid if bundle.V_grid is not None \
+        V_grid = bundle.V_grid if bundle.V_grid is not None \
             else V.on_grid(grid, cfg.epsilon)
-        self.m = float(np.median(self.V_grid))
+        self.m = kernels.median(V_grid)
         self.frac = sp.FracOperator(grid, params.s, self.m)
-        self.shift = self.V_grid - self.m - params.p * kernels.positive_power(
+        self.shift = V_grid - self.m - params.p * kernels.positive_power(
             bundle.W.values, params.p - 1.0)
 
-        # an (n, k dim) view of contiguous rows: einsum sweeps it fastest
-        self.zmat = np.stack([z.values.ravel() for z in bundle.z_flat()]).T
-        self.gram = grid.cell_volume * np.einsum("ik,il->kl", self.zmat,
-                                                 self.zmat)
-        self.gram_cond = float(np.linalg.cond(self.gram))
+        q, self.R = np.linalg.qr(
+            np.stack([z.values.ravel() for z in bundle.z_flat()]).T)
+        # G = h^N Z^T Z = h^N R^T R
+        self.gram_cond = float(np.linalg.cond(self.R)) ** 2
         if self.gram_cond > GRAM_COND_LIMIT:
             raise ConfigError(
                 f"Z Gram system nearly singular (cond {self.gram_cond:.2e}); "
                 f"spikes too close for a stable projection")
-        self.qt = np.ascontiguousarray(np.linalg.qr(self.zmat)[0].T)
-        self.lq = np.stack([self.apply_lw(q.reshape(grid.shape)).ravel()
-                            for q in self.qt])
-        self.rt = self.lq - self.shift.ravel() * self.qt
+        self.qt = np.ascontiguousarray(q.T)
+        del q  # before L_W Q is built
+        self.lq = np.empty_like(self.qt)
+        for qi, lqi in zip(self.qt, self.lq):
+            lqi[...] = self.apply_lw(qi.reshape(grid.shape)).ravel()
 
     def apply_lw(self, v: np.ndarray) -> np.ndarray:
         """L_W v for grid-shaped v."""
@@ -158,26 +168,34 @@ class _ProjectedOperator:
 
     def project(self, v: np.ndarray) -> np.ndarray:
         flat = v.ravel()
-        coef = np.einsum("ki,i->k", self.qt, flat)
-        return (flat - np.einsum("ki,k->i", self.qt, coef)).reshape(v.shape)
+        out = np.einsum("ki,k->i", self.qt, np.einsum("ki,i->k", self.qt, flat))
+        np.subtract(flat, out, out=out)
+        return out.reshape(v.shape)
 
     def local(self, y: np.ndarray) -> np.ndarray:
         """P L_W y - T_m^(-1) y = shift y - Q (L_W Q)^T y for flat y."""
-        coef = np.einsum("ki,i->k", self.lq, y)
-        return self.shift.ravel() * y - np.einsum("ki,k->i", self.qt, coef)
+        out = self.shift.ravel() * y
+        out -= np.einsum("ki,k->i", self.qt, np.einsum("ki,i->k", self.lq, y))
+        return out
 
     def precond(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(P T_m P r, r - R Q^T T_m r) for flat r in span{Z}^perp: the
-        preconditioned vector and its T_m^(-1) image, at one FFT pair."""
-        t = self.frac.resolvent(r)
-        coef = np.einsum("ki,i->k", self.qt, t)
-        return (t - np.einsum("ki,k->i", self.qt, coef),
-                r - np.einsum("ki,k->i", self.rt, coef))
+        """(y, ty) = (P T_m P r, T_m^(-1) y) for flat r in span{Z}^perp, at
+        one FFT pair: with t = T_m r and c = Q^T t, y = t - Q c and
+        ty = r - (L_W Q) c + shift (Q c), both written over t and Q c."""
+        y = self.frac.resolvent(r)
+        c = np.einsum("ki,i->k", self.qt, y)
+        ty = np.einsum("ki,k->i", self.qt, c)
+        y -= ty
+        ty *= self.shift.ravel()
+        ty += r
+        ty -= np.einsum("ki,k->i", self.lq, c)
+        return y, ty
 
     def gram_solve(self, rhs_flat: np.ndarray) -> np.ndarray:
-        """Solve G c = <Z, r> for the (k, dim) multiplier matrix."""
-        rhs = self.grid.cell_volume * np.einsum("ik,i->k", self.zmat, rhs_flat)
-        return np.linalg.solve(self.gram, rhs).reshape(-1, self.grid.dim)
+        """Solve G c = <Z, r>, i.e. R c = Q^T r, for the (k, dim) multiplier
+        matrix."""
+        rhs = np.einsum("ki,i->k", self.qt, rhs_flat)
+        return np.linalg.solve(self.R, rhs).reshape(-1, self.grid.dim)
 
 
 def projected_solve(g: Field, V: Potential, cfg: SpikeConfig,
@@ -234,7 +252,7 @@ def projected_solve(g: Field, V: Potential, cfg: SpikeConfig,
             - np.einsum("ki,i->k", op.qt, g_flat)
         resid = np.einsum("ki,k->i", op.qt, coef) - sol.residual
     c = op.gram_solve(resid)
-    model = np.einsum("ik,k->i", op.zmat, c.ravel())
+    model = np.einsum("ki,k->i", op.qt, op.R @ c.ravel())
     consistency = _krylov.norm(resid - model) / max(gnorm, 1e-300)
     return ProjectedSolution(Field(grid, phi_flat.reshape(shape)), c,
                              iterations, consistency)
@@ -330,7 +348,7 @@ def full_newton_solve(V: Potential, epsilon: float, u0: Field, params,
     """
     grid = u0.grid
     V_grid = V.on_grid(grid, epsilon)
-    frac = sp.FracOperator(grid, params.s, float(np.median(V_grid)))
+    frac = sp.FracOperator(grid, params.s, kernels.median(V_grid))
     p = params.p
     if not u0.values.any():
         raise ConfigError("Newton seed is identically zero")
@@ -341,12 +359,13 @@ def full_newton_solve(V: Potential, epsilon: float, u0: Field, params,
     def shift(u):
         return V_grid - frac.m - p * kernels.positive_power(u, p - 1.0)
 
-    u, res_norm, steps = _krylov.newton(frac, residual, shift,
-                                        u0.values.copy(), tol)
+    u, res_norm, steps, res0 = _krylov.newton(frac, residual, shift,
+                                              u0.values.copy(), tol)
     sup_u = float(np.max(u))
     centers = detect_spike_centers(Field(grid, u)) if sup_u > 0 else \
         np.zeros((0, grid.dim))
     min_over_sup = float(np.min(u)) / sup_u if sup_u > 0 else np.nan
     return NewtonResult(u=Field(grid, u), residual_norm=res_norm,
                         iterations=steps, spike_centers_detected=centers,
-                        converged=res_norm <= tol, min_over_sup=min_over_sup)
+                        converged=res_norm <= tol, min_over_sup=min_over_sup,
+                        initial_residual=res0)

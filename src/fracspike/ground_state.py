@@ -79,15 +79,16 @@ class SpectrumSummary:
     upper bound on mu_1 < 0, and every entry with kappa_j < 1, the last one
     included, is a lower bound on mu_j. The N kernel entries are the Ritz
     values of K on Y, the orthonormalized B^(1/2) dw/dx_j, each within
-    ||R|| = ||K Y - Y (Y^T K Y)|| of an eigenvalue of K, so for them the
-    bounds hold up to lambda ||R||: 1.5e-11 in 1d and 7.6e-5 on the 2d
-    512^2 profile, but 0.03 on a 2d grid too coarse to resolve the kernel
-    (128^2, L = 10), where they are estimates only. kernel_dim counts
-    entries with |lambda (1 - kappa)| <= kernel_tol. kernel_overlap is the
-    Davis-Kahan bound sqrt(1 - (||R|| / delta)^2) on the cosine of the
-    largest angle between span Y and the invariant subspace of K that those
-    Ritz values approximate, delta their distance to kappa_1 and kappa_(N+2);
-    it is 0 when kernel_dim is 0 or ||R|| >= delta. spectral_gap, the
+    kernel_residual = ||R|| = ||K Y - Y (Y^T K Y)|| of an eigenvalue of K,
+    so for them the bounds hold up to lambda ||R||: 1.5e-11 in 1d and
+    7.4e-5 on the 2d 512^2 profile, but 0.03 on a 2d grid too coarse to
+    resolve the kernel (128^2, L = 10), where they are estimates only.
+    kernel_dim counts entries with |lambda (1 - kappa)| <= kernel_tol.
+    kernel_overlap is the Davis-Kahan bound sqrt(1 - (||R|| / delta)^2) on
+    the cosine of the largest angle between span Y and the invariant
+    subspace of K that those Ritz values approximate, delta their distance
+    to kappa_1 and kappa_(N+2); it is 0 when kernel_dim is 0 or
+    ||R|| >= delta. spectral_gap, the
     smallest |entry| outside the kernel set, is a lower bound on the true
     gap, lambda min(kappa_1 - 1, 1 - kappa_(N+2)) when kernel_dim = N.
     """
@@ -98,6 +99,7 @@ class SpectrumSummary:
     kernel_overlap: float
     spectral_gap: float
     kernel_tol: float
+    kernel_residual: float
 
 
 @dataclass
@@ -203,7 +205,7 @@ def solve_ground_state(grid: Grid, params: FracParams, lam: float = 1.0,
             break
         if increment < NEWTON_HANDOFF:
             # damped Newton on F(u) = A u - u^p, J = A - p u^(p-1)
-            u, residual, newton_steps = newton(
+            u, residual, newton_steps, _ = newton(
                 op, lambda v: op.shifted(v) - _power(v, p),
                 lambda v: -p * _power(v, p - 1.0), u, tol)
             break
@@ -368,4 +370,5 @@ def linearization_spectrum(gs: GroundState,
 
     return SpectrumSummary(eigenvalues=vals, lowest=float(vals[0]),
                            kernel_dim=kernel_dim, kernel_overlap=kernel_overlap,
-                           spectral_gap=spectral_gap, kernel_tol=kernel_tol)
+                           spectral_gap=spectral_gap, kernel_tol=kernel_tol,
+                           kernel_residual=r_norm)

@@ -331,6 +331,7 @@ def _ground_state_mode(sc: Scenario, run_dir, cache_dir, files):
             "lowest": spec.lowest, "eigenvalues": spec.eigenvalues.tolist(),
             "kernel_dim": spec.kernel_dim,
             "kernel_overlap": spec.kernel_overlap,
+            "kernel_residual": spec.kernel_residual,
             "spectral_gap": spec.spectral_gap,
         },
     }
@@ -380,6 +381,7 @@ def _solve_k_spike_mode(sc: Scenario, run_dir, cache_dir, files):
         "newton": {
             "converged": newton.converged,
             "residual_norm": newton.residual_norm,
+            "initial_residual": newton.initial_residual,
             "iterations": newton.iterations,
             "min_over_sup": newton.min_over_sup,
             "spike_centers": _jsonable(newton.spike_centers_detected),

@@ -71,7 +71,9 @@ class FracOperator:
         return apply_multiplier(v, self.grid, self.symbol)
 
     def shifted(self, v: np.ndarray) -> np.ndarray:
-        return self.laplacian(v) + self.m * v
+        out = self.laplacian(v)
+        out += self.m * v
+        return out
 
     def resolvent(self, v: np.ndarray) -> np.ndarray:
         return apply_multiplier(v, self.grid, self.inv_symbol)
@@ -92,16 +94,20 @@ def resolvent(g: Field, params: FracParams, m: float) -> Field:
 
 
 def spectral_derivative(f: Field, axis: int = 0) -> Field:
-    """d/dx_axis via the i*xi multiplier."""
+    """d/dx_axis via the i*xi multiplier, zero at the Nyquist mode.
+
+    The mode pi M / (2L) is its own mirror image, so no odd symbol can act
+    on it: irfftn drops its imaginary part on the last (rfft) axis, and the
+    full-FFT axes must drop it too, or an x <-> y symmetric profile gets
+    derivatives that are not each other's transposes.
+    """
     grid = f.grid
     if not 0 <= axis < grid.dim:
         raise ValueError(f"axis {axis} out of range for dim {grid.dim}")
-    if grid.dim == 1:
-        xi = grid.rfreq
-    elif axis == 0:
-        xi = grid.freq[:, None]
-    else:
-        xi = grid.rfreq[None, :]
+    xi = (grid.freq if axis < grid.dim - 1 else grid.rfreq).copy()
+    xi[grid.points_per_axis // 2] = 0.0
+    if grid.dim == 2:
+        xi = xi[:, None] if axis == 0 else xi[None, :]
     return Field(grid, apply_multiplier(f.values, grid, 1j * xi))
 
 
@@ -295,7 +301,7 @@ def far_field_fit(r: np.ndarray, v: np.ndarray, L: float, dim: int, s: float,
         cfit, *_ = np.linalg.lstsq(regs, sigma, rcond=None)
         slope = float(cfit[0])
         y = vc * rs ** beta
-        variation = float((np.max(y) - np.min(y)) / np.median(y))
+        variation = float((np.max(y) - np.min(y)) / kernels.median(y))
         ok = variation <= 0.10
     else:
         slope, variation, ok = np.nan, np.inf, False

@@ -101,7 +101,8 @@ def test_projected_solve_solves_equation(well_setup, rng):
     sol = projected_solve(g, V, cfg, bundle)
     op = _ProjectedOperator(V, cfg, bundle)
     lhs = op.apply_lw(sol.phi.values)
-    rhs = g.values + (op.zmat @ sol.c.ravel()).reshape(gs.grid.shape)
+    rhs = g.values + sum(c * z.values
+                         for c, z in zip(sol.c.ravel(), bundle.z_flat()))
     assert np.max(np.abs(lhs - rhs)) <= 1e-8 * np.max(np.abs(g.values))
 
 
@@ -230,6 +231,22 @@ def test_split_form_matches_composition(gs_store, rng, gs_args, xi):
         assert close(tmr, op.frac.shifted(mr))
 
 
+@pytest.mark.parametrize("gs_args, xi", [
+    (dict(), 1.0),
+    (dict(dim=2, L=10.0, M=128), 0.3),
+], ids=["1d", "2d"])
+def test_projected_operator_holds_two_blocks(gs_store, gs_args, xi):
+    """span{Z} is held once: the grid-sized arrays of the operator are Q^T
+    and (L_W Q)^T, (k N, M^N) each, and shift."""
+    gs = gs_store(0.5, 2.0, **gs_args)
+    V, cfg, bundle = _two_spike_setup(gs, xi)
+    op = _ProjectedOperator(V, cfg, bundle)
+    n, kn = gs.grid.points_per_axis ** gs.grid.dim, cfg.k * gs.grid.dim
+    held = sum(a.size for a in vars(op).values()
+               if isinstance(a, np.ndarray) and a.size >= n)
+    assert held <= 2 * kn * n + op.shift.size
+
+
 def _count_rfftn(monkeypatch):
     calls = []
     inner = np.fft.rfftn
@@ -307,6 +324,34 @@ def test_two_spike_krylov_budget_and_certificate(gs_store, monkeypatch):
          - kernels.positive_power(u, gs.params.p))
     assert out.residual_norm == np.max(np.abs(F)) / np.max(np.abs(u))
     assert out.residual_norm <= 1e-10
+
+
+@pytest.mark.parametrize("lam", [None, 1.0], ids=["two-well", "lam1"])
+def test_newton_reports_its_seed_residual(gs_store, lam):
+    """initial_residual is max|F| / max|u| at the seed, recomputed here, and
+    no smaller than the final residual. Seeded with the corrected two-well
+    ansatz it is 1.4e-3: E leaves out the discrete residual of the profiles
+    rescaled to lambda_j = V(eps q_j). With V = 1 the seed is the lambda = 1
+    profile itself, and the residual that of its solve."""
+    gs = gs_store(0.5, 2.0)
+    if lam is None:
+        V, cfg, bundle = _two_spike_setup(gs)
+        res = nonlinear_correction(V, cfg, bundle, CorrectionOptions(eta=0.5))
+        u0 = Field(gs.grid, bundle.W.values + res.phi.values)
+        low, high = 1e-3, 2e-3
+    else:
+        V = builtin_potentials("constant", lam=lam)
+        cfg = SpikeConfig(gs.grid, [[0.0]], epsilon=0.1)
+        u0 = Field(gs.grid, gs.values.copy())
+        low, high = 0.0, 1e-10
+    out = full_newton_solve(V, cfg.epsilon, u0, gs.params)
+    u = u0.values
+    F = (sp.fractional_laplacian(u0, gs.params).values
+         + V.on_grid(gs.grid, cfg.epsilon) * u
+         - kernels.positive_power(u, gs.params.p))
+    assert out.initial_residual == np.max(np.abs(F)) / np.max(np.abs(u))
+    assert out.converged and out.residual_norm <= out.initial_residual
+    assert low < out.initial_residual < high
 
 
 def test_forced_fixed_point_lands_on_the_exact_one(gs_store):

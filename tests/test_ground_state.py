@@ -224,6 +224,24 @@ def test_spectrum_kernel_survives_a_loose_lanczos_tolerance(gs_store,
     assert loose.spectral_gap == pytest.approx(tight.spectral_gap, abs=1e-6)
 
 
+@pytest.mark.parametrize("gs_args, low, high", [
+    (dict(), 1e-12, 1e-10),                       # 1.5e-11
+    (dict(dim=2, L=20.0, M=512), 2e-5, 2e-4),     # 7.4e-5
+    (dict(dim=2, L=10.0, M=128), 1e-2, 5e-2),     # 0.028
+], ids=["1d", "2d-512", "2d-128"])
+def test_spectrum_reports_the_kernel_residual(gs_store, gs_args, low, high):
+    """kernel_residual is ||K Y - Y H|| of the deflated translation modes,
+    at the magnitudes SpectrumSummary quotes, and the 2d kernel pair, the
+    x and y translations of a symmetric profile, has one Ritz value (with
+    the Nyquist mode of dw/dx kept they split, 3.09e-8 against 3.12e-8)."""
+    gs = gs_store(0.5, 2.0, **gs_args)
+    spec = linearization_spectrum(gs)
+    assert low < spec.kernel_residual < high
+    if gs.grid.dim == 2:
+        kernel = spec.eigenvalues[1:3]
+        assert abs(kernel[0] - kernel[1]) <= 1e-12
+
+
 @pytest.mark.parametrize("dim,L,M", [(1, 40.0, 1024), (2, 10.0, 128)])
 def test_polished_residual_is_that_of_the_values(dim, L, M):
     """After a Newton polish, residual_norm is max|A u - u^p| / max|u| of u."""

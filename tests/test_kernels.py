@@ -1,5 +1,6 @@
 """Pointwise kernels: clamping, remainder order, periodic maxima, binning,
-and the spike weight against its periodic-distance definition."""
+the spike weight against its periodic-distance definition, and the median
+against numpy's."""
 
 import numpy as np
 import pytest
@@ -84,3 +85,15 @@ def test_rho_field_2d_periodic_distance():
                 expected[i, j] += (1.0 + r) ** (-mu)
     np.testing.assert_allclose(kernels.rho_field_2d(x, centers, mu, L),
                                expected, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 1025, 4096])
+def test_median_is_numpy_median_bit_for_bit(rng, n):
+    """Odd and even sizes, ties, signed zeros and a grid-shaped array: the
+    same float64 bits as np.median."""
+    cases = [rng.standard_normal(n), np.round(3.0 * rng.standard_normal(n)),
+             np.where(rng.random(n) < 0.5, -0.0, 0.0),
+             rng.standard_normal((n, 2)) * 1e-310]
+    for a in cases:
+        assert np.float64(kernels.median(a)).tobytes() == \
+            np.float64(np.median(a)).tobytes()

@@ -95,7 +95,7 @@ def test_exact_initial_guess_takes_no_arnoldi_step(projected_system, rng):
     """x0 solves the system: no Lanczos (symmetric Arnoldi) step, no
     preconditioner call."""
     a, _, _, op = projected_system
-    x0 = op.project(rng.standard_normal(op.zmat.shape[0]))
+    x0 = op.project(rng.standard_normal(op.shift.size))
     calls = []
 
     def counting_precond(r):
@@ -201,7 +201,7 @@ def test_operators_are_symmetric(gs_store, rng, gs_args, xi):
     J = (-Delta)^s + m + d and T_m on the whole grid."""
     gs = gs_store(0.5, 2.0, **gs_args)
     op, _ = _two_well_operator(gs, xi)
-    n = op.zmat.shape[0]
+    n = op.shift.size
     d = op.shift.ravel() + 1e-2 * rng.standard_normal(n)
     operators = {
         "P L_W P": (lambda v: op.frac.shifted(v) + op.local(v), True),

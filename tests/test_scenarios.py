@@ -388,6 +388,27 @@ def test_cli_ground_state_command(tmp_path, cache_dir, capsys):
     assert "kernel_dim = 1" in out
 
 
+def test_reports_carry_newton_seed_and_kernel_residuals(tmp_path, cache_dir,
+                                                        capsys):
+    """The solve_k_spike report gives the Newton certificate's starting
+    residual beside its final one, and the ground-state report and command
+    give ||K Y - Y H|| of the deflated kernel."""
+    res = run_scenario(write_doc(tmp_path, make_doc("solve_k_spike")),
+                       out_dir=tmp_path / "k", cache_dir=cache_dir)
+    newton = json.loads((res.out_dir / "report.json").read_text()
+                        )["results"]["newton"]
+    assert newton["residual_norm"] <= newton["initial_residual"] < 1e-2
+    rc = cli.main(["ground-state", "--s", "0.5", "--p", "2", "--L", "20",
+                   "--M", "256", "--out", str(tmp_path / "gs"),
+                   "--cache", str(cache_dir)])
+    out = capsys.readouterr().out
+    report = json.loads(
+        next((tmp_path / "gs").glob("*/report.json")).read_text())
+    kernel_residual = report["results"]["spectrum"]["kernel_residual"]
+    assert rc == 0 and 0 < kernel_residual < 1e-6
+    assert "kernel_residual = %.3e" % kernel_residual in out
+
+
 def test_cli_sweep_overrides_epsilons(tmp_path, cache_dir, capsys):
     doc = make_doc("epsilon_sweep", name="sweepcli",
                    epsilons=[0.4, 0.3, 0.25])
@@ -439,6 +460,37 @@ def test_entry_points_import_no_scipy():
     code = ("import sys, fracspike.scenarios, fracspike.cli; "
             f"print([m for m in {heavy!r} if m in sys.modules])")
     assert _fresh_interpreter(code).strip() == "[]"
+
+
+def test_profile_load_and_corrections_import_no_numpy_ma(tmp_path):
+    """Loading a cached profile and correcting and certifying two-spike
+    ansatzes in 1d and 2d never imports numpy.ma, which np.median's NaN
+    check pulls in (1.25 MB resident)."""
+    code = f"""
+import sys
+import numpy as np
+from fracspike import cache
+from fracspike.ansatz import SpikeConfig, build_ansatz
+from fracspike.correction import (CorrectionOptions, full_newton_solve,
+                                  nonlinear_correction)
+from fracspike.grid import Field, FracParams, Grid
+from fracspike.potentials import builtin_potentials
+for grid, xi in ((Grid(1, 40.0, 1024), 1.0), (Grid(2, 10.0, 128), 0.3)):
+    cache.cached_ground_state(grid, FracParams(0.5, 2.0),
+                              directory={str(tmp_path)!r})
+    gs = cache.load({str(tmp_path)!r}, grid, FracParams(0.5, 2.0))
+    wells = np.array([[x] + [0.0] * (grid.dim - 1) for x in (-1.0, 1.0)])
+    V = builtin_potentials("gaussian_bumps", a=2.0, bumps=[
+        {{"b": -0.9, "center": c, "sigma": 0.5}} for c in wells.tolist()])
+    cfg = SpikeConfig(grid, xi * wells / 0.1, epsilon=0.1)
+    bundle = build_ansatz(V, cfg, gs)
+    corr = nonlinear_correction(V, cfg, bundle, CorrectionOptions(eta=0.5))
+    assert corr.converged
+    full_newton_solve(V, 0.1, Field(grid, bundle.W.values + corr.phi.values),
+                      gs.params)
+print("numpy.ma" in sys.modules)
+"""
+    assert _fresh_interpreter(code).strip() == "False"
 
 
 def test_1d_profile_load_and_rescale_import_no_scipy(tmp_path):

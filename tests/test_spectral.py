@@ -78,6 +78,21 @@ def test_spectral_derivative_trig():
         sp.spectral_derivative(f, axis=1)
 
 
+def test_spectral_derivative_commutes_with_the_transpose(gs_store, rng):
+    """On the x <-> y symmetric 2d profile dw/dx is the transpose of dw/dy
+    to rounding (with the -M/2 mode kept on axis 0 they differed by 8.8e-3
+    of the peak); in 1d the Nyquist mode already dropped out, bit for bit."""
+    gs = gs_store(0.5, 2.0, dim=2, L=10.0, M=128)
+    dx = sp.spectral_derivative(gs.field, axis=0).values
+    dy = sp.spectral_derivative(gs.field, axis=1).values
+    assert np.max(np.abs(dx - dy.T)) <= 1e-14 * np.max(gs.values)
+    grid = Grid(1, 20.0, 256)
+    f = Field(grid, rng.standard_normal(grid.shape))
+    np.testing.assert_array_equal(
+        sp.spectral_derivative(f).values,
+        sp.apply_multiplier(f.values, grid, 1j * grid.rfreq))
+
+
 def test_translate_exact_on_band(rng):
     grid = Grid(1, 10.0, 256)
     f = band_limited(grid, rng)
