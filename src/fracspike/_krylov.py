@@ -8,11 +8,15 @@ short-recurrence MINRES of Paige & Saunders (SIAM J. Numer. Anal. 12, 1975)
 as scipy's `minres` (1.17) writes it, so a solve holds a fixed handful of
 vectors however many iterations it takes.
 
-A comes in split form, A = T^(-1) + local, and the preconditioner returns
-the pair (M r, T^(-1) M r). Each Lanczos vector is a multiple of some M r,
-so its image under A is T^(-1) M r, already in hand, plus local(.): an
-iteration costs one preconditioner call (one FFT pair) and no transform
-for A. T^(-1) itself is applied only for the true residual.
+The preconditioner is fused with the operator: precond(r) returns the
+pair (z, A z), z = M r. Each Lanczos vector is a multiple of some M r, so
+its image under A is already in hand, and an iteration costs one
+preconditioner call (one FFT pair, plus whatever A adds to M r without a
+transform) and nothing else; A itself is applied only for the true
+residual. z need only agree with M r up to the null space of A: the
+projected solve passes z = T_m r for M = P T_m P, since A = P L_W P
+annihilates span{Z}, and the iterates then differ from those of the
+projected preconditioner by span{Z} parts that A never sees.
 
 The stop rule is that of scipy's GMRES, ||b - A x|| <= atol, checked
 whenever the residual estimate meets ptol (at first atol); a failed check
@@ -82,15 +86,20 @@ def norm(a: np.ndarray) -> float:
     return math.sqrt(dot(a, a))
 
 
-def minres(tinv: Apply, local: Apply, precond: Precond, b: np.ndarray,
+def minres(apply: Apply, precond: Precond, b: np.ndarray,
            x0: np.ndarray | None = None, rtol: float = 1e-5,
-           maxiter: int = MAXITER, reduce: float = 0.0) -> KrylovResult:
-    """Solve A x = b, A = tinv + local symmetric, from x0 (default 0).
+           maxiter: int = MAXITER, reduce: float = 0.0,
+           r0: np.ndarray | None = None) -> KrylovResult:
+    """Solve A x = b, A = apply symmetric, from x0 (default 0).
 
-    precond(r) returns (M r, tinv(M r)) for a symmetric positive definite
-    M. All maps act on flat vectors, and tinv returns a fresh array, which
-    the true residual overwrites; maxiter counts iterations. The solve
-    stops at ||b - A x|| <= max(rtol ||b||, reduce ||b - A x0||).
+    precond(r) returns (z, A z) with z = M r for a symmetric positive
+    definite M, up to the null space of A. All maps act on flat vectors;
+    apply returns a fresh array, which the true residual overwrites, and
+    each pair from precond is fresh too, since its A z becomes a residual
+    of the recurrence. maxiter counts iterations. r0, when the caller
+    already knows b - A x0, saves the transform pair of computing it: the
+    solve takes the array over as its first residual. The solve stops at
+    ||b - A x|| <= max(rtol ||b||, reduce ||b - A x0||).
     """
     n = b.size
     history: list[float] = []
@@ -101,38 +110,39 @@ def minres(tinv: Apply, local: Apply, precond: Precond, b: np.ndarray,
     atol = rtol * bnrm2
     eps = np.finfo(float).eps
 
-    def residual(x):  # b - tinv(x) - local(x), over tinv's fresh array
-        r = tinv(x)
+    def residual(x):  # b - A x, over apply's fresh array
+        r = apply(x)
         np.subtract(b, r, out=r)
-        r -= local(x)
         return r
 
-    r2 = residual(x) if x.any() else b.copy()
+    if r0 is not None:
+        r2 = r0.ravel()
+    else:
+        r2 = residual(x) if x.any() else b.copy()
     rnorm = norm(r2)
     if rnorm < atol:
         return KrylovResult(x, 0, history, r2, atol)
     atol = max(atol, reduce * rnorm)
-    y, ty = precond(r2)
+    y, ay = precond(r2)
     beta = math.sqrt(dot(r2, y))
     scale = rnorm / beta  # M-norm estimates to the 2-norm
     ptol_factor, ptol = 1.0, atol
     oldb = dbar = epsln = 0.0
     phibar, cs, sn = beta, -1.0, 0.0
-    # r1 and v double as scratch once their values are spent; ty may be r2
+    # r1 and v double as scratch once their values are spent
     r1, v, w, w2 = np.empty(n), np.empty(n), np.zeros(n), np.zeros(n)
     for itn in range(1, maxiter + 1):
         np.multiply(y, 1.0 / beta, out=v)
-        av = local(v)
+        av = ay  # A v, formed over the preconditioner's fresh A y
+        av *= 1.0 / beta
         if itn > 1:
             r1 *= beta / oldb
             av -= r1
-        np.multiply(ty, 1.0 / beta, out=r1)
-        av += r1
         alfa = dot(v, av)
         np.multiply(r2, alfa / beta, out=r1)
         av -= r1
         r1, r2 = r2, av
-        y, ty = precond(r2)
+        y, ay = precond(r2)
         oldb, beta = beta, math.sqrt(max(dot(r2, y), 0.0))
         # previous rotation, then the one that annihilates beta
         oldeps = epsln
@@ -214,6 +224,14 @@ def relative_sup(F: np.ndarray, u: np.ndarray) -> float:
     return float(np.max(np.abs(F))) / max(float(np.max(np.abs(u))), 1e-300)
 
 
+def _newton_pair(frac, d: np.ndarray, r: np.ndarray):
+    """(t, J t) with t = T_m r: J t = T_m^(-1) t + d t = r + d t."""
+    t = frac.resolvent(r)
+    jt = d * t
+    jt += r
+    return t, jt
+
+
 def newton(frac, residual: Apply, shift: Apply, u: np.ndarray,
            tol: float) -> tuple[np.ndarray, float, int, float]:
     """Damped Newton on F(u) = 0, Jacobian J(u) = (-Delta)^s + m + shift(u).
@@ -222,9 +240,10 @@ def newton(frac, residual: Apply, shift: Apply, u: np.ndarray,
     T_m = ((-Delta)^s + m)^(-1)); residual maps u to F(u) and shift maps u
     to the multiplication part of J(u) - (-Delta)^s - m, both on grid-shaped
     arrays. MINRES solves J = T_m^(-1) + (shift .) preconditioned by T_m,
-    whose pair (T_m r, r) costs one FFT pair per iteration, and solves each
-    step only as accurately as the next residual needs (a forcing term in
-    the sense of Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996): with
+    whose pair (t, J t) = (T_m r, r + shift t) costs one FFT pair per
+    iteration, and solves each step only as accurately as the next
+    residual needs (a forcing term in the sense of Eisenstat & Walker,
+    SIAM J. Sci. Comput. 17, 1996): with
     res = relative_sup(F(u), u), rtol = max(KRYLOV_RTOL, min(0.1, res),
     0.1 tol / res), so early steps are cheap, the rate stays quadratic and
     the last step aims one decade below tol. A step whose solve stops short
@@ -242,8 +261,8 @@ def newton(frac, residual: Apply, shift: Apply, u: np.ndarray,
     while res > tol and steps < NEWTON_MAX_STEPS:
         d = shift(u).ravel()
         rtol = max(KRYLOV_RTOL, min(0.1, res), 0.1 * tol / res)
-        sol = minres(frac.shifted, lambda v: d * v,
-                     lambda r: (frac.resolvent(r), r), F.ravel(), rtol=rtol)
+        sol = minres(lambda v: frac.shifted(v) + d * v,
+                     lambda r: _newton_pair(frac, d, r), F.ravel(), rtol=rtol)
         if sol.info != 0:
             true_rel = norm(sol.residual) / max(norm(F), 1e-300)
             if true_rel > max(1e-6, rtol):

@@ -26,6 +26,11 @@ __all__ = ["SpikeConfig", "AnsatzBundle", "build_ansatz", "config_valid",
            "default_mu"]
 
 
+# relative gap below which two lambda_j share one rescaled profile: the
+# lambdas of mirror-image spikes can differ by a few ulp of rounding
+LAMBDA_RTOL = 1e-12
+
+
 def default_mu(dim: int, s: float) -> float:
     """Midpoint of the admissible weight window (N/2, (N+2s)/2)."""
     return 0.5 * (dim / 2.0 + (dim + 2.0 * s) / 2.0)
@@ -145,7 +150,10 @@ def build_ansatz(V: Potential, cfg: SpikeConfig, gs: GroundState,
 
     because each profile solves its own constant-coefficient equation. The
     profile for each distinct lambda_j is rescaled once and band-limited
-    translation moves it to its center.
+    translation moves it to its center. lambda_j within LAMBDA_RTOL of an
+    earlier one counts as that one, so a mirror pair of wells whose
+    lambdas differ by rounding shares one profile; the bundle's lambdas,
+    and E with them, hold the values the profiles were rescaled to.
 
     That identity holds in the continuum. On the grid a rescaled profile
     (lambda_j != 1) has a discrete residual of its own, which E leaves out:
@@ -173,9 +181,13 @@ def build_ansatz(V: Potential, cfg: SpikeConfig, gs: GroundState,
             f"potential values")
 
     profiles: dict[float, np.ndarray] = {}
-    for lam in lambdas:
-        if lam not in profiles:
-            profiles[lam] = rescale(gs, lam).values
+    for j, lam in enumerate(lambdas):
+        shared = next((mu for mu in profiles
+                       if abs(lam - mu) <= LAMBDA_RTOL * mu), None)
+        if shared is None:
+            profiles[float(lam)] = rescale(gs, lam).values
+        else:
+            lambdas[j] = shared
 
     spikes = []
     Z = []

@@ -87,12 +87,17 @@ FIXED_POINT_REDUCE = 1e-3
 
 @dataclass
 class ProjectedSolution:
-    """(phi, c) with solve diagnostics; unpacks as a (phi, c) pair."""
+    """(phi, c) with solve diagnostics; unpacks as a (phi, c) pair.
+
+    image is P L_W phi, flat, as the solve ended with it (P g minus the
+    final residual), or None when phi = 0 took no solve; the next step of
+    the fixed point starts its MINRES from it."""
 
     phi: Field
     c: np.ndarray
     iterations: int
     consistency: float
+    image: np.ndarray | None = field(default=None, repr=False)
 
     def __iter__(self):
         return iter((self.phi, self.c))
@@ -132,9 +137,11 @@ class NewtonResult:
 class _ProjectedOperator:
     """Shared machinery: L_W, T_m, the Z projection, and the Gram system.
 
-    Z = Q R is held as Q^T and (L_W Q)^T, each a (k dim, n) block of
-    contiguous rows, and the (k dim)^2 triangle R; the stack of Z lives
-    only for its QR.
+    Z = Q R is held as one (2 k dim, n) block of contiguous rows, Q^T over
+    (L_W Q)^T (`qt` and `lq` are views of its halves), the (k dim)^2
+    matrix (L_W Q)^T Q and the triangle R; the stack of Z lives only for
+    its QR. One contraction with the block gives Q^T v and (L_W Q)^T v
+    together, and one expansion gives (L_W Q) a + Q b.
     """
 
     def __init__(self, V: Potential, cfg: SpikeConfig, bundle: AnsatzBundle):
@@ -156,11 +163,14 @@ class _ProjectedOperator:
             raise ConfigError(
                 f"Z Gram system nearly singular (cond {self.gram_cond:.2e}); "
                 f"spikes too close for a stable projection")
-        self.qt = np.ascontiguousarray(q.T)
+        kn = q.shape[1]
+        self.block = np.empty((2 * kn, q.shape[0]))
+        self.qt, self.lq = self.block[:kn], self.block[kn:]
+        self.qt[...] = q.T
         del q  # before L_W Q is built
-        self.lq = np.empty_like(self.qt)
         for qi, lqi in zip(self.qt, self.lq):
             lqi[...] = self.apply_lw(qi.reshape(grid.shape)).ravel()
+        self.lqq = np.einsum("ki,li->kl", self.lq, self.qt)
 
     def apply_lw(self, v: np.ndarray) -> np.ndarray:
         """L_W v for grid-shaped v."""
@@ -172,24 +182,36 @@ class _ProjectedOperator:
         np.subtract(flat, out, out=out)
         return out.reshape(v.shape)
 
-    def local(self, y: np.ndarray) -> np.ndarray:
-        """P L_W y - T_m^(-1) y = shift y - Q (L_W Q)^T y for flat y."""
-        out = self.shift.ravel() * y
-        out -= np.einsum("ki,k->i", self.qt, np.einsum("ki,i->k", self.lq, y))
+    def _span_z_part(self, v: np.ndarray) -> np.ndarray:
+        """(L_W Q) c + Q e for flat v, with c = Q^T v and e = Q^T L_W P v =
+        (L_W Q)^T v - (L_W Q)^T Q c: the span{Z} terms of P L_W P v, from
+        one contraction and one expansion of the stacked block."""
+        c, e = np.split(np.einsum("ki,i->k", self.block, v), 2)
+        e -= self.lqq @ c
+        return np.einsum("ki,k->i", self.block, np.concatenate((e, c)))
+
+    def local(self, x: np.ndarray) -> np.ndarray:
+        """P L_W P x - T_m^(-1) x = shift x - (L_W Q) c - Q e for flat x,
+        since L_W P x = T_m^(-1) x + shift x - (L_W Q) c."""
+        out = self.shift.ravel() * x
+        out -= self._span_z_part(x)
+        return out
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """A x = P L_W P x for flat x, at one FFT pair."""
+        out = self.frac.shifted(x)
+        out += self.local(x)
         return out
 
     def precond(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(y, ty) = (P T_m P r, T_m^(-1) y) for flat r in span{Z}^perp, at
-        one FFT pair: with t = T_m r and c = Q^T t, y = t - Q c and
-        ty = r - (L_W Q) c + shift (Q c), both written over t and Q c."""
-        y = self.frac.resolvent(r)
-        c = np.einsum("ki,i->k", self.qt, y)
-        ty = np.einsum("ki,k->i", self.qt, c)
-        y -= ty
-        ty *= self.shift.ravel()
-        ty += r
-        ty -= np.einsum("ki,k->i", self.lq, c)
-        return y, ty
+        """(t, A t) for flat r in span{Z}^perp, t = T_m r, at one FFT pair:
+        P t = P T_m P r, and A t = r + shift t - (L_W Q) c - Q e since
+        T_m^(-1) t = r and Q^T r = 0."""
+        t = self.frac.resolvent(r)
+        at = self.shift.ravel() * t
+        at += r
+        at -= self._span_z_part(t)
+        return t, at
 
     def gram_solve(self, rhs_flat: np.ndarray) -> np.ndarray:
         """Solve G c = <Z, r>, i.e. R c = Q^T r, for the (k, dim) multiplier
@@ -201,22 +223,26 @@ class _ProjectedOperator:
 def projected_solve(g: Field, V: Potential, cfg: SpikeConfig,
                     bundle: AnsatzBundle, x0: Field | None = None,
                     _op: _ProjectedOperator | None = None,
-                    _reduce: float = 0.0) -> ProjectedSolution:
+                    _reduce: float = 0.0,
+                    _image: np.ndarray | None = None) -> ProjectedSolution:
     """Solve L_W phi = g + sum c_ij Z_ij with phi orthogonal to every Z_ij.
 
     Galerkin form: P L_W P phi = P g on span{Z}^perp, preconditioned by
     P T_m P. Both operators map the constraint space into itself and the
     right-hand side lies in it, so the Krylov iterates never pick up Z
-    components; the converged residual L_W phi - g then sits in span{Z} and
-    the Gram system G c = <Z, L_W phi - g> recovers the multipliers. MINRES
-    runs on the split form of the module docstring (one FFT pair per
-    iteration) to the relative tolerance `_krylov.KRYLOV_RTOL`.
+    components that A sees; the converged residual L_W phi - g then sits
+    in span{Z} and the Gram system G c = <Z, L_W phi - g> recovers the
+    multipliers. MINRES iterates on the fused pair of the module docstring
+    (one FFT pair per iteration) to the relative tolerance
+    `_krylov.KRYLOV_RTOL`.
 
     x0 is an initial guess for phi. Its span{Z} part is projected out on
     entry, and the tolerance stays relative to ||P g||, so a guess near the
     solution only saves iterations. `nonlinear_correction` passes _reduce
     > 0 to stop instead once the residual of x0 has fallen by that factor
-    (or at the KRYLOV_RTOL floor, whichever comes first).
+    (or at the KRYLOV_RTOL floor, whichever comes first), and _image, the
+    P L_W x0 of its previous step's solution, which this solve overwrites
+    with its starting residual P g - P L_W x0 instead of applying A.
     """
     op = _op if _op is not None else _ProjectedOperator(V, cfg, bundle)
     grid = op.grid
@@ -229,9 +255,11 @@ def projected_solve(g: Field, V: Potential, cfg: SpikeConfig,
         # g in span{Z} up to roundoff: phi = 0, the Gram solve yields c
         phi_flat = np.zeros(b.size)
         resid = -g_flat
+        b = None
     else:
         y0 = None if x0 is None else op.project(x0.values.ravel())
-        sol = _krylov.minres(op.frac.shifted, op.local, op.precond, b, x0=y0,
+        r0 = None if _image is None else np.subtract(b, _image, out=_image)
+        sol = _krylov.minres(op.apply, op.precond, b, x0=y0, r0=r0,
                              rtol=_krylov.KRYLOV_RTOL, reduce=_reduce)
         history = sol.history
         if sol.info != 0:
@@ -251,11 +279,12 @@ def projected_solve(g: Field, V: Potential, cfg: SpikeConfig,
         coef = np.einsum("ki,i->k", op.lq, phi_flat) \
             - np.einsum("ki,i->k", op.qt, g_flat)
         resid = np.einsum("ki,k->i", op.qt, coef) - sol.residual
+        b -= sol.residual  # P L_W phi
     c = op.gram_solve(resid)
     model = np.einsum("ki,k->i", op.qt, op.R @ c.ravel())
     consistency = _krylov.norm(resid - model) / max(gnorm, 1e-300)
     return ProjectedSolution(Field(grid, phi_flat.reshape(shape)), c,
-                             iterations, consistency)
+                             iterations, consistency, image=b)
 
 
 def nonlinear_correction(V: Potential, cfg: SpikeConfig, bundle: AnsatzBundle,
@@ -273,7 +302,9 @@ def nonlinear_correction(V: Potential, cfg: SpikeConfig, bundle: AnsatzBundle,
     fallen by FIXED_POINT_REDUCE (floor KRYLOV_RTOL ||P g||). The solve
     error is then a small share of the step's increment, which the next
     step damps (module docstring), so the fixed point lands where
-    full-accuracy steps land, in as many steps.
+    full-accuracy steps land, in as many steps. Each step hands the next
+    the image P L_W phi its solve ended with, so the next starting
+    residual costs no transform.
 
     phi0, typically the correction at a nearby configuration, starts the
     fixed point from its projection onto span{Z}^perp instead of from 0.
@@ -296,11 +327,14 @@ def nonlinear_correction(V: Potential, cfg: SpikeConfig, bundle: AnsatzBundle,
     converged = False
     bad_streak = 0
     it = 0
+    image = None
     for it in range(1, opts.max_iter + 1):
         rhs = bundle.E.values + kernels.nonlinear_remainder(
             bundle.W.values, phi.values, p)
         sol = projected_solve(Field(grid, rhs), V, cfg, bundle, x0=phi,
-                              _op=op, _reduce=FIXED_POINT_REDUCE)
+                              _op=op, _reduce=FIXED_POINT_REDUCE,
+                              _image=image)
+        image = sol.image
         inc = float(np.max(np.abs(sol.phi.values - phi.values) / rho))
         if prev_inc > 0:
             ratio = inc / prev_inc

@@ -58,7 +58,11 @@ class FracOperator:
     """(-Delta)^s, (-Delta)^s + m and T_m = ((-Delta)^s + m)^(-1) on arrays.
 
     Each map costs one FFT pair; arrays may be grid-shaped or flat and come
-    back in the same shape.
+    back, freshly allocated, in the same shape. The operator owns one
+    half-spectrum buffer: rfftn writes into it, the symbol multiplies it in
+    place, and irfftn reads it, so an application allocates nothing on the
+    Fourier side past what irfftn needs. The buffer makes an operator
+    unsafe to share between threads.
     """
 
     def __init__(self, grid: Grid, s: float, m: float):
@@ -66,9 +70,18 @@ class FracOperator:
         self.m = m
         self.symbol = grid.symbol(2.0 * s)
         self.inv_symbol = 1.0 / (self.symbol + m)
+        self._spectrum = np.empty(self.symbol.shape, dtype=complex)
+        self._axes = tuple(range(grid.dim))
+
+    def _apply(self, v: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
+        spectrum = np.fft.rfftn(v.reshape(self.grid.shape), axes=self._axes,
+                                out=self._spectrum)
+        spectrum *= multiplier
+        return np.fft.irfftn(spectrum, s=self.grid.shape,
+                             axes=self._axes).reshape(v.shape)
 
     def laplacian(self, v: np.ndarray) -> np.ndarray:
-        return apply_multiplier(v, self.grid, self.symbol)
+        return self._apply(v, self.symbol)
 
     def shifted(self, v: np.ndarray) -> np.ndarray:
         out = self.laplacian(v)
@@ -76,7 +89,7 @@ class FracOperator:
         return out
 
     def resolvent(self, v: np.ndarray) -> np.ndarray:
-        return apply_multiplier(v, self.grid, self.inv_symbol)
+        return self._apply(v, self.inv_symbol)
 
 
 def fractional_laplacian(f: Field, params: FracParams) -> Field:
@@ -112,16 +125,27 @@ def spectral_derivative(f: Field, axis: int = 0) -> Field:
 
 
 def translate(f: Field, shift) -> Field:
-    """Band-limited translation: g(x) = f(x - shift), exact on the band."""
+    """Band-limited translation: g(x) = f(x - shift), exact on the band.
+
+    The phase is exp(-i xi a) per axis, save at the Nyquist mode, its own
+    mirror image, where it is cos(xi a): irfftn keeps only that part on
+    the last (rfft) axis, so the full-FFT axes must keep only it too, or
+    moving an x <-> y symmetric profile along x and along y gives arrays
+    that are not each other's transposes.
+    """
     grid = f.grid
     shift = np.atleast_1d(np.asarray(shift, dtype=float))
     if shift.shape != (grid.dim,):
         raise ValueError(f"shift must have {grid.dim} components")
-    if grid.dim == 1:
-        phase = np.exp(-1j * grid.rfreq * shift[0])
-    else:
-        phase = (np.exp(-1j * grid.freq[:, None] * shift[0])
-                 * np.exp(-1j * grid.rfreq[None, :] * shift[1]))
+    nyquist = grid.points_per_axis // 2
+    phases = []
+    for axis, a in enumerate(shift):
+        xi = grid.freq if axis < grid.dim - 1 else grid.rfreq
+        phase = np.exp(-1j * xi * a)
+        phase[nyquist] = np.cos(xi[nyquist] * a)
+        phases.append(phase)
+    phase = phases[0] if grid.dim == 1 else \
+        phases[0][:, None] * phases[1][None, :]
     return Field(grid, apply_multiplier(f.values, grid, phase))
 
 

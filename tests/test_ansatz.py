@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from fracspike import ansatz, kernels
 from fracspike import spectral as sp
 from fracspike.ansatz import SpikeConfig, build_ansatz, config_valid, default_mu
 from fracspike.errors import ConfigError
 from fracspike.grid import Grid
-from fracspike.potentials import builtin_potentials
+from fracspike.potentials import Potential, builtin_potentials
 
 
 def test_default_mu_window():
@@ -73,6 +74,38 @@ def test_ansatz_translation_consistency(gs_store):
     # peak amplitude follows the lambda^(1/(p-1)) scaling
     assert float(np.max(w_at.values)) == pytest.approx(
         lam * float(np.max(gs.values)), rel=1e-2)
+
+
+def test_mirror_pair_one_ulp_apart_shares_one_rescale(gs_store,
+                                                      monkeypatch):
+    """Two wells whose lambdas differ by one ulp get one rescaled profile,
+    and E is built with the lambda that profile was rescaled to."""
+    gs = gs_store(0.5, 2.0)
+    wells = builtin_potentials("gaussian_bumps", a=2.0, bumps=[
+        {"b": -0.9, "center": [c], "sigma": 0.5} for c in (-1.0, 1.0)])
+
+    def nudged(x):  # one ulp up on the right half-line
+        v = wells(x)
+        return np.where(x > 0, np.nextafter(v, np.inf), v)
+
+    V = Potential("nudged", {}, _eval=nudged, _grad=wells.grad)
+    cfg = SpikeConfig(gs.grid, [[-10.0], [10.0]], epsilon=0.1)
+    lam = cfg.lambdas(V)
+    assert lam[1] == np.nextafter(lam[0], np.inf)
+    calls = []
+    inner = ansatz.rescale
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(ansatz, "rescale", counting)
+    bundle = build_ansatz(V, cfg, gs)
+    assert calls == [lam[0]]
+    np.testing.assert_array_equal(bundle.lambdas, [lam[0], lam[0]])
+    w_stack = np.stack([w.values for w in bundle.spikes])
+    np.testing.assert_array_equal(bundle.E.values, kernels.ansatz_error(
+        w_stack, bundle.lambdas, bundle.V_grid, gs.params.p))
 
 
 def test_kernel_basis_orthogonal_to_profile(gs_store):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fracspike
-from fracspike import _krylov, kernels
+from fracspike import _krylov, correction, kernels
 from fracspike import spectral as sp
 from fracspike.ansatz import SpikeConfig, build_ansatz
 from fracspike.correction import (CorrectionOptions, _ProjectedOperator,
@@ -212,8 +212,8 @@ def _two_spike_setup(gs, xi=1.0):
     (dict(dim=2, L=10.0, M=128), 0.3),
 ], ids=["1d", "2d"])
 def test_split_form_matches_composition(gs_store, rng, gs_args, xi):
-    """T_m^-1 y + local(y) is P L_W y on span{Z}^perp, and precond(r) is the
-    pair (P T_m P r, T_m^-1 P T_m P r), the forms MINRES iterates."""
+    """apply(y) = T_m^-1 y + local(y) is P L_W P y, span{Z} part of y
+    included, the form MINRES checks its true residual with."""
     gs = gs_store(0.5, 2.0, **gs_args)
     V, cfg, bundle = _two_spike_setup(gs, xi)
     op = _ProjectedOperator(V, cfg, bundle)
@@ -223,12 +223,48 @@ def test_split_form_matches_composition(gs_store, rng, gs_args, xi):
         return np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
 
     for _ in range(3):
-        y = op.project(rng.standard_normal(shape)).ravel()
+        y = rng.standard_normal(shape).ravel()
         split = op.frac.shifted(y) + op.local(y)
-        assert close(split, op.project(op.apply_lw(y.reshape(shape))).ravel())
-        mr, tmr = op.precond(y)
-        assert close(mr, op.project(op.frac.resolvent(y)))
-        assert close(tmr, op.frac.shifted(mr))
+        composed = op.project(op.apply_lw(op.project(y).reshape(shape)))
+        assert close(split, composed.ravel())
+        np.testing.assert_array_equal(op.apply(y), split)
+
+
+@pytest.mark.parametrize("gs_args, xi", [
+    (dict(), 1.0),
+    (dict(dim=2, L=10.0, M=128), 0.3),
+], ids=["1d", "2d"])
+def test_precond_returns_its_vector_and_image(gs_store, rng, gs_args, xi):
+    """precond(r) for r in span{Z}^perp is the pair (z, A z) MINRES
+    iterates: P z = P T_m P r and A z = P L_W P z, both to 1e-12."""
+    gs = gs_store(0.5, 2.0, **gs_args)
+    V, cfg, bundle = _two_spike_setup(gs, xi)
+    op = _ProjectedOperator(V, cfg, bundle)
+    shape = gs.grid.shape
+
+    def close(a, b):
+        return np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+    for _ in range(3):
+        r = op.project(rng.standard_normal(shape)).ravel()
+        z, az = op.precond(r)
+        assert close(op.project(z), op.project(op.frac.resolvent(r)))
+        composed = op.project(op.apply_lw(op.project(z).reshape(shape)))
+        assert close(az, composed.ravel())
+
+
+def _owned_size(op) -> int:
+    """Elements of the distinct grid-sized buffers behind op's ndarray
+    attributes: a view counts through the array that owns its memory."""
+    n = op.shift.size
+    owners = {}
+    for a in vars(op).values():
+        if isinstance(a, np.ndarray):
+            while a.base is not None:
+                a = a.base
+            if a.size >= n:
+                owners[id(a)] = a.size
+    return sum(owners.values())
 
 
 @pytest.mark.parametrize("gs_args, xi", [
@@ -236,15 +272,13 @@ def test_split_form_matches_composition(gs_store, rng, gs_args, xi):
     (dict(dim=2, L=10.0, M=128), 0.3),
 ], ids=["1d", "2d"])
 def test_projected_operator_holds_two_blocks(gs_store, gs_args, xi):
-    """span{Z} is held once: the grid-sized arrays of the operator are Q^T
+    """span{Z} is held once: the grid-sized memory of the operator is Q^T
     and (L_W Q)^T, (k N, M^N) each, and shift."""
     gs = gs_store(0.5, 2.0, **gs_args)
     V, cfg, bundle = _two_spike_setup(gs, xi)
     op = _ProjectedOperator(V, cfg, bundle)
     n, kn = gs.grid.points_per_axis ** gs.grid.dim, cfg.k * gs.grid.dim
-    held = sum(a.size for a in vars(op).values()
-               if isinstance(a, np.ndarray) and a.size >= n)
-    assert held <= 2 * kn * n + op.shift.size
+    assert _owned_size(op) <= 2 * kn * n + op.shift.size
 
 
 def _count_rfftn(monkeypatch):
@@ -298,6 +332,52 @@ def test_newton_one_transform_per_krylov_iteration(gs_store, monkeypatch):
     assert len(iterations) == out.iterations
     assert sum(iterations) >= 10
     assert len(calls) <= sum(iterations) + 4 * len(iterations) + 1
+
+
+def test_carried_image_saves_a_transform_per_step(gs_store, monkeypatch):
+    """Each fixed-point step after the first starts from the image
+    P L_W phi its predecessor's solve ended with: an n-step correction
+    makes n - 1 fewer forward transforms than with that image dropped,
+    and the same steps."""
+    gs = gs_store(0.5, 2.0)
+    V, cfg, bundle = _two_spike_setup(gs)
+    calls = _count_rfftn(monkeypatch)
+    iterations = _count_krylov(monkeypatch)
+    res = nonlinear_correction(V, cfg, bundle, CorrectionOptions(eta=0.5))
+    carried, steps = len(calls), list(iterations)
+    calls.clear()
+    iterations.clear()
+    inner = correction.projected_solve
+
+    def uncarried(*args, _image=None, **kwargs):
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(correction, "projected_solve", uncarried)
+    ref = nonlinear_correction(V, cfg, bundle, CorrectionOptions(eta=0.5))
+    assert res.converged and res.iterations == ref.iterations >= 3
+    assert steps == iterations
+    assert len(calls) - carried == res.iterations - 1
+
+
+def test_carried_starting_residual_is_exact(gs_store, monkeypatch):
+    """The starting residual a fixed-point step hands MINRES equals
+    b - A x0 recomputed with a transform, to 1e-12 ||b||."""
+    gs = gs_store(0.5, 2.0)
+    V, cfg, bundle = _two_spike_setup(gs)
+    inner = _krylov.minres
+    gaps = []
+
+    def checking(apply, precond, b, x0=None, r0=None, **kwargs):
+        if r0 is not None:
+            exact = b - apply(x0)
+            gaps.append(np.linalg.norm(r0 - exact) / np.linalg.norm(b))
+        return inner(apply, precond, b, x0=x0, r0=r0, **kwargs)
+
+    monkeypatch.setattr(_krylov, "minres", checking)
+    res = nonlinear_correction(V, cfg, bundle, CorrectionOptions(eta=0.5))
+    assert res.converged
+    assert len(gaps) == res.iterations - 1 >= 2
+    assert max(gaps) <= 1e-12
 
 
 def test_two_spike_krylov_budget_and_certificate(gs_store, monkeypatch):
