@@ -129,19 +129,22 @@ def minres(apply: Apply, precond: Precond, b: np.ndarray,
     ptol_factor, ptol = 1.0, atol
     oldb = dbar = epsln = 0.0
     phibar, cs, sn = beta, -1.0, 0.0
-    # r1 and v double as scratch once their values are spent
+    # the next residual overwrites r1 and the two swap, so r0, when given,
+    # serves the whole solve; v and the spent A y double as scratch
     r1, v, w, w2 = np.empty(n), np.empty(n), np.zeros(n), np.zeros(n)
     for itn in range(1, maxiter + 1):
         np.multiply(y, 1.0 / beta, out=v)
-        av = ay  # A v, formed over the preconditioner's fresh A y
-        av *= 1.0 / beta
+        ay *= 1.0 / beta  # A v
         if itn > 1:
-            r1 *= beta / oldb
-            av -= r1
-        alfa = dot(v, av)
-        np.multiply(r2, alfa / beta, out=r1)
-        av -= r1
-        r1, r2 = r2, av
+            r1 *= -beta / oldb
+            r1 += ay
+        else:
+            r1[...] = ay
+        alfa = dot(v, r1)
+        np.multiply(r2, alfa / beta, out=ay)
+        r1 -= ay
+        r1, r2 = r2, r1
+        del y, ay  # spent: the preconditioner may reuse their memory
         y, ay = precond(r2)
         oldb, beta = beta, math.sqrt(max(dot(r2, y), 0.0))
         # previous rotation, then the one that annihilates beta
@@ -224,12 +227,21 @@ def relative_sup(F: np.ndarray, u: np.ndarray) -> float:
     return float(np.max(np.abs(F))) / max(float(np.max(np.abs(u))), 1e-300)
 
 
-def _newton_pair(frac, d: np.ndarray, r: np.ndarray):
-    """(t, J t) with t = T_m r: J t = T_m^(-1) t + d t = r + d t."""
-    t = frac.resolvent(r)
-    jt = d * t
-    jt += r
-    return t, jt
+def _jacobian(frac, d: np.ndarray):
+    """J = (-Delta)^s + m + (d .) on flat vectors, as MINRES's apply and
+    its preconditioner pair (t, J t), t = T_m r, J t = r + d t."""
+    def apply(v):
+        out = frac.shifted(v)
+        out += d * v
+        return out
+
+    def pair(r):
+        t = frac.resolvent(r)
+        jt = d * t
+        jt += r
+        return t, jt
+
+    return apply, pair
 
 
 def newton(frac, residual: Apply, shift: Apply, u: np.ndarray,
@@ -261,8 +273,7 @@ def newton(frac, residual: Apply, shift: Apply, u: np.ndarray,
     while res > tol and steps < NEWTON_MAX_STEPS:
         d = shift(u).ravel()
         rtol = max(KRYLOV_RTOL, min(0.1, res), 0.1 * tol / res)
-        sol = minres(lambda v: frac.shifted(v) + d * v,
-                     lambda r: _newton_pair(frac, d, r), F.ravel(), rtol=rtol)
+        sol = minres(*_jacobian(frac, d), F.ravel(), rtol=rtol)
         if sol.info != 0:
             true_rel = norm(sol.residual) / max(norm(F), 1e-300)
             if true_rel > max(1e-6, rtol):

@@ -182,26 +182,27 @@ class _ProjectedOperator:
         np.subtract(flat, out, out=out)
         return out.reshape(v.shape)
 
-    def _span_z_part(self, v: np.ndarray) -> np.ndarray:
-        """(L_W Q) c + Q e for flat v, with c = Q^T v and e = Q^T L_W P v =
-        (L_W Q)^T v - (L_W Q)^T Q c: the span{Z} terms of P L_W P v, from
+    def _subtract_span_z(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out -= (L_W Q) c + Q e for flat v, c = Q^T v and e = Q^T L_W P v
+        = (L_W Q)^T v - (L_W Q)^T Q c: the span{Z} terms of P L_W P v, from
         one contraction and one expansion of the stacked block."""
         c, e = np.split(np.einsum("ki,i->k", self.block, v), 2)
         e -= self.lqq @ c
-        return np.einsum("ki,k->i", self.block, np.concatenate((e, c)))
+        out -= np.einsum("ki,k->i", self.block, np.concatenate((e, c)))
+        return out
 
     def local(self, x: np.ndarray) -> np.ndarray:
         """P L_W P x - T_m^(-1) x = shift x - (L_W Q) c - Q e for flat x,
         since L_W P x = T_m^(-1) x + shift x - (L_W Q) c."""
-        out = self.shift.ravel() * x
-        out -= self._span_z_part(x)
-        return out
+        return self._subtract_span_z(x, self.shift.ravel() * x)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """A x = P L_W P x for flat x, at one FFT pair."""
+        """A x = P L_W P x = T_m^(-1) x + local(x) for flat x, at one FFT
+        pair, added term by term so that one temporary at a time lives
+        beside the result."""
         out = self.frac.shifted(x)
-        out += self.local(x)
-        return out
+        out += self.shift.ravel() * x
+        return self._subtract_span_z(x, out)
 
     def precond(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(t, A t) for flat r in span{Z}^perp, t = T_m r, at one FFT pair:
@@ -210,8 +211,7 @@ class _ProjectedOperator:
         t = self.frac.resolvent(r)
         at = self.shift.ravel() * t
         at += r
-        at -= self._span_z_part(t)
-        return t, at
+        return t, self._subtract_span_z(t, at)
 
     def gram_solve(self, rhs_flat: np.ndarray) -> np.ndarray:
         """Solve G c = <Z, r>, i.e. R c = Q^T r, for the (k, dim) multiplier
