@@ -29,6 +29,8 @@ that iterates on the solution, such as the fixed point of
 max(rtol ||b||, reduce ||r0||), r0 = b - A x0 the residual of its warm
 start: the solve then removes a fixed share of the error it starts with,
 and rtol ||b|| stays the floor (a start already below it returns at once).
+That caller also knows A x0 from its previous solve, and passes r0 so
+that the start costs no application of A.
 
 Inner products run on `np.einsum`, not BLAS: OpenBLAS threads a dot product
 above ~10^4 elements, its threads spin between calls, and the last digits
@@ -95,10 +97,11 @@ def minres(apply: Apply, precond: Precond, b: np.ndarray,
     precond(r) returns (z, A z) with z = M r for a symmetric positive
     definite M, up to the null space of A. All maps act on flat vectors;
     apply returns a fresh array, which the true residual overwrites, and
-    each pair from precond is fresh too, since its A z becomes a residual
-    of the recurrence. maxiter counts iterations. r0, when the caller
-    already knows b - A x0, saves the transform pair of computing it: the
-    solve takes the array over as its first residual. The solve stops at
+    each pair from precond is fresh too, since the recurrence scales A z
+    in place and then uses it as scratch. maxiter counts iterations. r0,
+    when the caller already knows b - A x0, saves the transform pair of
+    computing it: the solve takes the array over as one of its two
+    residual vectors. The solve stops at
     ||b - A x|| <= max(rtol ||b||, reduce ||b - A x0||).
     """
     n = b.size

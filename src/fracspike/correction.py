@@ -13,31 +13,35 @@ the box, so T_m L_W = I + T_m (shift .) is the identity plus a perturbation
 localized at the wells; m = min V would leave V - m of order V_max - V_min
 over the whole far field and spread the spectrum over [1, V_max / V_min].
 Both operators are symmetric on span{Z}^perp and P T_m P is positive
-definite there, so `_krylov.minres` solves the system, with A in the split
-form
+definite there, so `_krylov.minres` solves the system. With Z = Q R the
+QR factorization of the stacked Z_ij (Q orthonormal, R a (k N)^2
+triangle) and L_W Q computed once per operator,
 
-    P L_W y = T_m^(-1) y + shift y - Q (L_W Q)^T y,
+    A y = P L_W P y = T_m^(-1) y + shift y - (L_W Q) c - Q e,
     shift = V(eps x) - m - p W^(p-1),
+    c = Q^T y,   e = Q^T L_W P y = (L_W Q)^T y - (L_W Q)^T Q c,
 
-with Z = Q R the QR factorization of the stacked Z_ij (Q orthonormal,
-R a (k N)^2 triangle). L_W being symmetric, real with an even symbol, the
-span{Z} part Q Q^T L_W y of L_W y equals Q (L_W Q)^T y, with L_W Q
-computed once per operator. The preconditioner is the pair
+using that L_W is symmetric (real, with an even symbol), so Q^T L_W =
+(L_W Q)^T. The operator holds [Q^T; (L_W Q)^T] as one (2 k N, n) block
+and the (k N)^2 matrix (L_W Q)^T Q: one contraction with the block gives
+c and (L_W Q)^T y, one expansion gives (L_W Q) c + Q e. MINRES takes the
+preconditioner fused with A: for r in span{Z}^perp it returns
 
-    y = P T_m P r = t - Q c,   ty = T_m^(-1) y = r - (L_W Q) c + shift (Q c),
-    t = T_m r, c = Q^T t,
+    t = T_m r,   A t = r + shift t - (L_W Q) c - Q e,
 
-since T_m^(-1) Q = L_W Q - shift Q, so one iteration costs a single FFT
-pair, and the operator holds Q^T and (L_W Q)^T and no other grid-sized
-block of span{Z}. The Krylov space stays inside span{Z}^perp by
-construction, and the multipliers come from the Gram system afterwards:
-G = h^N Z^T Z = h^N R^T R, so G c = h^N Z^T r reduces to R c = Q^T r, and
-cond(G) = cond(R)^2 is what GRAM_COND_LIMIT bounds. The span{Z}
-projections, inner products and norms on grid vectors run on `np.einsum`,
-off BLAS. The shared damped Newton loop
-`_krylov.newton` on the unprojected equation, preconditioned the same way
-by T_m, provides the validation path. Both apply (-Delta)^s and T_m
-through the shared `spectral.FracOperator`.
+since T_m^(-1) t = r and Q^T r = 0. t is not P T_m P r, but P t is, and A
+annihilates span{Z}, so MINRES may iterate on t: its scalars are those of
+P T_m P and its iterates differ only in span{Z} parts, which the solve
+projects out of its answer. An iteration thus costs one FFT pair, one
+contraction and one expansion; A itself, at one FFT pair more, runs only
+for the true residual. The multipliers come from the Gram system
+afterwards: G = h^N Z^T Z = h^N R^T R, so G c = h^N Z^T r reduces to
+R c = Q^T r, and cond(G) = cond(R)^2 is what GRAM_COND_LIMIT bounds. The
+span{Z} sweeps, inner products and norms on grid vectors run on
+`np.einsum`, off BLAS. The shared damped Newton loop `_krylov.newton` on
+the unprojected equation, preconditioned the same way by T_m, provides
+the validation path. Both apply (-Delta)^s and T_m through the shared
+`spectral.FracOperator`.
 
 The fixed point phi <- T_q(E + N(phi)) solves such a system per step,
 warm-started from the current phi. A step stops its MINRES once the
@@ -47,7 +51,9 @@ increment, so the solve error is a thousandth of the increment, and the
 next step, a contraction with ratio well below one, damps it with the rest
 of the error. The iterates and the contraction ratios match those of
 full-accuracy steps, save the last ratio, whose increment already sits at
-the Krylov floor.
+the Krylov floor. A solve ends with P L_W phi = P g - (its residual) in
+hand, and the next step starts from that image: its starting residual
+P g' - P L_W phi costs no transform.
 """
 
 from __future__ import annotations
@@ -236,9 +242,10 @@ def projected_solve(g: Field, V: Potential, cfg: SpikeConfig,
     (one FFT pair per iteration) to the relative tolerance
     `_krylov.KRYLOV_RTOL`.
 
-    x0 is an initial guess for phi. Its span{Z} part is projected out on
-    entry, and the tolerance stays relative to ||P g||, so a guess near the
-    solution only saves iterations. `nonlinear_correction` passes _reduce
+    x0 is an initial guess for phi. A annihilates its span{Z} part, which
+    leaves with the projection of the answer, and the tolerance stays
+    relative to ||P g||, so a guess near the solution only saves
+    iterations. `nonlinear_correction` passes _reduce
     > 0 to stop instead once the residual of x0 has fallen by that factor
     (or at the KRYLOV_RTOL floor, whichever comes first), and _image, the
     P L_W x0 of its previous step's solution, which this solve overwrites
@@ -257,7 +264,7 @@ def projected_solve(g: Field, V: Potential, cfg: SpikeConfig,
         resid = -g_flat
         b = None
     else:
-        y0 = None if x0 is None else op.project(x0.values.ravel())
+        y0 = None if x0 is None else x0.values.ravel()
         r0 = None if _image is None else np.subtract(b, _image, out=_image)
         sol = _krylov.minres(op.apply, op.precond, b, x0=y0, r0=r0,
                              rtol=_krylov.KRYLOV_RTOL, reduce=_reduce)

@@ -3,9 +3,10 @@
 The fractional Laplacian acts as the multiplier |xi|^(2s) on the discrete
 frequencies xi = pi*n/L (zero mode annihilated exactly), and the resolvent
 ((-Delta)^s + m)^(-1) as 1/(|xi|^(2s) + m). Every real Fourier multiplier
-goes through `apply_multiplier` (one rfftn/irfftn pair), and the solvers
-share `FracOperator`, which applies (-Delta)^s, (-Delta)^s + m and
-T_m = ((-Delta)^s + m)^(-1) to raw arrays. Band-limited translation and
+is one rfftn/irfftn pair: one-off maps go through `apply_multiplier`, and
+the solvers share `FracOperator`, which applies (-Delta)^s, (-Delta)^s + m
+and T_m = ((-Delta)^s + m)^(-1) to raw arrays through a half-spectrum
+buffer of its own. Band-limited translation and
 dilation let profiles be moved off-grid and rescaled without losing spectral
 accuracy: translation is a phase twist, dilation a chirp-z resampling of the
 trigonometric interpolant. The chirp-z transform is Bluestein's on `numpy.fft`
