@@ -235,21 +235,21 @@ def projected_solve(g: Field, V: Potential, cfg: SpikeConfig,
 
     Galerkin form: P L_W P phi = P g on span{Z}^perp, preconditioned by
     P T_m P. Both operators map the constraint space into itself and the
-    right-hand side lies in it, so the Krylov iterates never pick up Z
-    components that A sees; the converged residual L_W phi - g then sits
-    in span{Z} and the Gram system G c = <Z, L_W phi - g> recovers the
-    multipliers. MINRES iterates on the fused pair of the module docstring
-    (one FFT pair per iteration) to the relative tolerance
-    `_krylov.KRYLOV_RTOL`.
+    right-hand side lies in it, so the residuals never leave it; the
+    iterates pick up span{Z} parts only where A does not see them, and phi
+    is the projection of the answer. The converged residual L_W phi - g
+    then sits in span{Z} and the Gram system G c = <Z, L_W phi - g>
+    recovers the multipliers. MINRES iterates on the fused pair of the
+    module docstring (one FFT pair per iteration) to the relative
+    tolerance `_krylov.KRYLOV_RTOL`.
 
-    x0 is an initial guess for phi. A annihilates its span{Z} part, which
-    leaves with the projection of the answer, and the tolerance stays
-    relative to ||P g||, so a guess near the solution only saves
-    iterations. `nonlinear_correction` passes _reduce
-    > 0 to stop instead once the residual of x0 has fallen by that factor
-    (or at the KRYLOV_RTOL floor, whichever comes first), and _image, the
-    P L_W x0 of its previous step's solution, which this solve overwrites
-    with its starting residual P g - P L_W x0 instead of applying A.
+    x0 is an initial guess for phi; A annihilates its span{Z} part. The
+    tolerance stays relative to ||P g||, so a guess near the solution only
+    saves iterations. `nonlinear_correction` passes _reduce > 0 to stop
+    instead once the residual of x0 has fallen by that factor (or at the
+    KRYLOV_RTOL floor, whichever comes first), and _image, the P L_W x0 of
+    its previous step's solution, which this solve overwrites with its
+    starting residual P g - P L_W x0 instead of applying A.
     """
     op = _op if _op is not None else _ProjectedOperator(V, cfg, bundle)
     grid = op.grid
