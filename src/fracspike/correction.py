@@ -93,17 +93,16 @@ FIXED_POINT_REDUCE = 1e-3
 
 @dataclass
 class ProjectedSolution:
-    """(phi, c) with solve diagnostics; unpacks as a (phi, c) pair.
-
-    image is P L_W phi, flat, as the solve ended with it (P g minus the
-    final residual), or None when phi = 0 took no solve; the next step of
-    the fixed point starts its MINRES from it."""
+    """(phi, c) with solve diagnostics; unpacks as a (phi, c) pair."""
 
     phi: Field
     c: np.ndarray
     iterations: int
     consistency: float
-    image: np.ndarray | None = field(default=None, repr=False)
+    # P L_W phi, flat, as a fixed-point step's solve ended with it (P g
+    # minus the final residual): set only under _reduce > 0, for the next
+    # step to start from; not a field
+    _image = None
 
     def __iter__(self):
         return iter((self.phi, self.c))
@@ -197,13 +196,9 @@ class _ProjectedOperator:
         out -= np.einsum("ki,k->i", self.block, np.concatenate((e, c)))
         return out
 
-    def local(self, x: np.ndarray) -> np.ndarray:
-        """P L_W P x - T_m^(-1) x = shift x - (L_W Q) c - Q e for flat x,
-        since L_W P x = T_m^(-1) x + shift x - (L_W Q) c."""
-        return self._subtract_span_z(x, self.shift.ravel() * x)
-
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """A x = P L_W P x = T_m^(-1) x + local(x) for flat x, at one FFT
+        """A x = P L_W P x = T_m^(-1) x + shift x - (L_W Q) c - Q e for
+        flat x, since L_W P x = T_m^(-1) x + shift x - (L_W Q) c; one FFT
         pair, added term by term so that one temporary at a time lives
         beside the result."""
         out = self.frac.shifted(x)
@@ -249,7 +244,9 @@ def projected_solve(g: Field, V: Potential, cfg: SpikeConfig,
     instead once the residual of x0 has fallen by that factor (or at the
     KRYLOV_RTOL floor, whichever comes first), and _image, the P L_W x0 of
     its previous step's solution, which this solve overwrites with its
-    starting residual P g - P L_W x0 instead of applying A.
+    starting residual P g - P L_W x0 instead of applying A. Under
+    _reduce > 0 the result carries its own P L_W phi as `_image` for the
+    next step.
     """
     op = _op if _op is not None else _ProjectedOperator(V, cfg, bundle)
     grid = op.grid
@@ -290,8 +287,11 @@ def projected_solve(g: Field, V: Potential, cfg: SpikeConfig,
     c = op.gram_solve(resid)
     model = np.einsum("ki,k->i", op.qt, op.R @ c.ravel())
     consistency = _krylov.norm(resid - model) / max(gnorm, 1e-300)
-    return ProjectedSolution(Field(grid, phi_flat.reshape(shape)), c,
-                             iterations, consistency, image=b)
+    out = ProjectedSolution(Field(grid, phi_flat.reshape(shape)), c,
+                            iterations, consistency)
+    if _reduce > 0.0:
+        out._image = b
+    return out
 
 
 def nonlinear_correction(V: Potential, cfg: SpikeConfig, bundle: AnsatzBundle,
@@ -341,7 +341,7 @@ def nonlinear_correction(V: Potential, cfg: SpikeConfig, bundle: AnsatzBundle,
         sol = projected_solve(Field(grid, rhs), V, cfg, bundle, x0=phi,
                               _op=op, _reduce=FIXED_POINT_REDUCE,
                               _image=image)
-        image = sol.image
+        image = sol._image
         inc = float(np.max(np.abs(sol.phi.values - phi.values) / rho))
         if prev_inc > 0:
             ratio = inc / prev_inc

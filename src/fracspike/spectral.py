@@ -3,10 +3,9 @@
 The fractional Laplacian acts as the multiplier |xi|^(2s) on the discrete
 frequencies xi = pi*n/L (zero mode annihilated exactly), and the resolvent
 ((-Delta)^s + m)^(-1) as 1/(|xi|^(2s) + m). Every real Fourier multiplier
-is one rfftn/irfftn pair: one-off maps go through `apply_multiplier`, and
-the solvers share `FracOperator`, which applies (-Delta)^s, (-Delta)^s + m
-and T_m = ((-Delta)^s + m)^(-1) to raw arrays through a half-spectrum
-buffer of its own. Band-limited translation and
+goes through `apply_multiplier` (one rfftn/irfftn pair), and the solvers
+share `FracOperator`, which applies (-Delta)^s, (-Delta)^s + m and
+T_m = ((-Delta)^s + m)^(-1) to raw arrays. Band-limited translation and
 dilation let profiles be moved off-grid and rescaled without losing spectral
 accuracy: translation is a phase twist, dilation a chirp-z resampling of the
 trigonometric interpolant. The chirp-z transform is Bluestein's on `numpy.fft`
@@ -59,11 +58,7 @@ class FracOperator:
     """(-Delta)^s, (-Delta)^s + m and T_m = ((-Delta)^s + m)^(-1) on arrays.
 
     Each map costs one FFT pair; arrays may be grid-shaped or flat and come
-    back, freshly allocated, in the same shape. The operator owns one
-    half-spectrum buffer: rfftn writes into it, the symbol multiplies it in
-    place, and irfftn reads it, so an application allocates nothing on the
-    Fourier side past what irfftn needs. The buffer makes an operator
-    unsafe to share between threads.
+    back in the same shape.
     """
 
     def __init__(self, grid: Grid, s: float, m: float):
@@ -71,18 +66,9 @@ class FracOperator:
         self.m = m
         self.symbol = grid.symbol(2.0 * s)
         self.inv_symbol = 1.0 / (self.symbol + m)
-        self._spectrum = np.empty(self.symbol.shape, dtype=complex)
-        self._axes = tuple(range(grid.dim))
-
-    def _apply(self, v: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
-        spectrum = np.fft.rfftn(v.reshape(self.grid.shape), axes=self._axes,
-                                out=self._spectrum)
-        spectrum *= multiplier
-        return np.fft.irfftn(spectrum, s=self.grid.shape,
-                             axes=self._axes).reshape(v.shape)
 
     def laplacian(self, v: np.ndarray) -> np.ndarray:
-        return self._apply(v, self.symbol)
+        return apply_multiplier(v, self.grid, self.symbol)
 
     def shifted(self, v: np.ndarray) -> np.ndarray:
         out = self.laplacian(v)
@@ -90,7 +76,7 @@ class FracOperator:
         return out
 
     def resolvent(self, v: np.ndarray) -> np.ndarray:
-        return self._apply(v, self.inv_symbol)
+        return apply_multiplier(v, self.grid, self.inv_symbol)
 
 
 def fractional_laplacian(f: Field, params: FracParams) -> Field:

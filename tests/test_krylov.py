@@ -225,7 +225,7 @@ def test_operators_are_symmetric(gs_store, rng, gs_args, xi):
     n = op.shift.size
     d = op.shift.ravel() + 1e-2 * rng.standard_normal(n)
     operators = {
-        "P L_W P": (lambda v: op.frac.shifted(v) + op.local(v), True),
+        "P L_W P": (op.apply, True),
         "P T_m P": (lambda v: op.precond(v)[0], True),
         "J": (lambda v: op.frac.shifted(v) + d * v, False),
         "T_m": (op.frac.resolvent, False),

@@ -126,26 +126,6 @@ def test_translate_commutes_with_the_transpose(gs_store, rng):
         sp.apply_multiplier(f.values, grid, np.exp(-0.37j * grid.rfreq)))
 
 
-def test_frac_operator_results_own_their_memory(rng):
-    """FracOperator transforms through one held half-spectrum buffer;
-    consecutive results are fresh arrays, neither of them the buffer, and
-    the first survives the second call."""
-    grid = Grid(2, 8.0, 64)
-    op = sp.FracOperator(grid, 0.5, 1.3)
-    u = rng.standard_normal(grid.shape)
-    v = rng.standard_normal(u.size)
-    ref = sp.apply_multiplier(u, grid, op.inv_symbol)
-    first = op.resolvent(u)
-    second = op.resolvent(v)
-    assert second.shape == v.shape
-    for out in (first, second):
-        assert not np.shares_memory(out, op._spectrum)
-    assert not np.shares_memory(first, second)
-    np.testing.assert_array_equal(first, ref)
-    np.testing.assert_array_equal(
-        second, sp.apply_multiplier(v, grid, op.inv_symbol))
-
-
 def test_translate_2d_roundtrip(rng):
     grid = Grid(2, 6.0, 64)
     f = band_limited(grid, rng)
