@@ -45,12 +45,16 @@ def apply_multiplier(values: np.ndarray, grid: Grid, multiplier) -> np.ndarray:
     """irfftn(multiplier * rfftn(values)) on the grid, in the shape of values.
 
     values holds grid.size samples, grid-shaped or flat; multiplier lives on
-    the rfftn half-spectrum (anything that broadcasts against it).
+    the rfftn half-spectrum (anything that broadcasts against it). Both
+    transforms are given s = grid.shape. It is the shape numpy would infer,
+    but rfftn infers it with `np.take` on every call, at 5-9 us a call
+    against a 1d (M = 1024) MINRES iteration of ~80 us (numpy 2.4, 2 vCPUs).
     """
+    shape = grid.shape
     axes = tuple(range(grid.dim))
-    out = np.fft.irfftn(multiplier * np.fft.rfftn(values.reshape(grid.shape),
-                                                  axes=axes),
-                        s=grid.shape, axes=axes)
+    out = np.fft.irfftn(multiplier * np.fft.rfftn(values.reshape(shape),
+                                                  s=shape, axes=axes),
+                        s=shape, axes=axes)
     return out.reshape(values.shape)
 
 

@@ -251,6 +251,66 @@ def test_precond_returns_its_vector_and_image(gs_store, rng, gs_args, xi):
         assert close(az, composed.ravel())
 
 
+def _split_subtract_span_z(op, v, out):
+    """The span{Z} sweep with c and e taken apart by np.split."""
+    c, e = np.split(np.einsum("ki,i->k", op.block, v), 2)
+    e -= op.lqq @ c
+    out -= np.einsum("ki,k->i", op.block, np.concatenate((e, c)))
+    return out
+
+
+@pytest.mark.parametrize("gs_args, xi", [
+    (dict(), 1.0),
+    (dict(dim=2, L=10.0, M=128), 0.3),
+], ids=["1d", "2d"])
+def test_precond_and_apply_match_the_split_formulation(gs_store, rng,
+                                                        gs_args, xi):
+    """precond and apply give the very bits of the formulation with rfftn
+    inferring its shape, np.split taking the contraction apart and shift
+    flattened per call."""
+    gs = gs_store(0.5, 2.0, **gs_args)
+    V, cfg, bundle = _two_spike_setup(gs, xi)
+    op = _ProjectedOperator(V, cfg, bundle)
+    grid = gs.grid
+    axes = tuple(range(grid.dim))
+    shift = op.shift.reshape(grid.shape)
+
+    def multiply(v, multiplier):
+        half = np.fft.rfftn(v.reshape(grid.shape), axes=axes)
+        return np.fft.irfftn(multiplier * half, s=grid.shape,
+                             axes=axes).ravel()
+
+    for _ in range(3):
+        r = op.project(rng.standard_normal(grid.shape)).ravel()
+        t = multiply(r, op.frac.inv_symbol)
+        at = shift.ravel() * t
+        at += r
+        z, az = op.precond(r)
+        np.testing.assert_array_equal(z, t)
+        np.testing.assert_array_equal(az, _split_subtract_span_z(op, t, at))
+        x = rng.standard_normal(grid.shape).ravel()
+        ax = multiply(x, op.frac.symbol)
+        ax += op.m * x
+        ax += shift.ravel() * x
+        np.testing.assert_array_equal(op.apply(x),
+                                      _split_subtract_span_z(op, x, ax))
+
+
+def test_projected_solve_never_calls_np_split(gs_store, monkeypatch):
+    """A 1d projected solve takes c and e off the span{Z} contraction by
+    slicing: np.split is never called."""
+    gs = gs_store(0.5, 2.0)
+    V, cfg, bundle = _two_spike_setup(gs)
+    op = _ProjectedOperator(V, cfg, bundle)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.split called in a projected solve")
+
+    monkeypatch.setattr(np, "split", refuse)
+    sol = projected_solve(bundle.E, V, cfg, bundle, _op=op)
+    assert sol.iterations > 0
+
+
 def _owned_size(op) -> int:
     """Elements of the distinct grid-sized buffers behind op's ndarray
     attributes: a view counts through the array that owns its memory."""

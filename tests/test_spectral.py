@@ -55,6 +55,39 @@ def test_resolvent_composition(rng, dim, M):
         assert rel < 1e-12
 
 
+@pytest.mark.parametrize("dim,M", [(1, 64), (2, 32)])
+def test_every_forward_transform_names_its_shape(monkeypatch, rng, dim, M):
+    """Every rfftn behind apply_multiplier, the three FracOperator maps,
+    translate and spectral_derivative is given s = grid.shape, so numpy
+    never infers the shape, and the result has the bits of the inferred
+    call."""
+    grid = Grid(dim, 8.0, M)
+    f = Field(grid, rng.standard_normal(grid.shape))
+    symbol = grid.symbol(1.0)
+    axes = tuple(range(dim))
+    inferred = np.fft.irfftn(symbol * np.fft.rfftn(f.values, axes=axes),
+                             s=grid.shape, axes=axes)
+    calls = []
+    inner = np.fft.rfftn
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfftn", recording)
+    op = sp.FracOperator(grid, 0.5, 1.0)
+    for v in (f.values, f.values.ravel()):
+        np.testing.assert_array_equal(
+            sp.apply_multiplier(v, grid, symbol), inferred.reshape(v.shape))
+        for apply in (op.laplacian, op.shifted, op.resolvent):
+            apply(v)
+    sp.translate(f, [0.3] * dim)
+    for axis in range(dim):
+        sp.spectral_derivative(f, axis)
+    assert len(calls) == 2 * 4 + 1 + dim
+    assert all(kw.get("s") == grid.shape for kw in calls)
+
+
 def test_resolvent_rejects_nonpositive_shift():
     grid = Grid(1, 8.0, 64)
     f = Field(grid, np.ones(64))
