@@ -32,7 +32,8 @@ LAMBDA_RTOL = 1e-12
 
 
 def default_mu(dim: int, s: float) -> float:
-    """Midpoint of the admissible weight window (N/2, (N+2s)/2)."""
+    """Midpoint of (N/2, (N+2s)/2), the lower half of the enforced weight
+    window N/2 < mu < N+2s that `build_ansatz` checks."""
     return 0.5 * (dim / 2.0 + (dim + 2.0 * s) / 2.0)
 
 
@@ -161,6 +162,9 @@ def build_ansatz(V: Potential, cfg: SpikeConfig, gs: GroundState,
     0.126, 2% of max W, 0.625 from the spike centre. The Newton certificate
     therefore starts from a residual of 2e-2 there (1.4e-3 on the 1d
     two-well), not from the 1e-11 of the lambda = 1 profile.
+
+    E_norm_Y = sup |E| / rho, rho = sum_j (1 + |x - q_j|)^(-mu); mu (default
+    `default_mu`) must lie in N/2 < mu < N+2s, or ConfigError.
     """
     ok, diags = config_valid(cfg)
     if not ok:
@@ -172,6 +176,9 @@ def build_ansatz(V: Potential, cfg: SpikeConfig, gs: GroundState,
     grid, params = cfg.grid, gs.params
     if mu is None:
         mu = default_mu(grid.dim, params.s)
+    if not grid.dim / 2.0 < mu < grid.dim + 2.0 * params.s:
+        raise ConfigError(f"weight exponent mu = {mu} outside the window "
+                          f"N/2 < mu < N+2s (N = {grid.dim}, s = {params.s})")
 
     lambdas = cfg.lambdas(V)
     if np.any(lambdas <= 0):

@@ -129,14 +129,17 @@ def _relative_residual(op: sp.FracOperator, u: np.ndarray, p: float) -> float:
     return relative_sup(op.shifted(u) - _power(u, p), u)
 
 
-def energy(grid: Grid, params: FracParams, lam: float, values: np.ndarray) -> float:
-    """J^lambda(v) = 1/2 <v, (-Delta)^s v> + lambda/2 <v, v> - 1/(p+1) sum (v_+)^(p+1)."""
+def energy(grid: Grid, params: FracParams, V, values: np.ndarray) -> float:
+    """J(v) = 1/2 <v, (-Delta)^s v> + 1/2 int V v^2 - 1/(p+1) int (v_+)^(p+1),
+    V a constant lambda (J^lambda; c_* = J^1(w)) or V(eps x) on the grid
+    (J_eps; the reduced energy I(q) = J_eps(W_q + Phi(q)))."""
     f = Field(grid, values)
-    kin = 0.5 * sp.inner(f, sp.fractional_laplacian(f, params))
-    quad = 0.5 * lam * sp.inner(f, f)
-    pot = grid.cell_volume * float(
+    lap = sp.apply_multiplier(values, grid, grid.symbol(2.0 * params.s))
+    kin = 0.5 * sp.inner(f, Field(grid, lap))
+    quad = 0.5 * grid.cell_volume * float(np.sum(V * values ** 2))
+    nl = grid.cell_volume * float(
         np.sum(kernels.positive_power(values, params.p + 1.0))) / (params.p + 1.0)
-    return kin + quad - pot
+    return kin + quad - nl
 
 
 def energy_scaling_exponent(params: FracParams, dim: int) -> float:

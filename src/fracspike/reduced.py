@@ -25,13 +25,12 @@ from typing import NamedTuple
 import numpy as np
 
 from fracspike import kernels
-from fracspike import spectral as sp
 from fracspike.ansatz import SpikeConfig, build_ansatz
 from fracspike.correction import (CorrectionOptions, CorrectionResult,
                                   nonlinear_correction)
 from fracspike.errors import ConfigError, SolverDivergence
-from fracspike.grid import Field, FracParams, Grid
-from fracspike.ground_state import GroundState, energy_scaling_exponent
+from fracspike.ground_state import (GroundState, energy,
+                                    energy_scaling_exponent)
 from fracspike.potentials import Potential
 
 log = logging.getLogger(__name__)
@@ -49,17 +48,15 @@ __all__ = [
 ]
 
 SEARCH_ETA = 0.5  # fixed-point gate during searches; default 0.1 is for end use
+SEARCH_DELTA = 0.05  # SpikeConfig.delta of every configuration a search visits
+CLUSTER_MAX_STEPS = 40  # quasi-Newton steps of the cluster ascent
+CLUSTER_ASCENT_TOL = 1e-4  # cluster converges at |grad I| span <= tol |I|
+REGION_SCAN = 33  # lattice points per axis for the model seeds and c_tol
 
 
-def energy_with_potential(grid: Grid, params: FracParams,
-                          V_grid: np.ndarray, values: np.ndarray) -> float:
-    """J_eps(u) = 1/2 <u, (-Delta)^s u> + 1/2 int V(eps x) u^2 - int u_+^(p+1)/(p+1)."""
-    f = Field(grid, values)
-    kin = 0.5 * sp.inner(f, sp.fractional_laplacian(f, params))
-    pot = 0.5 * grid.cell_volume * float(np.sum(V_grid * values ** 2))
-    nl = grid.cell_volume * float(
-        np.sum(kernels.positive_power(values, params.p + 1.0))) / (params.p + 1.0)
-    return kin + pot - nl
+# ground_state's J, under the name perfbench counts reduced energy evaluations
+# by; cache.load and solve_ground_state call it as `energy`, uncounted
+energy_with_potential = energy
 
 
 @dataclass
@@ -68,11 +65,7 @@ class ReducedReport:
     I_value: float
     c_matrix: np.ndarray
     grad: np.ndarray
-    asymptotic_value: float
-    asymptotic_gap: float
     theta: float
-    c_star: float
-    interaction_constants: np.ndarray
     converged: bool
     correction: CorrectionResult = dc_field(repr=False, default=None)
 
@@ -169,7 +162,6 @@ def _model_energy(V: Potential, xi_list, epsilon: float, gs: GroundState,
 
 
 def reduced_energy(V: Potential, cfg: SpikeConfig, gs: GroundState,
-                   mu: float | None = None,
                    opts: CorrectionOptions | None = None) -> ReducedReport:
     """I(q) = J_eps(W_q + Phi(q)) with its multipliers and gradient.
 
@@ -182,24 +174,14 @@ def reduced_energy(V: Potential, cfg: SpikeConfig, gs: GroundState,
     """
     opts = opts or CorrectionOptions(eta=SEARCH_ETA)
     theta = energy_scaling_exponent(gs.params, gs.grid.dim)
-    c_star = gs.energy
-    a_val = asymptotic_energy(V, cfg.xi, cfg.epsilon, gs)
-    inter = interaction_constants(gs, cfg.lambdas(V)) if cfg.k > 1 else \
-        np.zeros((cfg.k, cfg.k))
     try:
-        pt = _corrected(V, cfg, gs, mu, opts)
+        pt = _corrected(V, cfg, gs, opts)
     except SolverDivergence:
         nan = np.full((cfg.k, cfg.grid.dim), np.nan)
         return ReducedReport(q=cfg, I_value=np.nan, c_matrix=nan,
-                             grad=nan.copy(), asymptotic_value=a_val,
-                             asymptotic_gap=np.nan, theta=theta,
-                             c_star=c_star, interaction_constants=inter,
-                             converged=False)
+                             grad=nan.copy(), theta=theta, converged=False)
     return ReducedReport(q=cfg, I_value=pt.I, c_matrix=pt.c, grad=pt.grad,
-                         asymptotic_value=a_val,
-                         asymptotic_gap=abs(pt.I - a_val), theta=theta,
-                         c_star=c_star, interaction_constants=inter,
-                         converged=True, correction=pt.correction)
+                         theta=theta, converged=True, correction=pt.correction)
 
 
 class _Corrected(NamedTuple):
@@ -210,13 +192,13 @@ class _Corrected(NamedTuple):
     alphas: np.ndarray
 
 
-def _corrected(V, cfg, gs, mu, opts, phi0=None) -> _Corrected:
+def _corrected(V, cfg, gs, opts, phi0=None) -> _Corrected:
     """Build the ansatz at cfg and correct it once: I, c and grad_xi I.
 
     phi0 starts the fixed point from a nearby configuration's correction.
     Raises SolverDivergence when the correction does not converge.
     """
-    bundle = build_ansatz(V, cfg, gs, mu=mu)
+    bundle = build_ansatz(V, cfg, gs)
     corr = nonlinear_correction(V, cfg, bundle, opts, phi0=phi0)
     if not corr.converged:
         raise SolverDivergence(f"correction diverged at centers "
@@ -242,9 +224,16 @@ def _model_hessian(V: Potential, xi: np.ndarray, epsilon: float,
     return H
 
 
+def region_lattice(region, n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The lattice of n points per axis over region, a (lo, hi) interval per
+    axis: its meshgrid (indexing "ij") and its points, one row each."""
+    mesh = np.meshgrid(*(np.linspace(lo, hi, n) for lo, hi in region),
+                       indexing="ij")
+    return mesh, np.column_stack([m.ravel() for m in mesh])
+
+
 def _model_seed(V: Potential, epsilon: float, k: int, region, mode: str,
-                gs: GroundState, rng: np.random.Generator,
-                n_grid: int = 33) -> list[np.ndarray]:
+                gs: GroundState, rng: np.random.Generator) -> list[np.ndarray]:
     """Seed configurations (in xi) from the asymptotic model over the region.
 
     Single spikes seed at extrema of V^theta on a region scan plus a few
@@ -255,9 +244,7 @@ def _model_seed(V: Potential, epsilon: float, k: int, region, mode: str,
     dim = gs.grid.dim
     lows = np.array([r[0] for r in region], dtype=float)
     highs = np.array([r[1] for r in region], dtype=float)
-    axes = [np.linspace(lo, hi, n_grid) for lo, hi in zip(lows, highs)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.column_stack([m.ravel() for m in mesh])
+    mesh, pts = region_lattice(region, REGION_SCAN)
     if mode == "degree_zero_of_gradV":
         gcomps = V.grad(*mesh)
         score = np.sqrt(sum(np.asarray(c, dtype=float) ** 2 for c in gcomps))
@@ -301,12 +288,10 @@ def _model_seed(V: Potential, epsilon: float, k: int, region, mode: str,
     return seeds
 
 
-def _c_scale(V: Potential, epsilon: float, region, gs: GroundState,
-             n_grid: int = 33) -> float:
+def _c_scale(V: Potential, epsilon: float, region, gs: GroundState) -> float:
     """Magnitude of the reduced gradient, c_* eps max|grad V^theta| on the region."""
     theta = energy_scaling_exponent(gs.params, gs.grid.dim)
-    axes = [np.linspace(r[0], r[1], n_grid) for r in region]
-    mesh = np.meshgrid(*axes, indexing="ij")
+    mesh, _ = region_lattice(region, REGION_SCAN)
     v = np.asarray(V(*mesh), dtype=float)
     gcomps = V.grad(*mesh)
     gnorm = np.sqrt(sum(np.asarray(c, dtype=float) ** 2 for c in gcomps))
@@ -315,11 +300,8 @@ def _c_scale(V: Potential, epsilon: float, region, gs: GroundState,
 
 
 def critical_point_search(V: Potential, epsilon: float, k: int, region,
-                          mode: str, gs: GroundState,
-                          mu: float | None = None,
+                          mode: str, gs: GroundState, *,
                           c_tol: float | None = None,
-                          delta: float = 0.05,
-                          r_min: float | None = None,
                           max_steps: int = 24,
                           seed: int = 0) -> SearchOutcome:
     """Find a spike configuration with vanishing multipliers in the region.
@@ -332,12 +314,12 @@ def critical_point_search(V: Potential, epsilon: float, k: int, region,
     _quasi_newton with max|c| as its merit; the search stops at the first
     converged start. The returned outcome is the start with the lowest
     max|c| even when none converges, with the history of every start.
+    Configurations have delta = SEARCH_DELTA and SpikeConfig's r_min = 4.
 
     region is a list of (lo, hi) intervals per axis in the outer variable
     xi; mode is one of minimize_V, maximize_V, degree_zero_of_gradV.
     """
-    if mode not in ("minimize_V", "maximize_V", "degree_zero_of_gradV",
-                    "cluster_max"):
+    if mode not in ("minimize_V", "maximize_V", "degree_zero_of_gradV"):
         raise ConfigError(f"unknown search mode {mode!r}")
     grid = gs.grid
     if len(region) != grid.dim:
@@ -354,13 +336,11 @@ def critical_point_search(V: Potential, epsilon: float, k: int, region,
     scale = _c_scale(V, epsilon, region, gs)
     if c_tol is None:
         c_tol = max(1e-6 * scale, 1e-10)
-    if r_min is None:
-        r_min = 4.0
     lows, highs = (np.array(b, dtype=float) for b in zip(*region))
 
     def make_cfg(xi_pts):
         return SpikeConfig(grid, np.asarray(xi_pts) / epsilon, epsilon,
-                           delta=delta, r_min=r_min)
+                           delta=SEARCH_DELTA)
 
     best = None
     history_all, started = [], []
@@ -370,7 +350,7 @@ def critical_point_search(V: Potential, epsilon: float, k: int, region,
             continue
         started.append(xi0)
         try:
-            outcome = _quasi_newton(V, gs, mu, make_cfg, xi0, lows, highs,
+            outcome = _quasi_newton(V, gs, make_cfg, xi0, lows, highs,
                                     ascent=False, tol=c_tol,
                                     max_steps=max_steps)
         except (ConfigError, SolverDivergence) as exc:
@@ -401,7 +381,7 @@ def _floor_fraction(xi: np.ndarray, p: np.ndarray, floor: float) -> float:
     return t
 
 
-def _quasi_newton(V: Potential, gs: GroundState, mu, make_cfg,
+def _quasi_newton(V: Potential, gs: GroundState, make_cfg,
                   xi: np.ndarray, lows: np.ndarray, highs: np.ndarray, *,
                   ascent: bool, tol: float, max_steps: int,
                   floor: float = 0.0) -> SearchOutcome:
@@ -431,7 +411,7 @@ def _quasi_newton(V: Potential, gs: GroundState, mu, make_cfg,
     opts = CorrectionOptions(eta=SEARCH_ETA)
     cfg = make_cfg(xi)
     epsilon = cfg.epsilon
-    pt = _corrected(V, cfg, gs, mu, opts)
+    pt = _corrected(V, cfg, gs, opts)
     n = xi.size
     span = float(np.min(highs - lows))
     hx = max(1e-3 * span, 1e-3 * epsilon)  # small against the region
@@ -444,7 +424,7 @@ def _quasi_newton(V: Potential, gs: GroundState, mu, make_cfg,
                 "xi": xi.ravel().tolist(), "kind": kind}
 
     def near(xi_new):
-        return _corrected(V, make_cfg(xi_new), gs, mu, opts,
+        return _corrected(V, make_cfg(xi_new), gs, opts,
                           phi0=pt.correction.phi)
 
     def line_search(J, kind, free, tried):
@@ -533,9 +513,7 @@ def _quasi_newton(V: Potential, gs: GroundState, mu, make_cfg,
 
 
 def cluster_search(V: Potential, epsilon: float, k: int, region,
-                   gs: GroundState, mu: float | None = None,
-                   max_steps: int = 40, seed: int = 0,
-                   ascent_tol: float = 1e-4) -> SearchOutcome:
+                   gs: GroundState, *, seed: int = 0) -> SearchOutcome:
     """Maximize I(q) under the cluster separation floor |xi_i - xi_j| >= eps^(1-s/4).
 
     The first model seed, spread about its centroid to clear the floor, whose
@@ -543,20 +521,21 @@ def cluster_search(V: Potential, epsilon: float, k: int, region,
     grad_xi I = -alpha_ij c_ij / eps, read off the correction at each trial,
     from the central-difference Hessian of asymptotic_energy, with the region
     bounds as an active set and steps shortened to the floor. converged means
-    the free gradient met |grad| span <= ascent_tol |I|; stop says why the
-    ascent ended otherwise. boundary_stuck reports a maximizer pinned on the
-    floor. k = 1 reduces to the maximize mode of critical_point_search.
+    the free gradient met |grad| span <= CLUSTER_ASCENT_TOL |I| within
+    CLUSTER_MAX_STEPS steps; stop says why the ascent ended otherwise.
+    boundary_stuck reports a maximizer pinned on the floor. k = 1 reduces to
+    the maximize mode of critical_point_search.
     """
     if k == 1:
         return critical_point_search(V, epsilon, 1, region, "maximize_V",
-                                     gs, mu=mu, seed=seed)
+                                     gs, seed=seed)
     grid = gs.grid
     floor_xi = epsilon ** (1.0 - gs.params.s / 4.0)
     rng = np.random.default_rng(seed)
     lows, highs = (np.array(b, dtype=float) for b in zip(*region))
 
     def make_cfg(xi):
-        return SpikeConfig(grid, xi / epsilon, epsilon, delta=0.05,
+        return SpikeConfig(grid, xi / epsilon, epsilon, delta=SEARCH_DELTA,
                            r_min=0.98 * floor_xi / epsilon)
 
     for cand in _model_seed(V, epsilon, k, region, "cluster_max", gs, rng):
@@ -565,9 +544,9 @@ def cluster_search(V: Potential, epsilon: float, k: int, region,
         mid = cand.mean(axis=0)
         xi = np.clip(mid + (cand - mid) * max(1.0, floor_xi / d), lows, highs)
         try:
-            out = _quasi_newton(V, gs, mu, make_cfg, xi, lows, highs,
-                                ascent=True, tol=ascent_tol,
-                                max_steps=max_steps, floor=floor_xi)
+            out = _quasi_newton(V, gs, make_cfg, xi, lows, highs,
+                                ascent=True, tol=CLUSTER_ASCENT_TOL,
+                                max_steps=CLUSTER_MAX_STEPS, floor=floor_xi)
             break
         except SolverDivergence:
             continue

@@ -38,6 +38,8 @@ __all__ = ["SCHEMA", "MODES", "Scenario", "RunResult", "load_scenario",
 SCHEMA = "fracspike-scenario/1"
 MODES = ("ground_state", "solve_k_spike", "epsilon_sweep",
          "asymptotics_check", "degree_check", "cluster")
+# the tolerance keys some runner reads (README lists which mode reads each)
+TOLERANCES = ("delta", "eta", "n_distances", "r_min", "seed")
 
 
 @dataclass
@@ -209,6 +211,9 @@ def parse_scenario(doc, origin: str = "scenario") -> Scenario:
     if not isinstance(tolerances, dict):
         _fail(f"{origin}.tolerances", "expected an object")
     for key, val in tolerances.items():
+        if key not in TOLERANCES:
+            _fail(f"{origin}.tolerances.{key}",
+                  f"unknown key; expected one of {list(TOLERANCES)}")
         _number(val, f"{origin}.tolerances.{key}")
 
     resolved = {
@@ -480,8 +485,8 @@ def _cluster_mode(sc: Scenario, run_dir, cache_dir, files):
                [(h["step"], h["kind"], h["I"], h["max_abs_c"]) + tuple(h["xi"])
                 for h in out.history])
     files.append(hist)
-    v_max = float(np.max([sc.potential(*x) for x in
-                          _region_scan(sc.region, 65)]))
+    _, pts = rd.region_lattice(sc.region, 65)
+    v_max = float(np.max([sc.potential(*x) for x in pts]))
     return {
         "epsilon": epsilon, "k": sc.k,
         "xi_star": _jsonable(out.xi_star),
@@ -496,12 +501,6 @@ def _cluster_mode(sc: Scenario, run_dir, cache_dir, files):
         "max_abs_c": out.max_abs_c,
         "stop": out.stop,
     }
-
-
-def _region_scan(region, n):
-    axes = [np.linspace(lo, hi, n) for lo, hi in region]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([m.ravel() for m in mesh])
 
 
 _RUNNERS = {

@@ -25,13 +25,10 @@ from fracspike.grid import Field, FracParams, Grid
 __all__ = [
     "apply_multiplier",
     "FracOperator",
-    "fractional_laplacian",
-    "resolvent",
     "kernel_profile",
     "KernelProfile",
     "far_field_fit",
     "FarFieldFit",
-    "weighted_sup_norm",
     "rho_field",
     "radial_profile",
     "spectral_derivative",
@@ -81,20 +78,6 @@ class FracOperator:
 
     def resolvent(self, v: np.ndarray) -> np.ndarray:
         return apply_multiplier(v, self.grid, self.inv_symbol)
-
-
-def fractional_laplacian(f: Field, params: FracParams) -> Field:
-    """(-Delta)^s f via the Fourier multiplier |xi|^(2s)."""
-    return Field(f.grid, apply_multiplier(f.values, f.grid,
-                                          f.grid.symbol(2.0 * params.s)))
-
-
-def resolvent(g: Field, params: FracParams, m: float) -> Field:
-    """((-Delta)^s + m)^(-1) g for m > 0."""
-    if not m > 0.0:
-        raise ValueError(f"resolvent shift m must be positive, got {m}")
-    return Field(g.grid, apply_multiplier(
-        g.values, g.grid, 1.0 / (g.grid.symbol(2.0 * params.s) + m)))
 
 
 def spectral_derivative(f: Field, axis: int = 0) -> Field:
@@ -204,23 +187,6 @@ def rho_field(grid: Grid, centers, mu: float) -> np.ndarray:
     if grid.dim == 1:
         return kernels.rho_field_1d(grid.axis, centers.ravel(), mu, grid.half_width)
     return kernels.rho_field_2d(grid.axis, centers, mu, grid.half_width)
-
-
-def weighted_sup_norm(f: Field, centers, mu: float,
-                      params: FracParams | None = None) -> float:
-    """sup |f| / rho with rho the spike-anchored algebraic weight.
-
-    The admissible window is N/2 < mu < N + 2s; the upper bound is enforced
-    when params is supplied, the lower bound always.
-    """
-    grid = f.grid
-    if not mu > grid.dim / 2.0:
-        raise ValueError(f"mu must exceed N/2 = {grid.dim / 2}, got {mu}")
-    if params is not None and not mu < grid.dim + 2.0 * params.s:
-        raise ValueError(
-            f"mu must lie below N + 2s = {grid.dim + 2 * params.s}, got {mu}")
-    rho = rho_field(grid, centers, mu)
-    return float(np.max(np.abs(f.values) / rho))
 
 
 @dataclass
@@ -389,19 +355,21 @@ def kernel_profile(grid: Grid, params: FracParams, m: float,
 
     The kernel is computed by applying the resolvent to a discrete delta, so
     mass = h^N sum k reproduces 1/m exactly up to rounding. The far-field fit
-    runs over r in [window[0]*L, window[1]*L].
+    runs over r in [window[0]*L, window[1]*L]. ValueError unless m > 0.
     """
+    if not m > 0.0:
+        raise ValueError(f"resolvent shift m must be positive, got {m}")
     delta = np.zeros(grid.shape)
     origin = (grid.points_per_axis // 2,) * grid.dim  # x = 0
     delta[origin] = 1.0 / grid.cell_volume
-    k_field = resolvent(Field(grid, delta), params, m)
+    kernel = FracOperator(grid, params.s, m).resolvent(delta)
 
     L = grid.half_width
-    r, k = radial_profile(grid, k_field.values)
-    mass = grid.cell_volume * float(np.sum(k_field.values))
+    r, k = radial_profile(grid, kernel)
+    mass = grid.cell_volume * float(np.sum(kernel))
     fit = far_field_fit(r, k, L, grid.dim, params.s, window)
 
-    k_max = float(np.max(k_field.values))
+    k_max = float(np.max(kernel))
     half = np.argmin(np.abs(r - L / 2.0))
     tail_ok = bool(k[half] <= 1e-3 * k_max)
 

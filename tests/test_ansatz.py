@@ -12,10 +12,20 @@ from fracspike.potentials import Potential, builtin_potentials
 
 
 def test_default_mu_window():
-    # midpoint of (N/2, (N+2s)/2)
+    # midpoint of (N/2, (N+2s)/2), inside the enforced window (N/2, N+2s)
     assert default_mu(1, 0.5) == pytest.approx(0.75)
     assert default_mu(1, 0.75) == pytest.approx(0.875)
     assert default_mu(2, 0.5) == pytest.approx(1.25)
+
+
+@pytest.mark.parametrize("edge", ["N/2", "N+2s"])
+def test_build_ansatz_rejects_mu_outside_the_window(gs_store, edge):
+    """The weight of the Y norm needs N/2 < mu < N+2s; both ends are out."""
+    gs = gs_store(0.5, 2.0)
+    mu = {"N/2": 0.5, "N+2s": 2.0}[edge]
+    cfg = SpikeConfig(gs.grid, [[0.0]], epsilon=0.1)
+    with pytest.raises(ConfigError, match="outside the window"):
+        build_ansatz(builtin_potentials("constant", lam=1.0), cfg, gs, mu=mu)
 
 
 def test_spike_config_basics(gs_store):

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from fracspike import ground_state
+from fracspike import ground_state, kernels, reduced
 from fracspike import spectral as sp
 from fracspike.errors import ConfigError, SolverDivergence
-from fracspike.grid import FracParams, Grid
+from fracspike.grid import Field, FracParams, Grid
 from fracspike.ground_state import (_relative_residual, energy,
                                     energy_scaling_exponent,
                                     linearization_spectrum, rescale,
@@ -41,6 +41,31 @@ def test_energy_matches_functional(gs_store, closed_form_profile):
     w = closed_form_profile(gs.grid)
     assert gs.energy == pytest.approx(energy(gs.grid, gs.params, 1.0, w),
                                       rel=1e-3)
+
+
+def test_reduced_energy_is_the_one_functional():
+    assert reduced.energy_with_potential is ground_state.energy
+
+
+@pytest.mark.parametrize("dim,M", [(1, 256), (2, 64)])
+def test_one_energy_keeps_the_bits_of_both_former_functionals(dim, M):
+    """J with V = 1 has the bits of the former constant-lambda functional
+    (lambda/2 <v, v>), and J with V on the grid those of the former
+    reduced one (1/2 h^N sum V v^2), both written out here."""
+    grid, params = Grid(dim, 10.0, M), FracParams(0.5, 2.0)
+    r2 = sum(c ** 2 for c in grid.coords())
+    u = 1.5 * np.exp(-r2) - 0.1 * np.exp(-r2 / 9.0)  # u_+ differs from u
+    V = 1.0 + 0.5 * np.exp(-r2 / 4.0)
+    f = Field(grid, u)
+    lap = sp.apply_multiplier(u, grid, grid.symbol(2.0 * params.s))
+    kin = 0.5 * sp.inner(f, Field(grid, lap))
+    nl = grid.cell_volume * float(
+        np.sum(kernels.positive_power(u, params.p + 1.0))) / (params.p + 1.0)
+    lam = 1.0
+    assert energy(grid, params, lam, u) == \
+        kin + 0.5 * lam * sp.inner(f, f) - nl
+    assert energy(grid, params, V, u) == \
+        kin + 0.5 * grid.cell_volume * float(np.sum(V * u ** 2)) - nl
 
 
 def test_theta_exponent_values():
@@ -250,6 +275,6 @@ def test_polished_residual_is_that_of_the_values(dim, L, M):
     gs = solve_ground_state(grid, params)
     assert gs.newton_steps > 0
     u = gs.values
-    Au = sp.fractional_laplacian(gs.field, params).values + u
+    Au = sp.FracOperator(grid, params.s, 1.0).shifted(u)
     recomputed = np.max(np.abs(Au - u ** 2)) / np.max(np.abs(u))
     assert gs.residual_norm == pytest.approx(recomputed, rel=1e-12, abs=0)

@@ -373,7 +373,7 @@ def test_model_hessian_matches_multiplier_differences(gs_store, potential,
 
     def grad(x):
         return reduced._corrected(V, SpikeConfig(gs.grid, x / eps, eps), gs,
-                                  None, opts).grad.ravel()
+                                  opts).grad.ravel()
 
     fd = np.column_stack([(grad(xi + h * e.reshape(2, 1))
                            - grad(xi - h * e.reshape(2, 1))) / (2.0 * h)

@@ -140,6 +140,9 @@ BAD_DOCS = [
     pytest.param(make_doc(tolerances={"eta": "small"}),
                  "scenario.tolerances.eta: expected a number",
                  id="tolerance-not-number"),
+    pytest.param(make_doc(tolerances={"r-min": 2.0}),
+                 "scenario.tolerances.r-min: unknown key",
+                 id="tolerance-unknown-key"),
 ]
 
 

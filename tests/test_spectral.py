@@ -22,25 +22,24 @@ def test_laplacian_eigenfunction_1d():
     k = 3.0 * np.pi / 10.0  # mode n = 3
     f = Field(grid, np.cos(k * grid.axis))
     for s in (0.3, 0.5, 0.9):
-        out = sp.fractional_laplacian(f, FracParams(s, 2.0))
-        np.testing.assert_allclose(out.values, k ** (2 * s) * f.values,
-                                   atol=1e-12)
+        out = sp.FracOperator(grid, s, 1.0).laplacian(f.values)
+        np.testing.assert_allclose(out, k ** (2 * s) * f.values, atol=1e-12)
 
 
 def test_laplacian_annihilates_constants():
     grid = Grid(2, 5.0, 32)
     f = Field(grid, np.full(grid.shape, 3.7))
-    out = sp.fractional_laplacian(f, FracParams(0.6, 2.0))
-    assert np.max(np.abs(out.values)) < 1e-13
+    out = sp.FracOperator(grid, 0.6, 1.0).laplacian(f.values)
+    assert np.max(np.abs(out)) < 1e-13
 
 
 def test_laplacian_s_one_matches_classical():
     grid = Grid(1, 10.0, 256)
     u = np.exp(-grid.axis ** 2)
     f = Field(grid, u)
-    out = sp.fractional_laplacian(f, FracParams(1.0, 2.0))
+    out = sp.FracOperator(grid, 1.0, 1.0).laplacian(f.values)
     classical = -(4.0 * grid.axis ** 2 - 2.0) * u
-    np.testing.assert_allclose(out.values, classical, atol=1e-9)
+    np.testing.assert_allclose(out, classical, atol=1e-9)
 
 
 @pytest.mark.parametrize("dim,M", [(1, 256), (2, 64)])
@@ -48,9 +47,8 @@ def test_resolvent_composition(rng, dim, M):
     grid = Grid(dim, 8.0, M)
     f = band_limited(grid, rng)
     for s, m in ((0.35, 0.7), (0.5, 1.0), (0.85, 2.3)):
-        params = FracParams(s, 2.0)
-        g = sp.resolvent(f, params, m)
-        back = sp.fractional_laplacian(g, params).values + m * g.values
+        op = sp.FracOperator(grid, s, m)
+        back = op.shifted(op.resolvent(f.values))
         rel = np.max(np.abs(back - f.values)) / np.max(np.abs(f.values))
         assert rel < 1e-12
 
@@ -88,11 +86,9 @@ def test_every_forward_transform_names_its_shape(monkeypatch, rng, dim, M):
     assert all(kw.get("s") == grid.shape for kw in calls)
 
 
-def test_resolvent_rejects_nonpositive_shift():
-    grid = Grid(1, 8.0, 64)
-    f = Field(grid, np.ones(64))
-    with pytest.raises(ValueError):
-        sp.resolvent(f, FracParams(0.5, 2.0), 0.0)
+def test_kernel_profile_rejects_nonpositive_shift():
+    with pytest.raises(ValueError, match="must be positive"):
+        sp.kernel_profile(Grid(1, 8.0, 64), FracParams(0.5, 2.0), 0.0)
 
 
 def test_spectral_derivative_trig():
@@ -218,18 +214,6 @@ def test_inner_norm_consistency(rng):
     g = Field(Grid(1, 5.0, 64), np.zeros(64))
     with pytest.raises(ValueError):
         sp.inner(f, g)
-
-
-def test_weighted_sup_norm_window():
-    grid = Grid(1, 10.0, 128)
-    f = Field(grid, np.ones(128))
-    with pytest.raises(ValueError):
-        sp.weighted_sup_norm(f, [0.0], 0.4)  # below N/2
-    with pytest.raises(ValueError):
-        sp.weighted_sup_norm(f, [0.0], 2.5, FracParams(0.5, 2.0))  # above N+2s
-    # rho <= 1 so the weighted norm dominates the sup norm
-    val = sp.weighted_sup_norm(f, [0.0], 0.9)
-    assert val >= 1.0
 
 
 def test_far_field_fit_recovers_power_law():
