@@ -24,13 +24,14 @@ sets ptol = presid * min(ptol_factor, atol / ||r||) with ptol_factor
 quartered, and the recurrence goes on. The estimate is the M-norm of the
 residual that MINRES tracks, scaled by the ratio of the 2-norm to the
 M-norm of the initial residual. By default atol = rtol ||b||. A caller
-that iterates on the solution, such as the fixed point of
+that iterates on the solution, such as the inexact Newton steps of
 `correction.nonlinear_correction`, passes reduce > 0 for atol =
 max(rtol ||b||, reduce ||r0||), r0 = b - A x0 the residual of its warm
 start: the solve then removes a fixed share of the error it starts with,
 and rtol ||b|| stays the floor (a start already below it returns at once).
-That caller also knows A x0 from its previous solve, and passes r0 so
-that the start costs no application of A.
+That caller also knows A x0 from its previous solve, moved to the step's
+operator without a transform, and passes r0 so that the start costs no
+application of A.
 
 Inner products run on `np.einsum`, not BLAS: OpenBLAS threads a dot product
 above ~10^4 elements, its threads spin between calls, and the last digits

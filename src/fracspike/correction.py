@@ -5,7 +5,8 @@ The correction phi to the ansatz W solves
     (-Delta)^s phi + V(eps x) phi - p W^(p-1) phi = g + sum_ij c_ij Z_ij,
     <phi, Z_ij> = 0,
 
-with g = E + N(phi) in the fixed point. The Galerkin form of this system is
+with g = E + N(phi) at the solution; the Newton steps below solve it with
+W + phi_k in place of W. The Galerkin form of this system is
 P L_W y = P g for y in span{Z}^perp, with P the orthogonal projection onto
 span{Z}^perp, preconditioned by P T_m P, T_m = ((-Delta)^s + m)^(-1), m =
 the median of V(eps x) over the grid. That is the value V takes on most of
@@ -43,17 +44,25 @@ the unprojected equation, preconditioned the same way by T_m, provides
 the validation path. Both apply (-Delta)^s and T_m through the shared
 `spectral.FracOperator`.
 
-The fixed point phi <- T_q(E + N(phi)) solves such a system per step,
-warm-started from the current phi. A step stops its MINRES once the
-residual of that start has fallen by FIXED_POINT_REDUCE (1e-3), not at
-KRYLOV_RTOL ||P g||: the residual of the start is L_W times the step's
-increment, so the solve error is a thousandth of the increment, and the
-next step, a contraction with ratio well below one, damps it with the rest
-of the error. The iterates and the contraction ratios match those of
-full-accuracy steps, save the last ratio, whose increment already sits at
-the Krylov floor. A solve ends with P L_W phi = P g - (its residual) in
-hand, and the next step starts from that image: its starting residual
-P g' - P L_W phi costs no transform.
+The correction Phi(q) is the small solution of P [L_W phi - E - N(phi)]
+= 0 on span{Z}^perp. The paper gets it as the fixed point of the
+contraction phi <- T_q(E + N(phi)); `nonlinear_correction` reaches the
+same phi by inexact Newton steps on the same equation. Step k solves
+
+    P L_(W+phi_k) P phi_(k+1) = P (E + N(phi_k) - N'(phi_k) phi_k),
+    N'(phi) = p ((W_+ + phi)_+^(p-1) - W_+^(p-1)),   L_(W+phi) = L_W - N'(phi),
+
+warm-started from phi_k, and stops its MINRES once the residual of that
+start has fallen by FIXED_POINT_REDUCE (1e-3), the forcing term, not at
+KRYLOV_RTOL ||P g||. The residual of the start is the nonlinear residual
+P (E + N(phi_k) - L_W phi_k), so the increments fall quadratically at
+first and then by about the forcing term per step. Moving the operator to
+the new linearization costs no transform: `relinearize` subtracts the
+step's change dd in N' from shift and dd q_i from each row of (L Q)^T in
+place and recomputes (L Q)^T Q; Q, R and gram_cond stay. A solve ends
+with P L phi = P g - (its residual) in hand. The next step moves that
+image with the operator, image -= P (dd phi), and starts from it, so its
+starting residual P g' - P L' phi costs no transform either.
 """
 
 from __future__ import annotations
@@ -85,9 +94,11 @@ __all__ = [
 ]
 
 GRAM_COND_LIMIT = 1e8
-# each fixed-point step's MINRES stops once the residual of its warm start
-# has fallen by this factor. On the 2d two-well search 1e-2 nearly doubled
-# the largest contraction ratio and cost a step; 1e-4 saved a fifth less.
+# the forcing term of the correction's Newton steps: each step's MINRES
+# stops once the residual of its warm start has fallen by this factor.
+# Traced at benchmark seed 0, 1e-2 and 1e-4 both cost more Krylov
+# iterations: 758 and 768 against 723 on searches_1d, 100 and 95 against
+# 91 on two_well_2d.
 FIXED_POINT_REDUCE = 1e-3
 
 
@@ -101,9 +112,10 @@ class ProjectedSolution:
     # ||L_W phi - g - sum c Z|| / ||g||, the part of the residual that the
     # multipliers cannot absorb: the Krylov residual norm over ||g||
     consistency: float
-    # P L_W phi, flat, as a fixed-point step's solve ended with it (P g
-    # minus the final residual): set only under _reduce > 0, for the next
-    # step to start from; not a field
+    # P L phi, flat, L the operator's current linearization, as a
+    # correction step's solve ended with it (P g minus the final residual):
+    # set only under _reduce > 0, for the next step to start from; not a
+    # field
     _image = None
 
     def __iter__(self):
@@ -149,7 +161,8 @@ class _ProjectedOperator:
     matrix (L_W Q)^T Q and the triangle R; the stack of Z lives only for
     its QR. One contraction with the block gives Q^T v and (L_W Q)^T v
     together, and one expansion gives (L_W Q) a + Q b. shift is held flat,
-    as `apply` and `precond` take it.
+    as `apply` and `precond` take it. `relinearize` moves L_W to
+    L_W - (d .) in place, and every L_W here then stands for that operator.
     """
 
     def __init__(self, V: Potential, cfg: SpikeConfig, bundle: AnsatzBundle):
@@ -180,8 +193,18 @@ class _ProjectedOperator:
             lqi[...] = self.apply_lw(qi.reshape(grid.shape)).ravel()
         self.lqq = np.einsum("ki,li->kl", self.lq, self.qt)
 
+    def relinearize(self, dd: np.ndarray) -> None:
+        """Move the operator from L to L - (dd .) in place, for flat dd:
+        shift -= dd and (L Q)^T -= dd Q^T row by row, (L Q)^T Q anew. No
+        transform, and Q, R and gram_cond stay."""
+        self.shift -= dd
+        for qi, lqi in zip(self.qt, self.lq):
+            lqi -= dd * qi
+        self.lqq = np.einsum("ki,li->kl", self.lq, self.qt)
+
     def apply_lw(self, v: np.ndarray) -> np.ndarray:
-        """L_W v for grid-shaped v."""
+        """L v for grid-shaped v, L = L_W or the operator `relinearize`
+        moved it to."""
         return self.frac.laplacian(v) \
             + (self.shift + self.m).reshape(v.shape) * v
 
@@ -247,15 +270,16 @@ def projected_solve(g: Field, V: Potential, cfg: SpikeConfig,
     module docstring (one FFT pair per iteration) to the relative
     tolerance `_krylov.KRYLOV_RTOL`.
 
-    x0 is an initial guess for phi; A annihilates its span{Z} part. The
+    With _op given, L_W is the operator's current linearization. x0 is an
+    initial guess for phi; A annihilates its span{Z} part. The
     tolerance stays relative to ||P g||, so a guess near the solution only
     saves iterations. `nonlinear_correction` passes _reduce > 0 to stop
     instead once the residual of x0 has fallen by that factor (or at the
-    KRYLOV_RTOL floor, whichever comes first), and _image, the P L_W x0 of
-    its previous step's solution, which this solve overwrites with its
-    starting residual P g - P L_W x0 instead of applying A. Under
-    _reduce > 0 the result carries its own P L_W phi as `_image` for the
-    next step.
+    KRYLOV_RTOL floor, whichever comes first), and _image, P L x0 for its
+    previous step's solution x0 and the operator's current linearization L,
+    which this solve overwrites with its starting residual P g - P L x0
+    instead of applying A. Under _reduce > 0 the result carries its own
+    P L phi as `_image` for the next step.
     """
     op = _op if _op is not None else _ProjectedOperator(V, cfg, bundle)
     grid = op.grid
@@ -309,21 +333,24 @@ def projected_solve(g: Field, V: Potential, cfg: SpikeConfig,
 def nonlinear_correction(V: Potential, cfg: SpikeConfig, bundle: AnsatzBundle,
                          opts: CorrectionOptions | None = None,
                          phi0: Field | None = None) -> CorrectionResult:
-    """Fixed point phi <- T_q(E + N(phi)) for the full correction Phi(q).
+    """The full correction Phi(q): the fixed point phi = T_q(E + N(phi)),
+    found by inexact Newton steps.
 
     N(phi) is the quadratic-and-higher remainder of the nonlinearity around
-    W. Convergence is measured by the weighted sup norm of the increment;
-    the per-step contraction ratios are recorded, and three consecutive
-    ratios >= 1 abort the iteration with converged = False (the
-    configuration is outside the contraction regime at this epsilon). Each
-    projected solve starts MINRES from the current iterate, which already
-    lies in span{Z}^perp, and stops once the residual of that start has
-    fallen by FIXED_POINT_REDUCE (floor KRYLOV_RTOL ||P g||). The solve
-    error is then a small share of the step's increment, which the next
-    step damps (module docstring), so the fixed point lands where
-    full-accuracy steps land, in as many steps. Each step hands the next
-    the image P L_W phi its solve ended with, so the next starting
-    residual costs no transform.
+    W. Step k solves P L_(W+phi_k) P phi_(k+1) = P (E + N(phi_k) -
+    N'(phi_k) phi_k) through `projected_solve`, on one operator that
+    `relinearize` moves in place by the step's change in N' (module
+    docstring). Each solve starts MINRES from the current iterate, which
+    already lies in span{Z}^perp, and stops once the residual of that start
+    has fallen by FIXED_POINT_REDUCE (floor KRYLOV_RTOL ||P g||). Each step
+    hands the next the image P L phi its solve ended with, moved to the
+    next linearization as image -= P (dd phi), so the next starting
+    residual costs no transform. Convergence is measured by the weighted
+    sup norm of the increment. contraction_history holds the ratios of
+    successive increments, which after the second step sit near the
+    forcing term; three consecutive ratios >= 1 abort the iteration with
+    converged = False (the configuration is outside the contraction regime
+    at this epsilon).
 
     phi0, typically the correction at a nearby configuration, starts the
     fixed point from its projection onto span{Z}^perp instead of from 0.
@@ -337,10 +364,12 @@ def nonlinear_correction(V: Potential, cfg: SpikeConfig, bundle: AnsatzBundle,
     op = _ProjectedOperator(V, cfg, bundle)
     rho = bundle.rho
     p = bundle.params.p
+    W = bundle.W.values
 
     phi = Field(grid, np.zeros(grid.shape) if phi0 is None
                 else op.project(phi0.values))
     c = np.zeros((cfg.k, grid.dim))
+    d = 0.0  # the N'(phi) that op is linearized at
     prev_inc = 0.0
     ratios: list[float] = []
     converged = False
@@ -348,8 +377,16 @@ def nonlinear_correction(V: Potential, cfg: SpikeConfig, bundle: AnsatzBundle,
     it = 0
     image = None
     for it in range(1, opts.max_iter + 1):
+        # L_W - N'(phi) = L_(W+phi): move op by the step's change in N'
+        d_new = kernels.nonlinear_derivative(W, phi.values, p)
+        dd = (d_new - d).ravel()
+        op.relinearize(dd)
+        if image is not None:
+            image -= op.project(dd * phi.values.ravel())
+        d = d_new
+        del dd  # before the solve allocates its vectors
         rhs = bundle.E.values + kernels.nonlinear_remainder(
-            bundle.W.values, phi.values, p)
+            W, phi.values, p) - d * phi.values
         sol = projected_solve(Field(grid, rhs), V, cfg, bundle, x0=phi,
                               _op=op, _reduce=FIXED_POINT_REDUCE,
                               _image=image)

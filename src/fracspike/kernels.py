@@ -1,6 +1,6 @@
-"""Pointwise array kernels of the solver: the spike weight, the nonlinearity
-and its remainder, the ansatz error, periodic local maxima, radial binning
-and the median.
+"""Pointwise array kernels of the solver: the spike weight, the nonlinearity,
+its remainder and the remainder's derivative, the ansatz error, periodic
+local maxima, radial binning and the median.
 
 BACKEND names the implementation; the benchmark records it with each run.
 """
@@ -52,6 +52,15 @@ def nonlinear_remainder(W, phi, p):
     return (np.maximum(Wp + phi, 0.0) ** p
             - Wp ** p
             - p * Wp ** (p - 1.0) * phi)
+
+
+def nonlinear_derivative(W, phi, p):
+    """p (W_+ + phi)_+^(p-1) - p (W_+)^(p-1), the derivative of
+    `nonlinear_remainder` in phi: the change in the linearized
+    nonlinearity p u_+^(p-1) from u = W to u = W + phi."""
+    Wp = np.maximum(np.asarray(W, dtype=float), 0.0)
+    phi = np.asarray(phi, dtype=float)
+    return p * np.maximum(Wp + phi, 0.0) ** (p - 1.0) - p * Wp ** (p - 1.0)
 
 
 def ansatz_error(w_stack, lam, V_vals, p):

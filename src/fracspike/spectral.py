@@ -59,14 +59,18 @@ class FracOperator:
     """(-Delta)^s, (-Delta)^s + m and T_m = ((-Delta)^s + m)^(-1) on arrays.
 
     Each map costs one FFT pair; arrays may be grid-shaped or flat and come
-    back in the same shape.
+    back in the same shape. m >= 0 (ValueError otherwise), and T_m exists
+    only for m > 0: at m = 0 the symbol vanishes at the zero mode, so
+    `resolvent` raises ValueError there.
     """
 
     def __init__(self, grid: Grid, s: float, m: float):
+        if not m >= 0.0:
+            raise ValueError(f"shift m must be nonnegative, got {m}")
         self.grid = grid
         self.m = m
         self.symbol = grid.symbol(2.0 * s)
-        self.inv_symbol = 1.0 / (self.symbol + m)
+        self.inv_symbol = 1.0 / (self.symbol + m) if m > 0.0 else None
 
     def laplacian(self, v: np.ndarray) -> np.ndarray:
         return apply_multiplier(v, self.grid, self.symbol)
@@ -77,6 +81,8 @@ class FracOperator:
         return out
 
     def resolvent(self, v: np.ndarray) -> np.ndarray:
+        if self.inv_symbol is None:
+            raise ValueError("resolvent needs a positive shift m, got m = 0")
         return apply_multiplier(v, self.grid, self.inv_symbol)
 
 

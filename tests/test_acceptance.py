@@ -250,6 +250,37 @@ def test_criterion_11_two_well_scenario(gs_store):
             assert len(hits) == 1, f"dim={gs.grid.dim} box={box}: {spots}"
 
 
+def test_saddle_search_by_degree(gs_store):
+    # a 2d saddle of V: degree -1 on the box, and the degree_zero_of_gradV
+    # search certifies one spike in it (on 128^2 it stops
+    # line_search_failed, so the grid is 256^2)
+    gs = gs_store(0.5, 2, dim=2, L=20.0, M=256)
+    V = builtin_potentials("gaussian_bumps", a=1.0, bumps=[
+        {"b": 0.6, "center": [-0.9, 0.13], "sigma": 0.8},
+        {"b": 0.5, "center": [1.0, 0.0], "sigma": 0.8}])
+    box = [(-0.45, 0.55), (-0.4, 0.6)]
+    assert rd.brouwer_degree(V, box) == -1
+
+    out = rd.critical_point_search(V, 0.1, 1, box, "degree_zero_of_gradV", gs)
+    assert out.converged and out.stop == "converged"
+    assert out.max_abs_c <= out.c_tol
+    # seeded at the scan cell of least |grad V|, next to the saddle (both
+    # sides of the box are 1 long)
+    start = out.history[0]
+    assert start["kind"] == "start"
+    assert np.max(np.abs(np.asarray(start["xi"]) - out.xi_star)) <= \
+        1.0 / (rd.REGION_SCAN - 1)
+
+    seed = Field(gs.grid, build_ansatz(V, out.q_star, gs).W.values
+                 + out.correction.phi.values)
+    newton = full_newton_solve(V, 0.1, seed, gs.params)
+    assert newton.converged
+    spots = 0.1 * newton.spike_centers_detected
+    hits = [pt for pt in spots
+            if all(lo <= x <= hi for x, (lo, hi) in zip(pt, box))]
+    assert len(spots) == len(hits) == 1, f"box={box}: {spots}"
+
+
 def test_criterion_12_cluster_scenario(gs_store):
     # k=2 on a single bump: deterministic, and either an interior
     # maximizer with both V(xi_j) within 5% of max V or a boundary report

@@ -251,6 +251,32 @@ def test_precond_returns_its_vector_and_image(gs_store, rng, gs_args, xi):
         assert close(az, composed.ravel())
 
 
+@pytest.mark.parametrize("gs_args, xi", [
+    (dict(), 1.0),
+    (dict(dim=2, L=10.0, M=128), 0.3),
+], ids=["1d", "2d"])
+def test_relinearized_apply_matches_composition(gs_store, rng, gs_args, xi):
+    """After `relinearize` by d, in two parts, apply(y) is P L_(W+d) P y
+    with L_(W+d) = L_W - (d .) applied afresh through a transform."""
+    gs = gs_store(0.5, 2.0, **gs_args)
+    V, cfg, bundle = _two_spike_setup(gs, xi)
+    op = _ProjectedOperator(V, cfg, bundle)
+    shape = gs.grid.shape
+    shift = op.shift.copy()
+    d = rng.standard_normal(op.shift.size)
+    half = 0.5 * d
+    op.relinearize(half)
+    op.relinearize(d - half)
+
+    def close(a, b):
+        return np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+    for _ in range(3):
+        y = op.project(rng.standard_normal(shape)).ravel()
+        lw = op.frac.shifted(y) + (shift - d) * y
+        assert close(op.apply(y), op.project(lw))
+
+
 def _split_subtract_span_z(op, v, out):
     """The span{Z} sweep with c and e taken apart by np.split."""
     c, e = np.split(np.einsum("ki,i->k", op.block, v), 2)
@@ -440,7 +466,7 @@ def test_carried_starting_residual_is_exact(gs_store, monkeypatch):
 
 def test_two_spike_krylov_budget_and_certificate(gs_store, monkeypatch):
     """Krylov work of the 1d criterion-11 correction and its Newton
-    certificate stays in budget (measured 60 and 37), and the loose inner
+    certificate stays in budget (measured 30 and 37), and the loose inner
     tolerance of the Newton steps never reaches the certificate: the
     reported residual is max|F(u)| / max|u| recomputed from u."""
     gs = gs_store(0.5, 2.0)
@@ -449,7 +475,7 @@ def test_two_spike_krylov_budget_and_certificate(gs_store, monkeypatch):
     res = nonlinear_correction(V, cfg, bundle, CorrectionOptions(eta=0.5))
     assert res.converged
     assert len(iterations) == res.iterations
-    assert sum(iterations) <= 69
+    assert sum(iterations) <= 35
     iterations.clear()
     u0 = Field(gs.grid, bundle.W.values + res.phi.values)
     out = full_newton_solve(V, cfg.epsilon, u0, gs.params, tol=1e-10)
@@ -493,11 +519,11 @@ def test_newton_reports_its_seed_residual(gs_store, lam):
 
 
 def test_forced_fixed_point_lands_on_the_exact_one(gs_store):
-    """Each fixed-point step of `nonlinear_correction` stops its MINRES at a
-    fixed reduction of its own residual. A Picard loop on full-accuracy
-    projected solves takes as many steps to the same phi, and the same
-    contraction ratios except the last, whose increment sits at the Krylov
-    floor."""
+    """Each step of `nonlinear_correction` is an inexact Newton step whose
+    MINRES stops at a fixed reduction of its own residual. The paper's
+    Picard loop on full-accuracy projected solves with the frozen L_W
+    contracts (every ratio below one) to the same phi, to 1e-9, in more
+    steps (measured 9 against 5)."""
     gs = gs_store(0.5, 2.0)
     V, cfg, bundle = _two_spike_setup(gs)
     opts = CorrectionOptions(eta=0.5)
@@ -514,12 +540,10 @@ def test_forced_fixed_point_lands_on_the_exact_one(gs_store):
                                  / bundle.rho)))
         phi = sol.phi
         assert len(incs) <= opts.max_iter
-    assert res.iterations == len(incs)
+    assert np.all(np.array(incs[1:]) / np.array(incs[:-1]) < 1.0)
+    assert res.iterations < len(incs)
     assert np.max(np.abs(res.phi.values - phi.values)) <= \
         1e-9 * np.max(np.abs(phi.values))
-    exact = np.array(incs[1:]) / np.array(incs[:-1])
-    np.testing.assert_allclose(res.contraction_history[:-1], exact[:-1],
-                               rtol=0.05)
 
 
 def test_correction_translates_with_seeds_under_constant_v(gs_store):

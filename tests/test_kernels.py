@@ -27,6 +27,18 @@ def test_nonlinear_remainder_is_second_order(rng):
         assert np.max(np.abs(r - hess)) <= 1e-2 * t ** 2 * np.max(phi ** 2)
 
 
+def test_nonlinear_derivative_is_that_of_the_remainder(rng):
+    """Central differences of nonlinear_remainder in phi, pointwise, where
+    W + phi stays positive and where W is negative and clamped."""
+    W = np.concatenate((1.0 + rng.random(64), -rng.random(64)))
+    phi = 0.5 * rng.random(128)
+    p, h = 2.3, 1e-6
+    central = (kernels.nonlinear_remainder(W, phi + h, p)
+               - kernels.nonlinear_remainder(W, phi - h, p)) / (2.0 * h)
+    np.testing.assert_allclose(kernels.nonlinear_derivative(W, phi, p),
+                               central, rtol=0, atol=1e-8)
+
+
 def test_local_maxima_1d_periodic():
     u = np.zeros(64)
     u[0] = 2.0  # maximum at the seam checks the periodic comparison

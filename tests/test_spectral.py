@@ -54,6 +54,21 @@ def test_resolvent_composition(rng, dim, M):
 
 
 @pytest.mark.parametrize("dim,M", [(1, 64), (2, 32)])
+def test_zero_shift_keeps_laplacian_and_refuses_resolvent(rng, dim, M):
+    """At m = 0 (-Delta)^s is that of m = 1 bit for bit and T_0 does not
+    exist; m < 0 is refused at construction."""
+    grid = Grid(dim, 8.0, M)
+    f = band_limited(grid, rng).values
+    op = sp.FracOperator(grid, 0.5, 0.0)
+    np.testing.assert_array_equal(op.laplacian(f),
+                                  sp.FracOperator(grid, 0.5, 1.0).laplacian(f))
+    with pytest.raises(ValueError, match="positive shift"):
+        op.resolvent(f)
+    with pytest.raises(ValueError, match="nonnegative"):
+        sp.FracOperator(grid, 0.5, -0.1)
+
+
+@pytest.mark.parametrize("dim,M", [(1, 64), (2, 32)])
 def test_every_forward_transform_names_its_shape(monkeypatch, rng, dim, M):
     """Every rfftn behind apply_multiplier, the three FracOperator maps,
     translate and spectral_derivative is given s = grid.shape, so numpy
