@@ -225,6 +225,10 @@ def lanczos(apply: Apply, v0: np.ndarray, tols: Sequence[float],
         f"(residuals {residuals.tolist()}, tolerances {list(tols)})")
 
 
+# relative_sup at which a profile or a Newton certificate counts as solved
+RESIDUAL_TOL = 1e-10
+
+
 def relative_sup(F: np.ndarray, u: np.ndarray) -> float:
     """max|F| / max|u|: the one residual norm that Newton steps are judged
     by and that profiles and certificates report."""
@@ -248,8 +252,8 @@ def _jacobian(frac, d: np.ndarray):
     return apply, pair
 
 
-def newton(frac, residual: Apply, shift: Apply, u: np.ndarray,
-           tol: float) -> tuple[np.ndarray, float, int, float]:
+def newton(frac, residual: Apply, shift: Apply,
+           u: np.ndarray) -> tuple[np.ndarray, float, int, float]:
     """Damped Newton on F(u) = 0, Jacobian J(u) = (-Delta)^s + m + shift(u).
 
     frac is the caller's `spectral.FracOperator` ((-Delta)^s, m and
@@ -261,12 +265,12 @@ def newton(frac, residual: Apply, shift: Apply, u: np.ndarray,
     residual needs (a forcing term in the sense of Eisenstat & Walker,
     SIAM J. Sci. Comput. 17, 1996): with
     res = relative_sup(F(u), u), rtol = max(KRYLOV_RTOL, min(0.1, res),
-    0.1 tol / res), so early steps are cheap, the rate stays quadratic and
-    the last step aims one decade below tol. A step whose solve stops short
-    of rtol is still taken if its true relative residual is at most
+    0.1 RESIDUAL_TOL / res), so early steps are cheap, the rate stays
+    quadratic and the last step aims a decade below RESIDUAL_TOL. A step
+    short of rtol is still taken if its true relative residual is at most
     max(1e-6, rtol); otherwise the loop stops. Steps are halved down to 1e-4
-    until the residual decreases, and the loop stops when it reaches tol,
-    after NEWTON_MAX_STEPS steps, or when the line search fails.
+    until the residual decreases, and the loop stops at RESIDUAL_TOL, after
+    NEWTON_MAX_STEPS steps, or when the line search fails.
 
     Returns (u, res, steps, res0) with res the residual of the returned u
     and res0 that of the seed.
@@ -274,9 +278,9 @@ def newton(frac, residual: Apply, shift: Apply, u: np.ndarray,
     F = residual(u)
     res = res0 = relative_sup(F, u)
     steps = 0
-    while res > tol and steps < NEWTON_MAX_STEPS:
+    while res > RESIDUAL_TOL and steps < NEWTON_MAX_STEPS:
         d = shift(u).ravel()
-        rtol = max(KRYLOV_RTOL, min(0.1, res), 0.1 * tol / res)
+        rtol = max(KRYLOV_RTOL, min(0.1, res), 0.1 * RESIDUAL_TOL / res)
         sol = minres(*_jacobian(frac, d), F.ravel(), rtol=rtol)
         if sol.info != 0:
             true_rel = norm(sol.residual) / max(norm(F), 1e-300)

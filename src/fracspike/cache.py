@@ -198,8 +198,8 @@ def cached_ground_state(grid: Grid, params: FracParams,
                         directory=None) -> GroundState:
     """Load the lambda = 1 profile or solve and store it.
 
-    The profile is solved with the default settings of `solve_ground_state`,
-    the only ones the cache key stands for."""
+    The cache key (s, p, dim, L, M) fixes the profile: `solve_ground_state`
+    at lambda = 1 has no other setting."""
     from fracspike.ground_state import solve_ground_state
 
     directory = Path(directory) if directory is not None else default_cache_dir()

@@ -1,11 +1,10 @@
 """Command line entry points.
 
-    fracspike run <scenario.json> [--out DIR] [--workers N] [--cache DIR]
-                  [--verbose]
+    fracspike run <scenario.json> [--out DIR] [--cache DIR] [--verbose]
     fracspike ground-state --s S --p P [--dim N] [--L L] [--M M]
                   [--out DIR] [--cache DIR] [--verbose]
     fracspike sweep --scenario <scenario.json> --epsilons E1,E2,...
-                  [--out DIR] [--workers N] [--cache DIR] [--verbose]
+                  [--out DIR] [--cache DIR] [--verbose]
 
 Exit codes: 0 success, 2 configuration or schema error, 3 solver failure.
 FRACSPIKE_CACHE overrides the default cache directory; --cache overrides
@@ -42,9 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute a scenario file")
     run.add_argument("scenario", help="path to a scenario JSON file")
-    run.add_argument("--workers", type=int, default=1, metavar="N",
-                     help="no effect: sweep entries run in order, "
-                          "1.6-2.1x faster than threads on 2 vCPUs")
     common(run)
 
     gsp = sub.add_parser("ground-state",
@@ -66,8 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--epsilons", required=True, metavar="E1,E2,...",
                      help="comma-separated epsilon values (override the "
                           "scenario's list)")
-    swp.add_argument("--workers", type=int, default=1, metavar="N",
-                     help="no effect (see run --workers)")
     common(swp)
     return parser
 
@@ -76,7 +70,7 @@ def _cmd_run(args) -> int:
     from fracspike.scenarios import run_scenario
 
     result = run_scenario(args.scenario, out_dir=args.out,
-                          cache_dir=args.cache, workers=args.workers)
+                          cache_dir=args.cache)
     for f in result.files:
         print(f)
     return result.status
@@ -85,25 +79,14 @@ def _cmd_run(args) -> int:
 def _cmd_ground_state(args) -> int:
     import json
 
-    from fracspike.grid import FracParams, Grid
-    from fracspike.scenarios import SCHEMA, Scenario, run_scenario
+    from fracspike.scenarios import SCHEMA, parse_scenario, run_scenario
 
-    params = FracParams(s=args.s, p=args.p)
-    grid = Grid(args.dim, args.L, args.M)
-    params.check_subcritical(args.dim)
-    name = "ground_state_s%g_p%g_n%d" % (args.s, args.p, args.dim)
-    resolved = {
-        "schema": SCHEMA, "name": name, "mode": "ground_state",
-        "params": {"s": args.s, "p": args.p},
-        "grid": {"dim": args.dim, "half_width": args.L, "points": args.M},
-        "potential": None, "epsilons": [], "k": 1, "region": None,
-        "seeds": None, "tolerances": {},
-    }
-    scenario = Scenario(name=name, mode="ground_state", params=params,
-                        grid=grid, potential=None, epsilons=(), k=1,
-                        region=None, seeds=None, tolerances={},
-                        resolved=resolved)
-    result = run_scenario(scenario, out_dir=args.out, cache_dir=args.cache)
+    doc = {"schema": SCHEMA, "mode": "ground_state",
+           "name": "ground_state_s%g_p%g_n%d" % (args.s, args.p, args.dim),
+           "params": {"s": args.s, "p": args.p},
+           "grid": {"dim": args.dim, "half_width": args.L, "points": args.M}}
+    result = run_scenario(parse_scenario(doc, origin="ground-state"),
+                          out_dir=args.out, cache_dir=args.cache)
     for f in result.files:
         print(f)
     if result.status == 0:
@@ -138,8 +121,7 @@ def _cmd_sweep(args) -> int:
     doc = dict(base.resolved)
     doc["epsilons"] = eps
     scenario = parse_scenario(doc, origin=str(args.scenario))
-    result = run_scenario(scenario, out_dir=args.out, cache_dir=args.cache,
-                          workers=args.workers)
+    result = run_scenario(scenario, out_dir=args.out, cache_dir=args.cache)
     for f in result.files:
         print(f)
     return result.status

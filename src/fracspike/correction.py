@@ -100,6 +100,9 @@ GRAM_COND_LIMIT = 1e8
 # iterations: 758 and 768 against 723 on searches_1d, 100 and 95 against
 # 91 on two_well_2d.
 FIXED_POINT_REDUCE = 1e-3
+CORRECTION_TOL = 1e-10  # on the weighted sup norm of a step's increment
+CORRECTION_MAX_ITER = 40  # steps before a correction gives up
+SPIKE_FRACTION = 0.5  # detect_spike_centers' threshold over sup u
 
 
 @dataclass
@@ -124,9 +127,12 @@ class ProjectedSolution:
 
 @dataclass
 class CorrectionOptions:
-    eta: float = 0.1
-    tol: float = 1e-10
-    max_iter: int = 40
+    eta: float = 0.1  # the correction refuses an ansatz with ||E||_Y > eta
+
+    @property
+    def max_iter(self) -> int:
+        """CORRECTION_MAX_ITER, read-only (perfbench reads it here)."""
+        return CORRECTION_MAX_ITER
 
 
 @dataclass
@@ -346,7 +352,8 @@ def nonlinear_correction(V: Potential, cfg: SpikeConfig, bundle: AnsatzBundle,
     hands the next the image P L phi its solve ended with, moved to the
     next linearization as image -= P (dd phi), so the next starting
     residual costs no transform. Convergence is measured by the weighted
-    sup norm of the increment. contraction_history holds the ratios of
+    sup norm of the increment, down to CORRECTION_TOL within
+    CORRECTION_MAX_ITER steps. contraction_history holds the ratios of
     successive increments, which after the second step sit near the
     forcing term; three consecutive ratios >= 1 abort the iteration with
     converged = False (the configuration is outside the contraction regime
@@ -376,7 +383,7 @@ def nonlinear_correction(V: Potential, cfg: SpikeConfig, bundle: AnsatzBundle,
     bad_streak = 0
     it = 0
     image = None
-    for it in range(1, opts.max_iter + 1):
+    for it in range(1, CORRECTION_MAX_ITER + 1):
         # L_W - N'(phi) = L_(W+phi): move op by the step's change in N'
         d_new = kernels.nonlinear_derivative(W, phi.values, p)
         dd = (d_new - d).ravel()
@@ -398,7 +405,7 @@ def nonlinear_correction(V: Potential, cfg: SpikeConfig, bundle: AnsatzBundle,
             bad_streak = bad_streak + 1 if ratio >= 1.0 else 0
         prev_inc = inc
         phi, c = sol.phi, sol.c
-        if inc <= opts.tol:
+        if inc <= CORRECTION_TOL:
             converged = True
             break
         if bad_streak >= 3:
@@ -412,10 +419,10 @@ def nonlinear_correction(V: Potential, cfg: SpikeConfig, bundle: AnsatzBundle,
                             contraction_history=ratios)
 
 
-def detect_spike_centers(u: Field, frac: float = 0.5) -> np.ndarray:
-    """Strict local maxima of u above frac * sup u, as coordinates (n, dim)."""
+def detect_spike_centers(u: Field) -> np.ndarray:
+    """Strict local maxima of u above SPIKE_FRACTION sup u, as (n, dim)."""
     grid = u.grid
-    threshold = frac * float(np.max(u.values))
+    threshold = SPIKE_FRACTION * float(np.max(u.values))
     if grid.dim == 1:
         idx = kernels.local_maxima_1d(u.values, threshold)
         return grid.axis[idx].reshape(-1, 1)
@@ -423,8 +430,8 @@ def detect_spike_centers(u: Field, frac: float = 0.5) -> np.ndarray:
     return np.column_stack([grid.axis[idx[:, 0]], grid.axis[idx[:, 1]]])
 
 
-def full_newton_solve(V: Potential, epsilon: float, u0: Field, params,
-                      tol: float = 1e-10) -> NewtonResult:
+def full_newton_solve(V: Potential, epsilon: float, u0: Field,
+                      params) -> NewtonResult:
     """Damped Newton on F(u) = (-Delta)^s u + V(eps x) u - u_+^p.
 
     Independent of the projection machinery: `_krylov.newton` with
@@ -433,8 +440,8 @@ def full_newton_solve(V: Potential, epsilon: float, u0: Field, params,
     J = T_m^(-1) + (shift .), shift = V(eps x) - m - p u_+^(p-1). The
     loose inner tolerances of its forcing term never reach the certificate:
     residual_norm is always max|F(u)| / max|u| recomputed from the returned
-    u, and converged means it is <= tol. Spike centers of the solution are
-    its strict local maxima above half the peak.
+    u, and converged means it is <= `_krylov.RESIDUAL_TOL`. Spike centers
+    of the solution come from `detect_spike_centers`.
     """
     grid = u0.grid
     V_grid = V.on_grid(grid, epsilon)
@@ -450,12 +457,12 @@ def full_newton_solve(V: Potential, epsilon: float, u0: Field, params,
         return V_grid - frac.m - p * kernels.positive_power(u, p - 1.0)
 
     u, res_norm, steps, res0 = _krylov.newton(frac, residual, shift,
-                                              u0.values.copy(), tol)
+                                              u0.values.copy())
     sup_u = float(np.max(u))
     centers = detect_spike_centers(Field(grid, u)) if sup_u > 0 else \
         np.zeros((0, grid.dim))
     min_over_sup = float(np.min(u)) / sup_u if sup_u > 0 else np.nan
     return NewtonResult(u=Field(grid, u), residual_norm=res_norm,
                         iterations=steps, spike_centers_detected=centers,
-                        converged=res_norm <= tol, min_over_sup=min_over_sup,
-                        initial_residual=res0)
+                        converged=res_norm <= _krylov.RESIDUAL_TOL,
+                        min_over_sup=min_over_sup, initial_residual=res0)

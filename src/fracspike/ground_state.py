@@ -39,12 +39,17 @@ import numpy as np
 
 from fracspike import kernels
 from fracspike import spectral as sp
-from fracspike._krylov import lanczos, newton, norm, relative_sup
+from fracspike._krylov import (RESIDUAL_TOL, lanczos, newton, norm,
+                               relative_sup)
 from fracspike.errors import ConfigError, SolverDivergence
 from fracspike.grid import Field, FracParams, Grid
 
 # fixed-point increment below which the Newton polish takes over
 NEWTON_HANDOFF = 1e-2
+# fixed-point iterations before the profile solve gives up
+FIXED_POINT_MAX_ITER = 500
+# image shells per axis of the periodic tail that rescale subtracts
+TAIL_IMAGES = 3
 # Ritz residual bound for kappa_1; the next eigenvalue takes 100 EIG_TOL
 EIG_TOL = 1e-10
 # Lanczos steps before the spectrum gives up (the 2d 512^2 profile takes 20)
@@ -60,13 +65,6 @@ __all__ = [
     "decay_fit",
     "linearization_spectrum",
 ]
-
-
-def _power(u: np.ndarray, p: float) -> np.ndarray:
-    """u^p, odd-extended for non-integer p so negative undershoots stay finite."""
-    if float(p).is_integer():
-        return u ** int(p)
-    return np.sign(u) * np.abs(u) ** p
 
 
 @dataclass
@@ -125,8 +123,9 @@ class GroundState:
 
 
 def _relative_residual(op: sp.FracOperator, u: np.ndarray, p: float) -> float:
-    """max |A u - u^p| / max |u|, A = (-Delta)^s + lambda: the certified norm."""
-    return relative_sup(op.shifted(u) - _power(u, p), u)
+    """max |A u - u_+^p| / max |u|, A = (-Delta)^s + lambda: the certified
+    norm."""
+    return relative_sup(op.shifted(u) - kernels.positive_power(u, p), u)
 
 
 def energy(grid: Grid, params: FracParams, V, values: np.ndarray) -> float:
@@ -147,34 +146,31 @@ def energy_scaling_exponent(params: FracParams, dim: int) -> float:
     return (params.p + 1.0) / (params.p - 1.0) - dim / (2.0 * params.s)
 
 
-def decay_fit(grid: Grid, params: FracParams, values: np.ndarray,
-              window: tuple[float, float] = (0.2, 0.4)) -> sp.FarFieldFit:
+def decay_fit(grid: Grid, params: FracParams,
+              values: np.ndarray) -> sp.FarFieldFit:
     """Fit the algebraic tail of a profile; target exponent is -(N+2s).
 
-    The window comes back in absolute radii; `contaminated` is set when the
-    profile is still above 1e-3 of its peak at r = L/2.
+    The window, `spectral.FIT_WINDOW`, comes back in absolute radii;
+    `contaminated` is set when the profile is still above 1e-3 of its peak
+    at r = L/2.
     """
     r, v = sp.radial_profile(grid, values)
-    fit = sp.far_field_fit(r, v, grid.half_width, grid.dim, params.s, window)
+    fit = sp.far_field_fit(r, v, grid.half_width, grid.dim, params.s)
     v_max = float(np.max(np.abs(values)))
     half = np.argmin(np.abs(r - grid.half_width / 2.0))
     fit.contaminated = bool(np.abs(v[half]) > 1e-3 * v_max)
     return fit
 
 
-def solve_ground_state(grid: Grid, params: FracParams, lam: float = 1.0,
-                       tol: float = 1e-10, max_iter: int = 500) -> GroundState:
-    """Positive radial profile solving (-Delta)^s w + lambda w = w^p.
-
-    Parameters
-    ----------
-    tol : float
-        Convergence target for the relative sup-norm equation residual.
+def solve_ground_state(grid: Grid, params: FracParams,
+                       lam: float = 1.0) -> GroundState:
+    """Positive radial profile solving (-Delta)^s w + lambda w = w^p, to a
+    relative sup-norm residual of at most RESIDUAL_TOL.
 
     Raises
     ------
     SolverDivergence
-        If the iteration exhausts max_iter without reaching tol, or the
+        If FIXED_POINT_MAX_ITER iterations do not reach RESIDUAL_TOL, or the
         stabilizing factor S leaves (0, inf).
     """
     params.check_subcritical(grid.dim)
@@ -191,8 +187,8 @@ def solve_ground_state(grid: Grid, params: FracParams, lam: float = 1.0,
     gamma = p / (p - 1.0)
     residual = np.inf
     newton_steps = 0
-    for it in range(1, max_iter + 1):
-        up = _power(u, p)
+    for it in range(1, FIXED_POINT_MAX_ITER + 1):
+        up = kernels.positive_power(u, p)
         Au = op.shifted(u)
         denom = float(np.sum(u * up))
         if denom == 0.0:
@@ -204,18 +200,18 @@ def solve_ground_state(grid: Grid, params: FracParams, lam: float = 1.0,
         increment = float(np.max(np.abs(u_new - u)) / np.max(np.abs(u)))
         u = u_new
         residual = _relative_residual(op, u, p)
-        if residual <= tol:
+        if residual <= RESIDUAL_TOL:
             break
         if increment < NEWTON_HANDOFF:
-            # damped Newton on F(u) = A u - u^p, J = A - p u^(p-1)
+            # damped Newton on F(u) = A u - u_+^p, J = A - p u_+^(p-1)
             u, residual, newton_steps, _ = newton(
-                op, lambda v: op.shifted(v) - _power(v, p),
-                lambda v: -p * _power(v, p - 1.0), u, tol)
+                op, lambda v: op.shifted(v) - kernels.positive_power(v, p),
+                lambda v: -p * kernels.positive_power(v, p - 1.0), u)
             break
-    if residual > tol:
+    if residual > RESIDUAL_TOL:
         raise SolverDivergence(
-            f"ground state did not reach tol={tol} (residual {residual:.3e} "
-            f"after {it} iterations)")
+            f"ground state did not reach {RESIDUAL_TOL} (residual "
+            f"{residual:.3e} after {it} iterations)")
 
     return GroundState(
         grid=grid, params=params, lam=lam, values=u,
@@ -226,7 +222,7 @@ def solve_ground_state(grid: Grid, params: FracParams, lam: float = 1.0,
 
 
 def _image_tail(decay: sp.FarFieldFit, coords: list[np.ndarray], L: float,
-                dim: int, n_images: int = 3) -> np.ndarray:
+                dim: int) -> np.ndarray:
     """Estimated wrap-around contribution sum_{k != 0} w(|y - 2Lk|).
 
     Uses the fitted tail model, valid because the estimate is only consumed
@@ -234,7 +230,7 @@ def _image_tail(decay: sp.FarFieldFit, coords: list[np.ndarray], L: float,
     algebraic regime.
     """
     out = np.zeros(np.broadcast_shapes(*(c.shape for c in coords)))
-    rng = range(-n_images, n_images + 1)
+    rng = range(-TAIL_IMAGES, TAIL_IMAGES + 1)
     if dim == 1:
         y = coords[0]
         for k in rng:

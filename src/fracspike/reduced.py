@@ -52,6 +52,10 @@ SEARCH_DELTA = 0.05  # SpikeConfig.delta of every configuration a search visits
 CLUSTER_MAX_STEPS = 40  # quasi-Newton steps of the cluster ascent
 CLUSTER_ASCENT_TOL = 1e-4  # cluster converges at |grad I| span <= tol |I|
 REGION_SCAN = 33  # lattice points per axis for the model seeds and c_tol
+SEARCH_MAX_STEPS = 24  # quasi-Newton steps of each critical-point start
+C_TOL_SCALE = 1e-6  # c_tol over the reduced-gradient scale of _c_scale
+DEGREE_PER_SIDE = 16  # 2d degree: boundary samples per side at first
+DEGREE_MAX_REFINE = 12  # 2d degree: doublings of those samples
 
 
 # ground_state's J, under the name perfbench counts reduced energy evaluations
@@ -301,20 +305,19 @@ def _c_scale(V: Potential, epsilon: float, region, gs: GroundState) -> float:
 
 def critical_point_search(V: Potential, epsilon: float, k: int, region,
                           mode: str, gs: GroundState, *,
-                          c_tol: float | None = None,
-                          max_steps: int = 24,
                           seed: int = 0) -> SearchOutcome:
     """Find a spike configuration with vanishing multipliers in the region.
 
     Since grad_xi I = -alpha_ij c_ij / eps, the zeros of c are the critical
     points of I, and c_ij = -eps (grad_xi I)_ij / alpha_ij is the reduced
-    gradient scaled by eps; c_tol defaults to 1e-6 c_* eps max|grad V^theta|
+    gradient scaled by eps; c_tol is C_TOL_SCALE c_* eps max|grad V^theta|
     over the region. Seeds come from the asymptotic model, clipped to the
     region; a seed that clips onto an earlier one is skipped. Each start runs
-    _quasi_newton with max|c| as its merit; the search stops at the first
-    converged start. The returned outcome is the start with the lowest
-    max|c| even when none converges, with the history of every start.
-    Configurations have delta = SEARCH_DELTA and SpikeConfig's r_min = 4.
+    _quasi_newton with max|c| as its merit for up to SEARCH_MAX_STEPS steps;
+    the search stops at the first converged start. The returned outcome is
+    the start with the lowest max|c| even when none converges, with the
+    history of every start. Configurations have delta = SEARCH_DELTA and
+    SpikeConfig's r_min = 4.
 
     region is a list of (lo, hi) intervals per axis in the outer variable
     xi; mode is one of minimize_V, maximize_V, degree_zero_of_gradV.
@@ -333,9 +336,7 @@ def critical_point_search(V: Potential, epsilon: float, k: int, region,
                 f"|xi|/eps up to {max(abs(lo), abs(hi)) / epsilon:.1f} vs "
                 f"L = {grid.half_width}")
     rng = np.random.default_rng(seed)
-    scale = _c_scale(V, epsilon, region, gs)
-    if c_tol is None:
-        c_tol = max(1e-6 * scale, 1e-10)
+    c_tol = max(C_TOL_SCALE * _c_scale(V, epsilon, region, gs), 1e-10)
     lows, highs = (np.array(b, dtype=float) for b in zip(*region))
 
     def make_cfg(xi_pts):
@@ -352,7 +353,7 @@ def critical_point_search(V: Potential, epsilon: float, k: int, region,
         try:
             outcome = _quasi_newton(V, gs, make_cfg, xi0, lows, highs,
                                     ascent=False, tol=c_tol,
-                                    max_steps=max_steps)
+                                    max_steps=SEARCH_MAX_STEPS)
         except (ConfigError, SolverDivergence) as exc:
             log.warning("search start %d failed: %s", si, exc)
             continue
@@ -560,16 +561,16 @@ def cluster_search(V: Potential, epsilon: float, k: int, region,
     return out
 
 
-def brouwer_degree(V: Potential, box, n_samples: int = 64,
-                   max_refine: int = 12) -> int:
+def brouwer_degree(V: Potential, box) -> int:
     """Degree of grad V over a box, for one or two dimensions.
 
     One dimension: half the sign change of V' across the endpoints. Two
     dimensions: winding number of grad V around the boundary polygon,
-    refining adaptively until every angle increment is below pi/4. The
-    boundary must keep grad V away from zero; a margin check (smallest
-    sampled |grad V| at least ten times the largest change between adjacent
-    samples) rejects undecidable boxes.
+    from DEGREE_PER_SIDE samples per side, doubled up to DEGREE_MAX_REFINE
+    times until every angle increment is below pi/4. The boundary must keep
+    grad V away from zero; a margin check (smallest sampled |grad V| at
+    least ten times the largest change between adjacent samples) rejects
+    undecidable boxes.
     """
     arr = np.asarray(box, dtype=float)
     if arr.ndim == 1:
@@ -597,8 +598,8 @@ def brouwer_degree(V: Potential, box, n_samples: int = 64,
         left = np.column_stack([np.full_like(ts, x0), y1 - (y1 - y0) * ts])
         return np.vstack([bottom, right, top, left])
 
-    per_side = max(8, n_samples // 4)
-    for _ in range(max_refine):
+    per_side = DEGREE_PER_SIDE
+    for _ in range(DEGREE_MAX_REFINE):
         pts = boundary_points(per_side)
         gx, gy = V.grad(pts[:, 0], pts[:, 1])
         gx = np.asarray(gx, dtype=float)

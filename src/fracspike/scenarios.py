@@ -278,8 +278,9 @@ def run_scenario(scenario, out_dir=None, cache_dir=None,
     case whatever was computed is still written and the report carries the
     error. Schema problems raise ConfigError before anything is written.
 
-    ``workers`` has no effect: sweep entries run in order, which beat a
-    2-thread pool by 1.6-2.1x on 2 vCPUs (the entries contend for the GIL).
+    ``workers`` has no effect, and only perfbench passes it: sweep entries
+    run in order, which beat a 2-thread pool by 1.6-2.1x on 2 vCPUs (the
+    entries contend for the GIL).
     """
     if not isinstance(scenario, Scenario):
         scenario = load_scenario(scenario)

@@ -37,6 +37,12 @@ __all__ = [
     "inner",
 ]
 
+# far-field fits run over r in [FIT_WINDOW[0] L, FIT_WINDOW[1] L]
+FIT_WINDOW = (0.2, 0.4)
+# image shells per axis and angles of the 2d periodized power law
+IMAGE_SHELLS_2D = 2
+IMAGE_ANGLES_2D = 128
+
 
 def apply_multiplier(values: np.ndarray, grid: Grid, multiplier) -> np.ndarray:
     """irfftn(multiplier * rfftn(values)) on the grid, in the shape of values.
@@ -257,9 +263,9 @@ class FarFieldFit:
         return out
 
 
-def far_field_fit(r: np.ndarray, v: np.ndarray, L: float, dim: int, s: float,
-                  window: tuple[float, float] = (0.2, 0.4)) -> FarFieldFit:
-    """Fit v(r) ~ A r^-(N+2s) over [window[0]*L, window[1]*L] on the torus.
+def far_field_fit(r: np.ndarray, v: np.ndarray, L: float, dim: int,
+                  s: float) -> FarFieldFit:
+    """Fit v(r) ~ A r^-(N+2s) over the FIT_WINDOW radii on the torus.
 
     Models the window as A*P_b + B*P_(b+2s) + C*P_(b+4s) with P_e the
     periodized power law r^-e (wrap-around images included), since both the
@@ -269,7 +275,7 @@ def far_field_fit(r: np.ndarray, v: np.ndarray, L: float, dim: int, s: float,
     local log-log slope of the image-corrected profile to r -> infinity.
     """
     beta = dim + 2.0 * s
-    span = (window[0] * L, window[1] * L)
+    span = (FIT_WINDOW[0] * L, FIT_WINDOW[1] * L)
     sel = (r >= span[0]) & (r <= span[1]) & (v > 0)
     if np.count_nonzero(sel) < 8:
         return FarFieldFit(np.nan, np.nan, np.inf, span, False)
@@ -321,14 +327,14 @@ def _periodized_power_1d(r: np.ndarray, e: float, L: float) -> np.ndarray:
                                           + _hurwitz_zeta(e, 1.0 + a))
 
 
-def _periodized_power_2d(r: np.ndarray, e: float, L: float,
-                         n_images: int = 2, n_angles: int = 128) -> np.ndarray:
+def _periodized_power_2d(r: np.ndarray, e: float, L: float) -> np.ndarray:
     """Angle-averaged lattice image sum for the 2d torus."""
-    th = (np.arange(n_angles) + 0.5) * (2.0 * np.pi / n_angles)
+    th = (np.arange(IMAGE_ANGLES_2D) + 0.5) * (2.0 * np.pi / IMAGE_ANGLES_2D)
     ex, ey = np.cos(th), np.sin(th)
     acc = np.zeros_like(r, dtype=float)
-    for i in range(-n_images, n_images + 1):
-        for j in range(-n_images, n_images + 1):
+    shells = range(-IMAGE_SHELLS_2D, IMAGE_SHELLS_2D + 1)
+    for i in shells:
+        for j in shells:
             if i == 0 and j == 0:
                 continue
             dx = r[:, None] * ex[None, :] - 2 * L * i
@@ -355,13 +361,12 @@ def radial_profile(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return r, sums[keep] / counts[keep]
 
 
-def kernel_profile(grid: Grid, params: FracParams, m: float,
-                   window: tuple[float, float] = (0.2, 0.4)) -> KernelProfile:
+def kernel_profile(grid: Grid, params: FracParams, m: float) -> KernelProfile:
     """Radial profile, mass, and far-field fit of the resolvent kernel.
 
     The kernel is computed by applying the resolvent to a discrete delta, so
     mass = h^N sum k reproduces 1/m exactly up to rounding. The far-field fit
-    runs over r in [window[0]*L, window[1]*L]. ValueError unless m > 0.
+    runs over the FIT_WINDOW radii. ValueError unless m > 0.
     """
     if not m > 0.0:
         raise ValueError(f"resolvent shift m must be positive, got {m}")
@@ -373,7 +378,7 @@ def kernel_profile(grid: Grid, params: FracParams, m: float,
     L = grid.half_width
     r, k = radial_profile(grid, kernel)
     mass = grid.cell_volume * float(np.sum(kernel))
-    fit = far_field_fit(r, k, L, grid.dim, params.s, window)
+    fit = far_field_fit(r, k, L, grid.dim, params.s)
 
     k_max = float(np.max(kernel))
     half = np.argmin(np.abs(r - L / 2.0))

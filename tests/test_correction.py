@@ -179,7 +179,7 @@ def test_detect_spike_centers(gs_store):
     gs = gs_store(0.5, 2.0)
     x = gs.grid.axis
     u = np.exp(-(x - 5.0) ** 2) + np.exp(-(x + 5.0) ** 2) + 0.2 * np.exp(-x ** 2)
-    centers = detect_spike_centers(Field(gs.grid, u), frac=0.5)
+    centers = detect_spike_centers(Field(gs.grid, u))
     assert centers.shape == (2, 1)
     np.testing.assert_allclose(sorted(centers.ravel()), [-5.0, 5.0],
                                atol=gs.grid.spacing)
@@ -478,7 +478,7 @@ def test_two_spike_krylov_budget_and_certificate(gs_store, monkeypatch):
     assert sum(iterations) <= 35
     iterations.clear()
     u0 = Field(gs.grid, bundle.W.values + res.phi.values)
-    out = full_newton_solve(V, cfg.epsilon, u0, gs.params, tol=1e-10)
+    out = full_newton_solve(V, cfg.epsilon, u0, gs.params)
     assert out.converged
     assert len(iterations) == out.iterations >= 1
     assert sum(iterations) <= 45
@@ -532,14 +532,14 @@ def test_forced_fixed_point_lands_on_the_exact_one(gs_store):
     grid, p = gs.grid, gs.params.p
     phi = Field(grid, np.zeros(grid.shape))
     incs = []
-    while not incs or incs[-1] > opts.tol:
+    while not incs or incs[-1] > correction.CORRECTION_TOL:
         rhs = bundle.E.values + kernels.nonlinear_remainder(
             bundle.W.values, phi.values, p)
         sol = projected_solve(Field(grid, rhs), V, cfg, bundle, x0=phi)
         incs.append(float(np.max(np.abs(sol.phi.values - phi.values)
                                  / bundle.rho)))
         phi = sol.phi
-        assert len(incs) <= opts.max_iter
+        assert len(incs) <= correction.CORRECTION_MAX_ITER
     assert np.all(np.array(incs[1:]) / np.array(incs[:-1]) < 1.0)
     assert res.iterations < len(incs)
     assert np.max(np.abs(res.phi.values - phi.values)) <= \

@@ -160,10 +160,11 @@ def test_rescale_validation(gs_store):
         rescale(gs, 1e8)  # core falls below grid resolution
 
 
-def test_divergence_reported():
+def test_divergence_reported(monkeypatch):
+    monkeypatch.setattr(ground_state, "FIXED_POINT_MAX_ITER", 2)
     grid = Grid(1, 20.0, 256)
     with pytest.raises(SolverDivergence):
-        solve_ground_state(grid, FracParams(0.5, 2.0), max_iter=2)
+        solve_ground_state(grid, FracParams(0.5, 2.0))
 
 
 def test_2d_profile_radial():

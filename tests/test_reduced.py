@@ -256,16 +256,20 @@ def test_search_correction_budget(gs_store, monkeypatch, search, budget,
     assert len(calls) <= budget
 
 
-def test_search_reports_why_it_stopped(gs_store):
+def test_search_reports_why_it_stopped(gs_store, monkeypatch):
     """On a bump of sigma = 0.5 the eta gate rejects every trial that brings
-    the pair closer: the ascent says so instead of ending like a normal stop."""
+    the pair closer: the ascent says so instead of ending like a normal stop.
+    A minimum off the seed lattice (max|c| 2.6e-3 at the start, c_tol
+    7.2e-7) with no step allowed stops on the step limit."""
     gs = gs_store(0.5, 2.0)
     out = _cluster(0.5)(gs)
     assert not out.converged and out.stop == "corrections_failed"
-    out = critical_point_search(builtin_potentials("well", a=2.0, b=1.0),
-                                0.1, 1, [(-2.0, 2.0)], "minimize_V", gs,
-                                max_steps=0, c_tol=1e-30)
+    monkeypatch.setattr(reduced, "SEARCH_MAX_STEPS", 0)
+    bump = builtin_potentials("gaussian_bumps", a=2.0, bumps=[
+        {"b": -0.9, "center": [0.37], "sigma": 0.5}])
+    out = critical_point_search(bump, 0.1, 1, [(-2.0, 2.0)], "minimize_V", gs)
     assert not out.converged and out.stop == "max_steps"
+    assert out.max_abs_c > out.c_tol
 
 
 @pytest.mark.parametrize("potential, search", [

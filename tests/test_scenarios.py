@@ -389,6 +389,11 @@ def test_cli_ground_state_command(tmp_path, cache_dir, capsys):
     assert "energy =" in out
     assert "target -2.0000" in out
     assert "kernel_dim = 1" in out
+    doc = make_doc(name="ground_state_s0.5_p2_n1",
+                   grid={"dim": 1, "half_width": 20.0, "points": 256})
+    report = json.loads((tmp_path / "out" / doc["name"] / "report.json")
+                        .read_text())
+    assert report["scenario"] == parse_scenario(doc).resolved
 
 
 def test_reports_carry_newton_seed_and_kernel_residuals(tmp_path, cache_dir,
@@ -419,7 +424,7 @@ def test_cli_sweep_overrides_epsilons(tmp_path, cache_dir, capsys):
     rc = cli.main(["sweep", "--scenario", str(path),
                    "--epsilons", "0.2,0.1,0.05",
                    "--out", str(tmp_path / "out"),
-                   "--cache", str(cache_dir), "--workers", "2"])
+                   "--cache", str(cache_dir)])
     capsys.readouterr()
     assert rc == 0
     report = json.loads(
