@@ -90,6 +90,7 @@ __all__ = [
     "projected_solve",
     "nonlinear_correction",
     "full_newton_solve",
+    "certify",
     "detect_spike_centers",
 ]
 
@@ -157,6 +158,25 @@ class NewtonResult:
     converged: bool
     min_over_sup: float
     initial_residual: float
+
+    def failed_check(self, cfg: SpikeConfig) -> str | None:
+        """The first check u fails as a solution with cfg's spikes, or None:
+        "residual" (not converged), "positivity" (min u <= 0) or "spikes"
+        (not cfg.k spikes, one within a grid spacing of each centre)."""
+        det = self.spike_centers_detected
+        near = np.linalg.norm(cfg.grid.periodic_delta(
+            det, cfg.centers[:, None]), axis=-1) <= cfg.grid.spacing
+        if not self.converged:
+            return "residual"
+        if not self.min_over_sup > 0:
+            return "positivity"
+        if len(det) != cfg.k or np.any(near.sum(axis=1) != 1):
+            return "spikes"
+        return None
+
+    def certifies(self, cfg: SpikeConfig) -> bool:
+        """True when u passes every check of `failed_check`."""
+        return self.failed_check(cfg) is None
 
 
 class _ProjectedOperator:
@@ -466,3 +486,10 @@ def full_newton_solve(V: Potential, epsilon: float, u0: Field,
                         iterations=steps, spike_centers_detected=centers,
                         converged=res_norm <= _krylov.RESIDUAL_TOL,
                         min_over_sup=min_over_sup, initial_residual=res0)
+
+
+def certify(V: Potential, bundle: AnsatzBundle,
+            corr: CorrectionResult) -> NewtonResult:
+    """The Newton certificate of a corrected ansatz: Newton from W + phi."""
+    u0 = Field(bundle.grid, bundle.W.values + corr.phi.values)
+    return full_newton_solve(V, bundle.cfg.epsilon, u0, bundle.params)

@@ -29,6 +29,7 @@ from fracspike.ansatz import SpikeConfig, build_ansatz
 from fracspike.correction import (CorrectionOptions, CorrectionResult,
                                   nonlinear_correction)
 from fracspike.errors import ConfigError, SolverDivergence
+from fracspike.grid import Field
 from fracspike.ground_state import (GroundState, energy,
                                     energy_scaling_exponent)
 from fracspike.potentials import Potential
@@ -36,7 +37,7 @@ from fracspike.potentials import Potential
 log = logging.getLogger(__name__)
 
 __all__ = [
-    "ReducedReport",
+    "ReducedPoint",
     "SearchOutcome",
     "reduced_energy",
     "energy_with_potential",
@@ -61,17 +62,6 @@ DEGREE_MAX_REFINE = 12  # 2d degree: doublings of those samples
 # ground_state's J, under the name perfbench counts reduced energy evaluations
 # by; cache.load and solve_ground_state call it as `energy`, uncounted
 energy_with_potential = energy
-
-
-@dataclass
-class ReducedReport:
-    q: SpikeConfig
-    I_value: float
-    c_matrix: np.ndarray
-    grad: np.ndarray
-    theta: float
-    converged: bool
-    correction: CorrectionResult = dc_field(repr=False, default=None)
 
 
 @dataclass
@@ -165,30 +155,10 @@ def _model_energy(V: Potential, xi_list, epsilon: float, gs: GroundState,
     return total
 
 
-def reduced_energy(V: Potential, cfg: SpikeConfig, gs: GroundState,
-                   opts: CorrectionOptions | None = None) -> ReducedReport:
-    """I(q) = J_eps(W_q + Phi(q)) with its multipliers and gradient.
+class ReducedPoint(NamedTuple):
+    """The reduced energy I at one configuration, its multipliers c and
+    gradient grad_xi I, the correction, and alpha_ij = ||Z_ij||^2."""
 
-    The gradient with respect to the outer positions is the multiplier
-    estimate grad_xi I = -alpha_ij c_ij / eps: moving q_ij shifts W_q along
-    -Z_ij, the corrected equation leaves the residual sum c_ij Z_ij, and
-    xi = eps q contributes the 1/eps. It needs no correction beyond the one
-    at cfg. When the correction fails the report carries converged = False
-    and NaN for I, the multipliers and the gradient.
-    """
-    opts = opts or CorrectionOptions(eta=SEARCH_ETA)
-    theta = energy_scaling_exponent(gs.params, gs.grid.dim)
-    try:
-        pt = _corrected(V, cfg, gs, opts)
-    except SolverDivergence:
-        nan = np.full((cfg.k, cfg.grid.dim), np.nan)
-        return ReducedReport(q=cfg, I_value=np.nan, c_matrix=nan,
-                             grad=nan.copy(), theta=theta, converged=False)
-    return ReducedReport(q=cfg, I_value=pt.I, c_matrix=pt.c, grad=pt.grad,
-                         theta=theta, converged=True, correction=pt.correction)
-
-
-class _Corrected(NamedTuple):
     I: float
     c: np.ndarray
     grad: np.ndarray
@@ -196,21 +166,28 @@ class _Corrected(NamedTuple):
     alphas: np.ndarray
 
 
-def _corrected(V, cfg, gs, opts, phi0=None) -> _Corrected:
-    """Build the ansatz at cfg and correct it once: I, c and grad_xi I.
+def reduced_energy(V: Potential, cfg: SpikeConfig, gs: GroundState,
+                   phi0: Field | None = None) -> ReducedPoint:
+    """I(q) = J_eps(W_q + Phi(q)) with its multipliers and gradient.
 
-    phi0 starts the fixed point from a nearby configuration's correction.
-    Raises SolverDivergence when the correction does not converge.
+    The gradient with respect to the outer positions is the multiplier
+    estimate grad_xi I = -alpha_ij c_ij / eps: moving q_ij shifts W_q along
+    -Z_ij, the corrected equation leaves the residual sum c_ij Z_ij, and
+    xi = eps q contributes the 1/eps. It needs no correction beyond the one
+    at cfg, gated at SEARCH_ETA. phi0 starts the fixed point from a nearby
+    configuration's correction. Raises SolverDivergence when the correction
+    does not converge.
     """
     bundle = build_ansatz(V, cfg, gs)
-    corr = nonlinear_correction(V, cfg, bundle, opts, phi0=phi0)
+    corr = nonlinear_correction(V, cfg, bundle,
+                                CorrectionOptions(eta=SEARCH_ETA), phi0=phi0)
     if not corr.converged:
         raise SolverDivergence(f"correction diverged at centers "
                                f"{cfg.centers.tolist()}")
     u = bundle.W.values + corr.phi.values
     I_val = energy_with_potential(cfg.grid, gs.params, bundle.V_grid, u)
-    return _Corrected(I_val, corr.c, -bundle.alphas * corr.c / cfg.epsilon,
-                      corr, bundle.alphas)
+    return ReducedPoint(I_val, corr.c, -bundle.alphas * corr.c / cfg.epsilon,
+                        corr, bundle.alphas)
 
 
 def _model_hessian(V: Potential, xi: np.ndarray, epsilon: float,
@@ -255,7 +232,7 @@ def _model_seed(V: Potential, epsilon: float, k: int, region, mode: str,
     else:
         score = np.asarray(V(*mesh), dtype=float)
     order = np.argsort(score.ravel())
-    if mode in ("maximize_V", "cluster_max"):
+    if mode == "maximize_V":
         order = order[::-1]
 
     def spread_pick(count, min_sep):
@@ -409,10 +386,9 @@ def _quasi_newton(V: Potential, gs: GroundState, make_cfg,
     point from the current phi. Raises SolverDivergence or ConfigError when
     the start itself cannot be corrected.
     """
-    opts = CorrectionOptions(eta=SEARCH_ETA)
     cfg = make_cfg(xi)
     epsilon = cfg.epsilon
-    pt = _corrected(V, cfg, gs, opts)
+    pt = reduced_energy(V, cfg, gs)
     n = xi.size
     span = float(np.min(highs - lows))
     hx = max(1e-3 * span, 1e-3 * epsilon)  # small against the region
@@ -425,8 +401,7 @@ def _quasi_newton(V: Potential, gs: GroundState, make_cfg,
                 "xi": xi.ravel().tolist(), "kind": kind}
 
     def near(xi_new):
-        return _corrected(V, make_cfg(xi_new), gs, opts,
-                          phi0=pt.correction.phi)
+        return reduced_energy(V, make_cfg(xi_new), gs, pt.correction.phi)
 
     def line_search(J, kind, free, tried):
         """(xi, point, kind, every trial raised) of the first accepted trial."""
@@ -539,7 +514,7 @@ def cluster_search(V: Potential, epsilon: float, k: int, region,
         return SpikeConfig(grid, xi / epsilon, epsilon, delta=SEARCH_DELTA,
                            r_min=0.98 * floor_xi / epsilon)
 
-    for cand in _model_seed(V, epsilon, k, region, "cluster_max", gs, rng):
+    for cand in _model_seed(V, epsilon, k, region, "maximize_V", gs, rng):
         d = min(float(np.linalg.norm(cand[i] - cand[j]))
                 for i, j in itertools.combinations(range(k), 2))
         mid = cand.mean(axis=0)

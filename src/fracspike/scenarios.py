@@ -21,10 +21,10 @@ from fracspike import kernels
 from fracspike import reduced as rd
 from fracspike import spectral as sp
 from fracspike.ansatz import SpikeConfig, build_ansatz
-from fracspike.correction import (CorrectionOptions, full_newton_solve,
+from fracspike.correction import (CorrectionOptions, certify,
                                   nonlinear_correction)
 from fracspike.errors import ConfigError, SolverDivergence
-from fracspike.grid import Field, FracParams, Grid
+from fracspike.grid import FracParams, Grid
 from fracspike.ground_state import (GroundState, linearization_spectrum,
                                     rescale)
 from fracspike.potentials import Potential, potential_from_config
@@ -274,9 +274,9 @@ def run_scenario(scenario, out_dir=None, cache_dir=None,
                  workers: int = 1) -> RunResult:
     """Execute a scenario (object or file path) and write its artifacts.
 
-    Returns status 0 on success and 3 on solver divergence; in the latter
-    case whatever was computed is still written and the report carries the
-    error. Schema problems raise ConfigError before anything is written.
+    Returns status 0 on success and 3 on solver divergence or a failed
+    Newton certificate, with whatever was computed written and the error
+    in the report. Schema problems raise ConfigError before any writing.
 
     ``workers`` has no effect, and only perfbench passes it: sweep entries
     run in order, which beat a 2-thread pool by 1.6-2.1x on 2 vCPUs (the
@@ -343,28 +343,26 @@ def _ground_state_mode(sc: Scenario, run_dir, cache_dir, files):
     }
 
 
-def _spike_config(sc: Scenario, epsilon: float) -> SpikeConfig:
+def _corrected_seeds(sc: Scenario, gs: GroundState, epsilon: float):
+    """The ansatz of the seeds at epsilon and its converged correction."""
     tol = sc.tolerances
-    return SpikeConfig(sc.grid, sc.seeds / epsilon, epsilon,
-                       delta=float(tol.get("delta", 0.05)),
-                       r_min=float(tol.get("r_min", 4.0)))
-
-
-def _correction_opts(sc: Scenario) -> CorrectionOptions:
-    return CorrectionOptions(eta=float(sc.tolerances.get("eta",
-                                                         rd.SEARCH_ETA)))
+    cfg = SpikeConfig(sc.grid, sc.seeds / epsilon, epsilon,
+                      delta=float(tol.get("delta", 0.05)),
+                      r_min=float(tol.get("r_min", 4.0)))
+    bundle = build_ansatz(sc.potential, cfg, gs)
+    corr = nonlinear_correction(sc.potential, cfg, bundle, CorrectionOptions(
+        eta=float(tol.get("eta", rd.SEARCH_ETA))))
+    if not corr.converged:
+        raise SolverDivergence(
+            f"correction did not converge at epsilon = {epsilon}")
+    return bundle, corr
 
 
 def _solve_k_spike_mode(sc: Scenario, run_dir, cache_dir, files):
     epsilon = sc.epsilons[0]
     gs = cache_io.cached_ground_state(sc.grid, sc.params, directory=cache_dir)
-    cfg = _spike_config(sc, epsilon)
-    bundle = build_ansatz(sc.potential, cfg, gs)
-    corr = nonlinear_correction(sc.potential, cfg, bundle, _correction_opts(sc))
-    if not corr.converged:
-        raise SolverDivergence("correction fixed point did not converge")
-    u0 = Field(sc.grid, bundle.W.values + corr.phi.values)
-    newton = full_newton_solve(sc.potential, epsilon, u0, sc.params)
+    bundle, corr = _corrected_seeds(sc, gs, epsilon)
+    cfg, newton = bundle.cfg, certify(sc.potential, bundle, corr)
 
     sol = run_dir / "solution.csv"
     if sc.grid.dim == 1:
@@ -379,6 +377,12 @@ def _solve_k_spike_mode(sc: Scenario, run_dir, cache_dir, files):
                 for j, y in enumerate(ax.tolist()))
         _write_csv(sol, ["x", "y", "u"], rows)
     files.append(sol)
+    failed = newton.failed_check(cfg)
+    if failed:
+        raise SolverDivergence(
+            f"Newton certificate failed its {failed} check: residual "
+            f"{newton.residual_norm:.3e}, min/sup {newton.min_over_sup:.3e}, "
+            f"spikes at {_jsonable(epsilon * newton.spike_centers_detected)}")
     return {
         "epsilon": epsilon,
         "ansatz_error_norm_Y": bundle.E_norm_Y,
@@ -396,23 +400,16 @@ def _solve_k_spike_mode(sc: Scenario, run_dir, cache_dir, files):
     }
 
 
-def _sweep_one(sc: Scenario, gs: GroundState, epsilon: float) -> dict:
-    cfg = _spike_config(sc, epsilon)
-    bundle = build_ansatz(sc.potential, cfg, gs)
-    corr = nonlinear_correction(sc.potential, cfg, bundle, _correction_opts(sc))
-    if not corr.converged:
-        raise SolverDivergence(
-            f"correction did not converge at epsilon = {epsilon}")
-    return {"epsilon": epsilon, "E_norm_Y": bundle.E_norm_Y,
-            "phi_norm_Y": corr.norm_Y,
-            "ratio": corr.norm_Y / bundle.E_norm_Y,
-            "max_abs_c": float(np.max(np.abs(corr.c))),
-            "iterations": corr.iterations}
-
-
 def _epsilon_sweep_mode(sc: Scenario, run_dir, cache_dir, files):
     gs = cache_io.cached_ground_state(sc.grid, sc.params, directory=cache_dir)
-    rows = [_sweep_one(sc, gs, e) for e in sc.epsilons]
+    rows = []
+    for epsilon in sc.epsilons:
+        bundle, corr = _corrected_seeds(sc, gs, epsilon)
+        rows.append({"epsilon": epsilon, "E_norm_Y": bundle.E_norm_Y,
+                     "phi_norm_Y": corr.norm_Y,
+                     "ratio": corr.norm_Y / bundle.E_norm_Y,
+                     "max_abs_c": float(np.max(np.abs(corr.c))),
+                     "iterations": corr.iterations})
 
     csv = run_dir / "sweep.csv"
     _write_csv(csv, ["epsilon", "E_norm_Y", "phi_norm_Y", "ratio",

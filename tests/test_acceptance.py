@@ -17,7 +17,7 @@ from fracspike import kernels
 from fracspike import reduced as rd
 from fracspike import spectral as sp
 from fracspike.ansatz import SpikeConfig, build_ansatz
-from fracspike.correction import (CorrectionOptions, full_newton_solve,
+from fracspike.correction import (CorrectionOptions, certify,
                                   nonlinear_correction)
 from fracspike.grid import Field, FracParams, Grid
 from fracspike.ground_state import (energy_scaling_exponent,
@@ -184,16 +184,12 @@ def test_criterion_09_reduction_criterion(gs_store):
 
     # the search's final correction has the options a fresh one would use
     cfg, corr = out.q_star, out.correction
-    assert corr.converged
-    seed = Field(gs.grid, build_ansatz(well, cfg, gs).W.values
-                 + corr.phi.values)
-    newton = full_newton_solve(well, 0.1, seed, gs.params)
-    assert newton.converged and newton.iterations <= 5
-    dist = float(np.max(np.abs(newton.u.values - seed.values)))
+    bundle = build_ansatz(well, cfg, gs)
+    newton = certify(well, bundle, corr)
+    assert newton.certifies(cfg) and newton.iterations <= 5
+    dist = float(np.max(np.abs(newton.u.values - bundle.W.values
+                                - corr.phi.values)))
     assert dist <= 1e-6, f"Newton moved {dist:.3e} from the seed"
-    det = newton.spike_centers_detected
-    assert det.shape == (1, gs.grid.dim)
-    assert gs.grid.periodic_distance(det[0], cfg.centers[0]) <= gs.grid.spacing
 
 
 def test_criterion_10_minimum_scenario(gs_store):
@@ -236,14 +232,9 @@ def test_criterion_11_two_well_scenario(gs_store):
         assert out.converged
         assert out.max_abs_c <= out.c_tol
 
-        corr = out.correction
-        assert corr.converged
-        seed = Field(gs.grid, build_ansatz(V, out.q_star, gs).W.values
-                     + corr.phi.values)
-        newton = full_newton_solve(V, 0.1, seed, gs.params)
-        assert newton.converged
+        newton = certify(V, build_ansatz(V, out.q_star, gs), out.correction)
+        assert newton.certifies(out.q_star)
         spots = 0.1 * newton.spike_centers_detected
-        assert spots.shape[0] == 2
         for box in boxes:
             hits = [pt for pt in spots
                     if all(lo <= x <= hi for x, (lo, hi) in zip(pt, box))]
@@ -271,14 +262,10 @@ def test_saddle_search_by_degree(gs_store):
     assert np.max(np.abs(np.asarray(start["xi"]) - out.xi_star)) <= \
         1.0 / (rd.REGION_SCAN - 1)
 
-    seed = Field(gs.grid, build_ansatz(V, out.q_star, gs).W.values
-                 + out.correction.phi.values)
-    newton = full_newton_solve(V, 0.1, seed, gs.params)
-    assert newton.converged
-    spots = 0.1 * newton.spike_centers_detected
-    hits = [pt for pt in spots
-            if all(lo <= x <= hi for x, (lo, hi) in zip(pt, box))]
-    assert len(spots) == len(hits) == 1, f"box={box}: {spots}"
+    newton = certify(V, build_ansatz(V, out.q_star, gs), out.correction)
+    assert newton.certifies(out.q_star)
+    (spot,) = 0.1 * newton.spike_centers_detected
+    assert all(lo <= x <= hi for x, (lo, hi) in zip(spot, box)), spot
 
 
 def test_criterion_12_cluster_scenario(gs_store):

@@ -1,5 +1,6 @@
 """Projected linear solves, multiplier recovery, and the full correction."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -165,14 +166,29 @@ def test_eta_gate(gs_store):
 def test_full_newton_from_corrected_ansatz(well_setup):
     gs, V, cfg, bundle = well_setup
     res = nonlinear_correction(V, cfg, bundle, CorrectionOptions(eta=0.5))
-    u0 = Field(gs.grid, bundle.W.values + res.phi.values)
-    out = full_newton_solve(V, cfg.epsilon, u0, gs.params)
-    assert out.converged
-    assert out.residual_norm <= 1e-10
-    assert out.iterations <= 5
-    assert out.spike_centers_detected.shape == (1, 1)
-    assert abs(out.spike_centers_detected[0, 0]) <= gs.grid.spacing
-    assert out.min_over_sup > -1e-8  # positive solution
+    out = correction.certify(V, bundle, res)
+    assert out.certifies(cfg) and out.iterations <= 5
+
+
+def test_certificate_names_the_check_that_fails(well_setup):
+    """failed_check tries residual, positivity and spikes in turn; a spike
+    counts for a centre within one grid spacing of it."""
+    gs, V, cfg, bundle = well_setup
+    h = gs.grid.spacing
+    ok = correction.NewtonResult(
+        u=bundle.W, residual_norm=0.0, iterations=0, converged=True,
+        spike_centers_detected=cfg.centers + 0.9 * h, min_over_sup=1e-3,
+        initial_residual=0.0)
+    assert ok.failed_check(cfg) is None and ok.certifies(cfg)
+    for change, check in (
+            (dict(converged=False, min_over_sup=-1.0), "residual"),
+            (dict(min_over_sup=0.0), "positivity"),
+            (dict(spike_centers_detected=cfg.centers + 1.1 * h), "spikes"),
+            (dict(spike_centers_detected=np.zeros((0, 1))), "spikes"),
+            (dict(spike_centers_detected=np.vstack([cfg.centers] * 2)),
+             "spikes")):
+        bad = dataclasses.replace(ok, **change)
+        assert bad.failed_check(cfg) == check and not bad.certifies(cfg)
 
 
 def test_detect_spike_centers(gs_store):

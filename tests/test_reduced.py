@@ -7,8 +7,7 @@ import pytest
 
 from fracspike import reduced
 from fracspike.ansatz import SpikeConfig, build_ansatz
-from fracspike.correction import CorrectionOptions
-from fracspike.errors import ConfigError
+from fracspike.errors import ConfigError, SolverDivergence
 from fracspike.ground_state import energy_scaling_exponent
 from fracspike.potentials import builtin_potentials, potential_from_config
 from fracspike.reduced import (SEARCH_ETA, asymptotic_energy, brouwer_degree,
@@ -24,11 +23,9 @@ def test_constant_potential_energy_identity(gs_store):
     cfg = SpikeConfig(gs.grid, [[2.0]], epsilon=0.1)
     rep = reduced_energy(V, cfg, gs)
     theta = energy_scaling_exponent(gs.params, 1)
-    assert rep.converged
-    assert rep.I_value == pytest.approx(lam ** theta * gs.energy, rel=1e-2)
+    assert rep.I == pytest.approx(lam ** theta * gs.energy, rel=1e-2)
     # no potential landscape: multipliers vanish identically
-    assert np.max(np.abs(rep.c_matrix)) < 1e-8
-    assert rep.theta == pytest.approx(theta)
+    assert np.max(np.abs(rep.c)) < 1e-8
 
 
 def test_reduced_gradient_tracks_multipliers(gs_store):
@@ -38,23 +35,21 @@ def test_reduced_gradient_tracks_multipliers(gs_store):
     center = reduced_energy(V, SpikeConfig(gs.grid, [[0.0]], 0.1), gs)
     off = reduced_energy(V, SpikeConfig(gs.grid, [[4.0]], 0.1), gs)
     assert abs(center.grad[0, 0]) < 1e-5
-    assert np.max(np.abs(center.c_matrix)) < 1e-6
+    assert np.max(np.abs(center.c)) < 1e-6
     assert abs(off.grad[0, 0]) > 10 * abs(center.grad[0, 0])
-    assert np.max(np.abs(off.c_matrix)) > 1e-4
+    assert np.max(np.abs(off.c)) > 1e-4
     # moving toward the minimum lowers I
-    assert center.I_value < off.I_value
+    assert center.I < off.I
 
 
-def test_reduced_energy_reports_failed_correction(gs_store):
-    """A correction that cannot start yields a NaN report, not an exception."""
+def test_reduced_energy_raises_on_failed_correction(gs_store, monkeypatch):
+    """A correction the SEARCH_ETA gate refuses raises; the searches catch
+    it as a failed trial."""
     gs = gs_store(0.5, 2.0)
     V = builtin_potentials("well", a=2.0, b=1.0)
-    cfg = SpikeConfig(gs.grid, [[4.0]], 0.1)
-    rep = reduced_energy(V, cfg, gs, opts=CorrectionOptions(eta=1e-6))
-    assert not rep.converged
-    assert np.isnan(rep.I_value)
-    assert rep.c_matrix.shape == rep.grad.shape == (1, 1)
-    assert np.all(np.isnan(rep.c_matrix)) and np.all(np.isnan(rep.grad))
+    monkeypatch.setattr(reduced, "SEARCH_ETA", 1e-6)
+    with pytest.raises(SolverDivergence, match="eta = 1e-06"):
+        reduced_energy(V, SpikeConfig(gs.grid, [[4.0]], 0.1), gs)
 
 
 CLUSTER_BUMP = dict(a=1.0, bumps=[{"b": 1.0, "center": [0.0], "sigma": 1.0}])
@@ -74,7 +69,6 @@ def test_multiplier_gradient_matches_central_differences(gs_store, potential,
     eps, h = 0.1, 1e-3
     xi = np.array(xi)
     rep = reduced_energy(V, SpikeConfig(gs.grid, xi / eps, eps), gs)
-    assert rep.converged
     fd = np.zeros_like(xi)
     for idx in np.ndindex(xi.shape):
         vals = []
@@ -82,7 +76,7 @@ def test_multiplier_gradient_matches_central_differences(gs_store, potential,
             shifted = xi.copy()
             shifted[idx] += sgn * h
             vals.append(reduced_energy(
-                V, SpikeConfig(gs.grid, shifted / eps, eps), gs).I_value)
+                V, SpikeConfig(gs.grid, shifted / eps, eps), gs).I)
         fd[idx] = (vals[0] - vals[1]) / (2.0 * h)
     assert np.all(np.sign(rep.grad) == np.sign(fd)), (rep.grad, fd)
     np.testing.assert_allclose(rep.grad, fd, rtol=0.1)
@@ -373,11 +367,10 @@ def test_model_hessian_matches_multiplier_differences(gs_store, potential,
     gs = gs_store(0.5, 2.0)
     V = builtin_potentials("gaussian_bumps", **potential)
     eps, h, xi = 0.1, 3e-3, np.array(xi)
-    opts = CorrectionOptions(eta=SEARCH_ETA)
 
     def grad(x):
-        return reduced._corrected(V, SpikeConfig(gs.grid, x / eps, eps), gs,
-                                  opts).grad.ravel()
+        return reduced_energy(V, SpikeConfig(gs.grid, x / eps, eps),
+                              gs).grad.ravel()
 
     fd = np.column_stack([(grad(xi + h * e.reshape(2, 1))
                            - grad(xi - h * e.reshape(2, 1))) / (2.0 * h)
