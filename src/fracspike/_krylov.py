@@ -37,11 +37,13 @@ Inner products run on `np.einsum`, not BLAS: OpenBLAS threads a dot product
 above ~10^4 elements, its threads spin between calls, and the last digits
 of a threaded sum depend on the thread count.
 
-`newton` is the one damped Newton-Krylov loop: the ground-state polish and
-the certificate of the full equation both call it. `lanczos` finds the top
-of a symmetric spectrum for `ground_state.linearization_spectrum`; it keeps
-its whole basis and reorthogonalizes each new vector against it, so a run
-of a few dozen steps holds a few dozen vectors.
+`residual` is the one equation, F(u) = (-Delta)^s u + V u - u_+^p, and
+`newton` the one damped Newton-Krylov loop on it: the ground-state polish
+(V = lambda) and the certificate of the full equation (V = V(eps x)) both
+call it. `lanczos` finds the top of a symmetric spectrum for
+`ground_state.linearization_spectrum`; it keeps its whole basis and
+reorthogonalizes each new vector against it, so a run of a few dozen steps
+holds a few dozen vectors.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from fracspike import kernels
 from fracspike.errors import SolverDivergence
 
 log = logging.getLogger(__name__)
@@ -235,9 +238,17 @@ def relative_sup(F: np.ndarray, u: np.ndarray) -> float:
     return float(np.max(np.abs(F))) / max(float(np.max(np.abs(u))), 1e-300)
 
 
+def residual(frac, V, u: np.ndarray, p: float) -> np.ndarray:
+    """F(u) = (-Delta)^s u + V u - u_+^p for grid-shaped u, frac the
+    `spectral.FracOperator` of (-Delta)^s and V a constant lambda or V(eps x)
+    on the grid."""
+    return frac.laplacian(u) + V * u - kernels.positive_power(u, p)
+
+
 def _jacobian(frac, d: np.ndarray):
     """J = (-Delta)^s + m + (d .) on flat vectors, as MINRES's apply and
-    its preconditioner pair (t, J t), t = T_m r, J t = r + d t."""
+    its preconditioner pair (t, J t), t = T_m r, J t = r + d t. d is held,
+    not copied, so a caller that moves it in place moves J."""
     def apply(v):
         out = frac.shifted(v)
         out += d * v
@@ -252,18 +263,18 @@ def _jacobian(frac, d: np.ndarray):
     return apply, pair
 
 
-def newton(frac, residual: Apply, shift: Apply,
+def newton(frac, V, p: float,
            u: np.ndarray) -> tuple[np.ndarray, float, int, float]:
-    """Damped Newton on F(u) = 0, Jacobian J(u) = (-Delta)^s + m + shift(u).
+    """Damped Newton on F(u) = `residual`(frac, V, u, p) = 0 from u.
 
     frac is the caller's `spectral.FracOperator` ((-Delta)^s, m and
-    T_m = ((-Delta)^s + m)^(-1)); residual maps u to F(u) and shift maps u
-    to the multiplication part of J(u) - (-Delta)^s - m, both on grid-shaped
-    arrays. MINRES solves J = T_m^(-1) + (shift .) preconditioned by T_m,
-    whose pair (t, J t) = (T_m r, r + shift t) costs one FFT pair per
-    iteration, and solves each step only as accurately as the next
-    residual needs (a forcing term in the sense of Eisenstat & Walker,
-    SIAM J. Sci. Comput. 17, 1996): with
+    T_m = ((-Delta)^s + m)^(-1)) and V a constant or V(eps x) on the grid.
+    The Jacobian J(u) = (-Delta)^s + V - p u_+^(p-1) is
+    T_m^(-1) + (shift .), shift = V - m - p u_+^(p-1), and MINRES solves it
+    preconditioned by T_m, whose pair (t, J t) = (T_m r, r + shift t) costs
+    one FFT pair per iteration. Each step is solved only as accurately as
+    the next residual needs (a forcing term in the sense of Eisenstat &
+    Walker, SIAM J. Sci. Comput. 17, 1996): with
     res = relative_sup(F(u), u), rtol = max(KRYLOV_RTOL, min(0.1, res),
     0.1 RESIDUAL_TOL / res), so early steps are cheap, the rate stays
     quadratic and the last step aims a decade below RESIDUAL_TOL. A step
@@ -275,11 +286,11 @@ def newton(frac, residual: Apply, shift: Apply,
     Returns (u, res, steps, res0) with res the residual of the returned u
     and res0 that of the seed.
     """
-    F = residual(u)
+    F = residual(frac, V, u, p)
     res = res0 = relative_sup(F, u)
     steps = 0
     while res > RESIDUAL_TOL and steps < NEWTON_MAX_STEPS:
-        d = shift(u).ravel()
+        d = (V - frac.m - p * kernels.positive_power(u, p - 1.0)).ravel()
         rtol = max(KRYLOV_RTOL, min(0.1, res), 0.1 * RESIDUAL_TOL / res)
         sol = minres(*_jacobian(frac, d), F.ravel(), rtol=rtol)
         if sol.info != 0:
@@ -294,7 +305,7 @@ def newton(frac, residual: Apply, shift: Apply,
         step = 1.0
         while step > 1e-4:
             u_try = u - step * delta
-            F_try = residual(u_try)
+            F_try = residual(frac, V, u_try, p)
             res_try = relative_sup(F_try, u_try)
             if res_try < res:
                 u, F, res = u_try, F_try, res_try

@@ -122,7 +122,6 @@ class AnsatzBundle:
     cfg: SpikeConfig
     params: FracParams
     lambdas: np.ndarray
-    mu: float
     spikes: list
     W: Field
     Z: list
@@ -214,6 +213,6 @@ def build_ansatz(V: Potential, cfg: SpikeConfig, gs: GroundState,
     rho = sp.rho_field(grid, cfg.centers, mu)
     E_norm_Y = float(np.max(np.abs(E.values) / rho))
 
-    return AnsatzBundle(cfg=cfg, params=params, lambdas=lambdas, mu=mu,
+    return AnsatzBundle(cfg=cfg, params=params, lambdas=lambdas,
                         spikes=spikes, W=W, Z=Z, E=E, E_norm_Y=E_norm_Y,
                         rho=rho, alphas=alphas, V_grid=V_grid)

@@ -41,8 +41,9 @@ R c = Q^T r, and cond(G) = cond(R)^2 is what GRAM_COND_LIMIT bounds. The
 span{Z} sweeps, inner products and norms on grid vectors run on
 `np.einsum`, off BLAS. The shared damped Newton loop `_krylov.newton` on
 the unprojected equation, preconditioned the same way by T_m, provides
-the validation path. Both apply (-Delta)^s and T_m through the shared
-`spectral.FracOperator`.
+the validation path, and its Jacobian pair `_krylov._jacobian` is A and
+the fused preconditioner before their span{Z} terms. Both apply
+(-Delta)^s and T_m through the shared `spectral.FracOperator`.
 
 The correction Phi(q) is the small solution of P [L_W phi - E - N(phi)]
 = 0 on span{Z}^perp. The paper gets it as the fixed point of the
@@ -108,7 +109,7 @@ SPIKE_FRACTION = 0.5  # detect_spike_centers' threshold over sup u
 
 @dataclass
 class ProjectedSolution:
-    """(phi, c) with solve diagnostics; unpacks as a (phi, c) pair."""
+    """(phi, c) with solve diagnostics."""
 
     phi: Field
     c: np.ndarray
@@ -121,9 +122,6 @@ class ProjectedSolution:
     # set only under _reduce > 0, for the next step to start from; not a
     # field
     _image = None
-
-    def __iter__(self):
-        return iter((self.phi, self.c))
 
 
 @dataclass
@@ -187,8 +185,9 @@ class _ProjectedOperator:
     matrix (L_W Q)^T Q and the triangle R; the stack of Z lives only for
     its QR. One contraction with the block gives Q^T v and (L_W Q)^T v
     together, and one expansion gives (L_W Q) a + Q b. shift is held flat,
-    as `apply` and `precond` take it. `relinearize` moves L_W to
-    L_W - (d .) in place, and every L_W here then stands for that operator.
+    and the Jacobian pair that `apply` and `precond` start from holds it
+    too: `relinearize` moves L_W to L_W - (d .) in place, and every L_W
+    here then stands for that operator.
     """
 
     def __init__(self, V: Potential, cfg: SpikeConfig, bundle: AnsatzBundle):
@@ -201,6 +200,7 @@ class _ProjectedOperator:
         self.frac = sp.FracOperator(grid, params.s, self.m)
         self.shift = (V_grid - self.m - params.p * kernels.positive_power(
             bundle.W.values, params.p - 1.0)).ravel()
+        self._jac, self._jac_pair = _krylov._jacobian(self.frac, self.shift)
 
         q, self.R = np.linalg.qr(
             np.stack([z.values.ravel() for z in bundle.z_flat()]).T)
@@ -255,22 +255,17 @@ class _ProjectedOperator:
         return out
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """A x = P L_W P x = T_m^(-1) x + shift x - (L_W Q) c - Q e for
-        flat x, since L_W P x = T_m^(-1) x + shift x - (L_W Q) c; one FFT
-        pair, added term by term so that one temporary at a time lives
-        beside the result."""
-        out = self.frac.shifted(x)
-        out += self.shift * x
-        return self._subtract_span_z(x, out)
+        """A x = P L_W P x = J x - (L_W Q) c - Q e for flat x, J =
+        T_m^(-1) + (shift .) the Newton Jacobian at W, since L_W P x =
+        J x - (L_W Q) c; one FFT pair."""
+        return self._subtract_span_z(x, self._jac(x))
 
     def precond(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(t, A t) for flat r in span{Z}^perp, t = T_m r, at one FFT pair:
-        P t = P T_m P r, and A t = r + shift t - (L_W Q) c - Q e since
-        T_m^(-1) t = r and Q^T r = 0."""
-        t = self.frac.resolvent(r)
-        at = self.shift * t
-        at += r
-        return t, self._subtract_span_z(t, at)
+        P t = P T_m P r, and A t = J t - (L_W Q) c - Q e, J t = r + shift t
+        the Newton Jacobian's pair."""
+        t, jt = self._jac_pair(r)
+        return t, self._subtract_span_z(t, jt)
 
     def gram_solve(self, rhs_flat: np.ndarray) -> np.ndarray:
         """Solve G c = <Z, r>, i.e. R c = Q^T r, for the (k, dim) multiplier
@@ -455,28 +450,19 @@ def full_newton_solve(V: Potential, epsilon: float, u0: Field,
     """Damped Newton on F(u) = (-Delta)^s u + V(eps x) u - u_+^p.
 
     Independent of the projection machinery: `_krylov.newton` with
-    J = (-Delta)^s + V(eps x) - p u_+^(p-1), preconditioned by T_m with m
-    the median of V(eps x) as in the projected solve, so MINRES applies
-    J = T_m^(-1) + (shift .), shift = V(eps x) - m - p u_+^(p-1). The
-    loose inner tolerances of its forcing term never reach the certificate:
-    residual_norm is always max|F(u)| / max|u| recomputed from the returned
-    u, and converged means it is <= `_krylov.RESIDUAL_TOL`. Spike centers
-    of the solution come from `detect_spike_centers`.
+    V = V(eps x), preconditioned by T_m with m the median of V(eps x) as
+    in the projected solve. The loose inner tolerances of its forcing term
+    never reach the certificate: residual_norm is always max|F(u)| / max|u|
+    recomputed from the returned u, and converged means it is <=
+    `_krylov.RESIDUAL_TOL`. Spike centers of the solution come from
+    `detect_spike_centers`.
     """
     grid = u0.grid
     V_grid = V.on_grid(grid, epsilon)
     frac = sp.FracOperator(grid, params.s, kernels.median(V_grid))
-    p = params.p
     if not u0.values.any():
         raise ConfigError("Newton seed is identically zero")
-
-    def residual(u):
-        return frac.laplacian(u) + V_grid * u - kernels.positive_power(u, p)
-
-    def shift(u):
-        return V_grid - frac.m - p * kernels.positive_power(u, p - 1.0)
-
-    u, res_norm, steps, res0 = _krylov.newton(frac, residual, shift,
+    u, res_norm, steps, res0 = _krylov.newton(frac, V_grid, params.p,
                                               u0.values.copy())
     sup_u = float(np.max(u))
     centers = detect_spike_centers(Field(grid, u)) if sup_u > 0 else \

@@ -131,9 +131,6 @@ class Field:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field contains non-finite values")
 
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
-
     @property
     def sup(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -164,7 +161,3 @@ class FracParams:
                 raise ValueError(
                     f"p = {self.p} is not subcritical for s = {self.s}, "
                     f"dim = {dim} (requires p < {p_crit})")
-
-    @property
-    def order(self) -> float:
-        return 2.0 * self.s

@@ -40,7 +40,7 @@ import numpy as np
 from fracspike import kernels
 from fracspike import spectral as sp
 from fracspike._krylov import (RESIDUAL_TOL, lanczos, newton, norm,
-                               relative_sup)
+                               relative_sup, residual)
 from fracspike.errors import ConfigError, SolverDivergence
 from fracspike.grid import Field, FracParams, Grid
 
@@ -81,7 +81,8 @@ class SpectrumSummary:
     so for them the bounds hold up to lambda ||R||: 1.5e-11 in 1d and
     7.4e-5 on the 2d 512^2 profile, but 0.03 on a 2d grid too coarse to
     resolve the kernel (128^2, L = 10), where they are estimates only.
-    kernel_dim counts entries with |lambda (1 - kappa)| <= kernel_tol.
+    kernel_dim counts entries with |lambda (1 - kappa)| at most the
+    kernel_tol that `linearization_spectrum` was given.
     kernel_overlap is the Davis-Kahan bound sqrt(1 - (||R|| / delta)^2) on
     the cosine of the largest angle between span Y and the invariant
     subspace of K that those Ritz values approximate, delta their distance
@@ -96,7 +97,6 @@ class SpectrumSummary:
     kernel_dim: int
     kernel_overlap: float
     spectral_gap: float
-    kernel_tol: float
     kernel_residual: float
 
 
@@ -123,9 +123,9 @@ class GroundState:
 
 
 def _relative_residual(op: sp.FracOperator, u: np.ndarray, p: float) -> float:
-    """max |A u - u_+^p| / max |u|, A = (-Delta)^s + lambda: the certified
-    norm."""
-    return relative_sup(op.shifted(u) - kernels.positive_power(u, p), u)
+    """relative_sup of the profile equation's residual, lambda = op.m: the
+    certified norm."""
+    return relative_sup(residual(op, op.m, u, p), u)
 
 
 def energy(grid: Grid, params: FracParams, V, values: np.ndarray) -> float:
@@ -185,7 +185,7 @@ def solve_ground_state(grid: Grid, params: FracParams,
     u = 2.0 * lam ** (1.0 / (p - 1.0)) * np.exp(-r2 / width ** 2)
 
     gamma = p / (p - 1.0)
-    residual = np.inf
+    res = np.inf
     newton_steps = 0
     for it in range(1, FIXED_POINT_MAX_ITER + 1):
         up = kernels.positive_power(u, p)
@@ -199,23 +199,20 @@ def solve_ground_state(grid: Grid, params: FracParams,
         u_new = S ** gamma * op.resolvent(up)
         increment = float(np.max(np.abs(u_new - u)) / np.max(np.abs(u)))
         u = u_new
-        residual = _relative_residual(op, u, p)
-        if residual <= RESIDUAL_TOL:
+        res = _relative_residual(op, u, p)
+        if res <= RESIDUAL_TOL:
             break
         if increment < NEWTON_HANDOFF:
-            # damped Newton on F(u) = A u - u_+^p, J = A - p u_+^(p-1)
-            u, residual, newton_steps, _ = newton(
-                op, lambda v: op.shifted(v) - kernels.positive_power(v, p),
-                lambda v: -p * kernels.positive_power(v, p - 1.0), u)
+            u, res, newton_steps, _ = newton(op, lam, p, u)
             break
-    if residual > RESIDUAL_TOL:
+    if res > RESIDUAL_TOL:
         raise SolverDivergence(
             f"ground state did not reach {RESIDUAL_TOL} (residual "
-            f"{residual:.3e} after {it} iterations)")
+            f"{res:.3e} after {it} iterations)")
 
     return GroundState(
         grid=grid, params=params, lam=lam, values=u,
-        residual_norm=residual, iterations=it, newton_steps=newton_steps,
+        residual_norm=res, iterations=it, newton_steps=newton_steps,
         energy=energy(grid, params, lam, u),
         decay=decay_fit(grid, params, u),
     )
@@ -369,5 +366,4 @@ def linearization_spectrum(gs: GroundState,
 
     return SpectrumSummary(eigenvalues=vals, lowest=float(vals[0]),
                            kernel_dim=kernel_dim, kernel_overlap=kernel_overlap,
-                           spectral_gap=spectral_gap, kernel_tol=kernel_tol,
-                           kernel_residual=r_norm)
+                           spectral_gap=spectral_gap, kernel_residual=r_norm)

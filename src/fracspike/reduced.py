@@ -29,7 +29,7 @@ from fracspike.ansatz import SpikeConfig, build_ansatz
 from fracspike.correction import (CorrectionOptions, CorrectionResult,
                                   nonlinear_correction)
 from fracspike.errors import ConfigError, SolverDivergence
-from fracspike.grid import Field
+from fracspike.grid import Field, Grid
 from fracspike.ground_state import (GroundState, energy,
                                     energy_scaling_exponent)
 from fracspike.potentials import Potential
@@ -280,6 +280,24 @@ def _c_scale(V: Potential, epsilon: float, region, gs: GroundState) -> float:
     return float(gs.energy * epsilon * np.max(grad_vtheta))
 
 
+def _region_bounds(region, epsilon: float,
+                   grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """(lows, highs) of a search region, one (lo, hi) interval in xi per
+    axis. ConfigError unless it has grid.dim nonempty intervals that fit
+    inside the torus at epsilon, |xi| / epsilon <= L."""
+    if len(region) != grid.dim:
+        raise ConfigError(f"region needs {grid.dim} intervals")
+    for lo, hi in region:
+        if not (lo < hi):
+            raise ConfigError(f"empty region interval ({lo}, {hi})")
+        if max(abs(lo), abs(hi)) / epsilon > grid.half_width:
+            raise ConfigError(
+                "region does not fit inside the torus at this epsilon: "
+                f"|xi|/eps up to {max(abs(lo), abs(hi)) / epsilon:.1f} vs "
+                f"L = {grid.half_width}")
+    return tuple(np.array(b, dtype=float) for b in zip(*region))
+
+
 def critical_point_search(V: Potential, epsilon: float, k: int, region,
                           mode: str, gs: GroundState, *,
                           seed: int = 0) -> SearchOutcome:
@@ -302,19 +320,9 @@ def critical_point_search(V: Potential, epsilon: float, k: int, region,
     if mode not in ("minimize_V", "maximize_V", "degree_zero_of_gradV"):
         raise ConfigError(f"unknown search mode {mode!r}")
     grid = gs.grid
-    if len(region) != grid.dim:
-        raise ConfigError(f"region needs {grid.dim} intervals")
-    for lo, hi in region:
-        if not (lo < hi):
-            raise ConfigError(f"empty region interval ({lo}, {hi})")
-        if max(abs(lo), abs(hi)) / epsilon > grid.half_width:
-            raise ConfigError(
-                "region does not fit inside the torus at this epsilon: "
-                f"|xi|/eps up to {max(abs(lo), abs(hi)) / epsilon:.1f} vs "
-                f"L = {grid.half_width}")
+    lows, highs = _region_bounds(region, epsilon, grid)
     rng = np.random.default_rng(seed)
     c_tol = max(C_TOL_SCALE * _c_scale(V, epsilon, region, gs), 1e-10)
-    lows, highs = (np.array(b, dtype=float) for b in zip(*region))
 
     def make_cfg(xi_pts):
         return SpikeConfig(grid, np.asarray(xi_pts) / epsilon, epsilon,
@@ -506,9 +514,9 @@ def cluster_search(V: Potential, epsilon: float, k: int, region,
         return critical_point_search(V, epsilon, 1, region, "maximize_V",
                                      gs, seed=seed)
     grid = gs.grid
+    lows, highs = _region_bounds(region, epsilon, grid)
     floor_xi = epsilon ** (1.0 - gs.params.s / 4.0)
     rng = np.random.default_rng(seed)
-    lows, highs = (np.array(b, dtype=float) for b in zip(*region))
 
     def make_cfg(xi):
         return SpikeConfig(grid, xi / epsilon, epsilon, delta=SEARCH_DELTA,

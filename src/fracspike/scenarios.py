@@ -38,8 +38,11 @@ __all__ = ["SCHEMA", "MODES", "Scenario", "RunResult", "load_scenario",
 SCHEMA = "fracspike-scenario/1"
 MODES = ("ground_state", "solve_k_spike", "epsilon_sweep",
          "asymptotics_check", "degree_check", "cluster")
-# the tolerance keys some runner reads (README lists which mode reads each)
-TOLERANCES = ("delta", "eta", "n_distances", "r_min", "seed")
+# the tolerance keys each mode's runner reads, as README's table lists them
+TOLERANCES = {"ground_state": (), "solve_k_spike": ("delta", "eta", "r_min"),
+              "epsilon_sweep": ("delta", "eta", "r_min"),
+              "asymptotics_check": ("n_distances",), "degree_check": (),
+              "cluster": ("seed",)}
 
 
 @dataclass
@@ -211,9 +214,9 @@ def parse_scenario(doc, origin: str = "scenario") -> Scenario:
     if not isinstance(tolerances, dict):
         _fail(f"{origin}.tolerances", "expected an object")
     for key, val in tolerances.items():
-        if key not in TOLERANCES:
-            _fail(f"{origin}.tolerances.{key}",
-                  f"unknown key; expected one of {list(TOLERANCES)}")
+        if key not in TOLERANCES[mode]:
+            _fail(f"{origin}.tolerances.{key}", f"unknown key; expected one "
+                  f"of {list(TOLERANCES[mode])} in mode {mode!r}")
         _number(val, f"{origin}.tolerances.{key}")
 
     resolved = {

@@ -20,13 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from fracspike import kernels
-from fracspike.grid import Field, FracParams, Grid
+from fracspike.grid import Field, Grid
 
 __all__ = [
     "apply_multiplier",
     "FracOperator",
-    "kernel_profile",
-    "KernelProfile",
     "far_field_fit",
     "FarFieldFit",
     "rho_field",
@@ -202,37 +200,6 @@ def rho_field(grid: Grid, centers, mu: float) -> np.ndarray:
 
 
 @dataclass
-class KernelProfile:
-    """Radial profile of the resolvent kernel k = ((-Delta)^s + m)^(-1) delta.
-
-    On the torus the computed kernel is the periodization of the free-space
-    one, and the free-space kernel itself carries slowly decaying transients
-    (expanding 1/(|xi|^(2s)+m) in powers of |xi|^(2s)/m gives tail terms
-    r^-(N+2s), r^-(N+4s), ...). The refined fit therefore models the window as
-    a sum of three periodized power laws, subtracts the wrap-around images,
-    and extrapolates the local log-log slope to r -> infinity. gamma_fit is
-    the leading coefficient (the free-space tail constant), slope the
-    extrapolated exponent. The profile is flagged invalid when the
-    image-corrected product k * r^(N+2s) still varies by more than 10%
-    across the window (no plateau at this box size).
-    tail_ok records whether k has decayed to <= 1e-3 of its peak by r = L/2.
-    """
-
-    grid: Grid
-    params: FracParams
-    m: float
-    r: np.ndarray
-    k: np.ndarray
-    mass: float
-    gamma_fit: float
-    slope: float
-    plateau_variation: float
-    window: tuple[float, float]
-    valid: bool
-    tail_ok: bool
-
-
-@dataclass
 class FarFieldFit:
     """Algebraic-tail fit of a radial profile on the torus.
 
@@ -359,32 +326,3 @@ def radial_profile(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, np.ndarr
     keep[-1] = False
     r = (np.arange(nbins)[keep] + 0.5) * h
     return r, sums[keep] / counts[keep]
-
-
-def kernel_profile(grid: Grid, params: FracParams, m: float) -> KernelProfile:
-    """Radial profile, mass, and far-field fit of the resolvent kernel.
-
-    The kernel is computed by applying the resolvent to a discrete delta, so
-    mass = h^N sum k reproduces 1/m exactly up to rounding. The far-field fit
-    runs over the FIT_WINDOW radii. ValueError unless m > 0.
-    """
-    if not m > 0.0:
-        raise ValueError(f"resolvent shift m must be positive, got {m}")
-    delta = np.zeros(grid.shape)
-    origin = (grid.points_per_axis // 2,) * grid.dim  # x = 0
-    delta[origin] = 1.0 / grid.cell_volume
-    kernel = FracOperator(grid, params.s, m).resolvent(delta)
-
-    L = grid.half_width
-    r, k = radial_profile(grid, kernel)
-    mass = grid.cell_volume * float(np.sum(kernel))
-    fit = far_field_fit(r, k, L, grid.dim, params.s)
-
-    k_max = float(np.max(kernel))
-    half = np.argmin(np.abs(r - L / 2.0))
-    tail_ok = bool(k[half] <= 1e-3 * k_max)
-
-    return KernelProfile(grid=grid, params=params, m=m, r=r, k=k, mass=mass,
-                         gamma_fit=fit.amplitude, slope=fit.slope,
-                         plateau_variation=fit.variation, window=fit.window,
-                         valid=fit.ok, tail_ok=tail_ok)

@@ -16,6 +16,9 @@ machine precision, but the operator applied to it picks up image tails that
 decay only algebraically (the result behaves like |x|^(-(1+2s)) at
 infinity). pv_gaussian_periodic sums those images through a large-argument
 moment expansion closed with Hurwitz zeta functions.
+
+resolvent_kernel is the one FFT-side helper here: the resolvent of the
+discrete delta, whose mass and far-field tail the acceptance suite checks.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ import math
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import eval_hermite, gamma, hyp1f1, zeta
+
+from fracspike.spectral import FracOperator
 
 
 def pv_constant(s: float, dim: int = 1) -> float:
@@ -120,3 +125,11 @@ def pv_gaussian_periodic(x: float, s: float, L: float,
         images += c * mu * (2.0 * L) ** (-b) * (
             float(zeta(b, 1.0 - xt)) + float(zeta(b, 1.0 + xt)))
     return pv_gaussian_free(x, s, delta) - pv_constant(s) * images
+
+
+def resolvent_kernel(grid, s: float, m: float) -> np.ndarray:
+    """((-Delta)^s + m)^(-1) applied to the discrete delta at x = 0, so that
+    its mass h^N sum k is 1/m up to rounding."""
+    delta = np.zeros(grid.shape)
+    delta[(grid.points_per_axis // 2,) * grid.dim] = 1.0 / grid.cell_volume
+    return FracOperator(grid, s, m).resolvent(delta)

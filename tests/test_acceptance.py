@@ -9,21 +9,24 @@ inline; configurations were chosen so every quantity is resolved with
 headroom on the boxes used here.
 """
 
+import json
+
 import numpy as np
 
-from oracles import pv_gaussian_periodic
+from oracles import pv_gaussian_periodic, resolvent_kernel
 
-from fracspike import kernels
 from fracspike import reduced as rd
 from fracspike import spectral as sp
 from fracspike.ansatz import SpikeConfig, build_ansatz
+from fracspike.cache import store
 from fracspike.correction import (CorrectionOptions, certify,
                                   nonlinear_correction)
 from fracspike.grid import Field, FracParams, Grid
-from fracspike.ground_state import (energy_scaling_exponent,
+from fracspike.ground_state import (decay_fit, energy_scaling_exponent,
                                     linearization_spectrum)
 from fracspike.potentials import builtin_potentials
 from fracspike.ratefit import fit_rate
+from fracspike.scenarios import SCHEMA, parse_scenario, run_scenario
 
 WELL = dict(a=2.0, b=1.0)
 
@@ -63,17 +66,20 @@ def test_criterion_01_spectral_correctness(rng):
 
 
 def test_criterion_02_kernel_asymptotics():
-    # resolvent kernel: far-field slope -(N+2s) within 5%, mass 1/m to 1e-3
+    # resolvent kernel: far-field slope -(N+2s) within 5%, mass 1/m to 1e-3,
+    # decayed to 1e-3 of its peak by r = L/2
     for dim, L, M, s, m in ((1, 80.0, 4096, 0.5, 1.0),
                             (1, 80.0, 4096, 0.75, 0.7),
                             (2, 40.0, 1024, 0.5, 1.0)):
-        prof = sp.kernel_profile(Grid(dim, L, M), FracParams(s, 2.0), m)
+        grid = Grid(dim, L, M)
+        kernel = resolvent_kernel(grid, s, m)
+        fit = decay_fit(grid, FracParams(s, 2.0), kernel)
         target = -(dim + 2.0 * s)
-        dev = abs(prof.slope - target) / abs(target)
+        dev = abs(fit.slope - target) / abs(target)
         assert dev <= 0.05, \
-            f"dim={dim} s={s}: slope {prof.slope:.4f} vs {target} ({dev:.1%})"
-        assert abs(prof.mass - 1.0 / m) <= 1e-3
-        assert prof.tail_ok
+            f"dim={dim} s={s}: slope {fit.slope:.4f} vs {target} ({dev:.1%})"
+        assert abs(grid.cell_volume * np.sum(kernel) - 1.0 / m) <= 1e-3
+        assert not fit.contaminated
 
 
 def test_criterion_03_closed_form_ground_state(gs_store):
@@ -153,22 +159,20 @@ def test_criterion_07_contraction_and_correction_size(gs_store):
     assert spread <= 0.25, f"phi/E ratios {ratios} spread {spread:.1%}"
 
 
-def test_criterion_08_interaction_law(gs_store):
-    # int w2^p w1 * d^(N+2s) plateaus and matches c0 * int w^p
+def test_criterion_08_interaction_law(gs_store, tmp_path):
+    # int w2^p w1 * d^(N+2s) plateaus and matches c0 * int w^p: the
+    # asymptotics_check mode at V = 1 on the criterion 3 profile
     gs = gs_store(0.5, 2, L=80.0, M=4096)
-    grid, p = gs.grid, gs.params.p
-    power = grid.dim + 2.0 * gs.params.s
-    model = rd.interaction_constants(gs, [1.0, 1.0])[0, 1]
-    scaled = []
-    for d in np.linspace(0.2 * grid.half_width, 0.4 * grid.half_width, 5):
-        w1 = sp.translate(gs.field, np.array([-d / 2.0]))
-        w2 = sp.translate(gs.field, np.array([d / 2.0]))
-        overlap = grid.cell_volume * float(np.sum(
-            kernels.positive_power(w2.values, p) * w1.values))
-        scaled.append(overlap * d ** power)
-    scaled = np.asarray(scaled)
-    plateau = (scaled.max() - scaled.min()) / scaled.mean()
-    match = abs(scaled.mean() - model) / model
+    store(tmp_path / "cache", gs)
+    run = run_scenario(parse_scenario({
+        "schema": SCHEMA, "name": "interaction", "mode": "asymptotics_check",
+        "params": {"s": 0.5, "p": 2.0},
+        "grid": {"dim": 1, "half_width": 80.0, "points": 4096},
+        "potential": {"kind": "constant", "lam": 1.0}, "epsilons": [0.1]}),
+        out_dir=tmp_path, cache_dir=tmp_path / "cache")
+    assert run.status == 0
+    results = json.loads((run.out_dir / "report.json").read_text())["results"]
+    plateau, match = results["plateau_variation"], results["model_match"]
     assert plateau <= 0.15, f"plateau variation {plateau:.1%}"
     assert match <= 0.15, f"model mismatch {match:.1%}"
 

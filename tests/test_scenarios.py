@@ -137,12 +137,21 @@ BAD_DOCS = [
     pytest.param(make_doc(tolerances=7),
                  "scenario.tolerances: expected an object",
                  id="tolerances-not-object"),
-    pytest.param(make_doc(tolerances={"eta": "small"}),
+    pytest.param(make_doc("solve_k_spike", tolerances={"eta": "small"}),
                  "scenario.tolerances.eta: expected a number",
                  id="tolerance-not-number"),
     pytest.param(make_doc(tolerances={"r-min": 2.0}),
                  "scenario.tolerances.r-min: unknown key",
                  id="tolerance-unknown-key"),
+] + [
+    # each mode takes only the keys its runner reads
+    pytest.param(make_doc(mode, tolerances={key: 1.0}),
+                 f"scenario.tolerances.{key}: unknown key",
+                 id=f"tolerance-{key}-in-{mode}")
+    for mode, key in (("ground_state", "eta"), ("solve_k_spike", "seed"),
+                      ("epsilon_sweep", "n_distances"),
+                      ("asymptotics_check", "delta"),
+                      ("degree_check", "seed"), ("cluster", "eta"))
 ]
 
 
@@ -297,6 +306,36 @@ def test_solve_k_spike_artifacts(tmp_path, cache_dir):
                      skiprows=1)
     assert sol.shape == (GRID["points"], 2)
     assert sol[:, 1].max() > 0.5
+
+
+def test_2d_writers(tmp_path, cache_dir):
+    """In 2d the ground state writes its radial profile, and solve_k_spike
+    its solution at every node of a grid of at most 128 points per axis."""
+    grid = {"dim": 2, "half_width": 10.0, "points": 64}
+    gs = run_scenario(write_doc(tmp_path, make_doc(name="gs2d", grid=grid)),
+                      out_dir=tmp_path, cache_dir=cache_dir)
+    rows = (gs.out_dir / "profile.csv").read_text().splitlines()
+    assert gs.status == 0
+    assert rows[0] == "r,u" and len(rows) == 34
+    k = run_scenario(write_doc(tmp_path, make_doc(
+        "solve_k_spike", name="k2d", grid=grid, seeds=[[0.0, 0.0]])),
+        out_dir=tmp_path, cache_dir=cache_dir)
+    rows = (k.out_dir / "solution.csv").read_text().splitlines()
+    assert k.status == 0
+    assert rows[0] == "x,y,u" and len(rows) == 1 + 64 ** 2
+
+
+def test_cluster_region_must_fit_the_torus(tmp_path, cache_dir, capsys):
+    """|xi| / eps up to 50 on a box of L = 40: the cluster search refuses
+    the region, as the critical-point search does, rather than wrap a
+    spike around the torus; the command line exits 2."""
+    path = write_doc(tmp_path, make_doc("cluster", region=[[-5.0, 5.0]]))
+    with pytest.raises(ConfigError, match="does not fit inside the torus"):
+        run_scenario(path, out_dir=tmp_path / "out", cache_dir=cache_dir)
+    rc = cli.main(["run", str(path), "--out", str(tmp_path / "cli"),
+                   "--cache", str(cache_dir)])
+    assert "does not fit inside the torus" in capsys.readouterr().err
+    assert rc == 2
 
 
 def test_solver_failure_writes_report(tmp_path, cache_dir):

@@ -5,8 +5,10 @@ import pytest
 from scipy.signal import czt as scipy_czt
 from scipy.special import zeta as scipy_zeta
 
+from oracles import resolvent_kernel
+
 from fracspike import spectral as sp
-from fracspike.grid import FracParams, Field, Grid
+from fracspike.grid import Field, Grid
 
 
 def band_limited(grid, rng, cutoff_frac=0.25):
@@ -99,11 +101,6 @@ def test_every_forward_transform_names_its_shape(monkeypatch, rng, dim, M):
         sp.spectral_derivative(f, axis)
     assert len(calls) == 2 * 4 + 1 + dim
     assert all(kw.get("s") == grid.shape for kw in calls)
-
-
-def test_kernel_profile_rejects_nonpositive_shift():
-    with pytest.raises(ValueError, match="must be positive"):
-        sp.kernel_profile(Grid(1, 8.0, 64), FracParams(0.5, 2.0), 0.0)
 
 
 def test_spectral_derivative_trig():
@@ -275,8 +272,10 @@ def test_far_field_fit_too_few_points():
 
 
 @pytest.mark.parametrize("dim,M,m", [(1, 512, 1.0), (2, 128, 0.7)])
-def test_kernel_profile_mass(dim, M, m):
+def test_resolvent_kernel_mass(dim, M, m):
     grid = Grid(dim, 20.0, M)
-    prof = sp.kernel_profile(grid, FracParams(0.5, 2.0), m)
-    assert prof.mass == pytest.approx(1.0 / m, rel=1e-12)
-    assert prof.k[0] > 0  # kernel is positive near the origin
+    kernel = resolvent_kernel(grid, 0.5, m)
+    mass = grid.cell_volume * float(np.sum(kernel))
+    assert mass == pytest.approx(1.0 / m, rel=1e-12)
+    _, k = sp.radial_profile(grid, kernel)
+    assert k[0] > 0  # kernel is positive near the origin
