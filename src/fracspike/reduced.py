@@ -8,9 +8,10 @@ configurations where all c_ij vanish. Every search step therefore costs one
 correction per configuration it visits. Minima, saddles and cluster maxima
 all come from one quasi-Newton driver on xi -> c (_quasi_newton); only the
 merit differs: critical_point_search accepts a trial when max|c| falls,
-cluster_search when I rises. The asymptotic model c_* sum V^theta(xi_i) -
-(1/2) sum_{i!=j} c_ij |q_i-q_j|^{-(N+2s)} supplies cheap seeds and, by
-central differences, the Hessian every search starts from; its constants
+cluster_search when I rises. Each search makes one start, at the best
+cells of a region scan of V. The asymptotic model c_* sum V^theta(xi_i) -
+(1/2) sum_{i!=j} c_ij |q_i-q_j|^{-(N+2s)} supplies, by central
+differences, the Hessian every search starts from; its constants
 were validated against measured overlap integrals (the pair factor 1/2 and
 the lambda exponents empirically, see tests).
 """
@@ -18,7 +19,6 @@ the lambda exponents empirically, see tests).
 from __future__ import annotations
 
 import itertools
-import logging
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
@@ -33,8 +33,6 @@ from fracspike.grid import Field, Grid
 from fracspike.ground_state import (GroundState, energy,
                                     energy_scaling_exponent)
 from fracspike.potentials import Potential
-
-log = logging.getLogger(__name__)
 
 __all__ = [
     "ReducedPoint",
@@ -52,8 +50,8 @@ SEARCH_ETA = 0.5  # fixed-point gate during searches; default 0.1 is for end use
 SEARCH_DELTA = 0.05  # SpikeConfig.delta of every configuration a search visits
 CLUSTER_MAX_STEPS = 40  # quasi-Newton steps of the cluster ascent
 CLUSTER_ASCENT_TOL = 1e-4  # cluster converges at |grad I| span <= tol |I|
-REGION_SCAN = 33  # lattice points per axis for the model seeds and c_tol
-SEARCH_MAX_STEPS = 24  # quasi-Newton steps of each critical-point start
+REGION_SCAN = 33  # lattice points per axis for the search start and c_tol
+SEARCH_MAX_STEPS = 24  # quasi-Newton steps of a critical-point search
 C_TOL_SCALE = 1e-6  # c_tol over the reduced-gradient scale of _c_scale
 DEGREE_PER_SIDE = 16  # 2d degree: boundary samples per side at first
 DEGREE_MAX_REFINE = 12  # 2d degree: doublings of those samples
@@ -73,8 +71,8 @@ class SearchOutcome:
     "box_frozen" (every coordinate sits on a region bound with its gradient
     pointing out, a maximizer of I on the box, so converged is True); or
     "max_steps". history holds one {step, I, max_abs_c, xi, kind} entry per
-    step of every start, kind naming the step: "start", "model", "secant",
-    "fd" or "gradient"."""
+    step of the search's one start, the start included, kind naming the
+    step: "start", "model", "secant", "fd" or "gradient"."""
 
     q_star: SpikeConfig
     mode: str
@@ -213,18 +211,15 @@ def region_lattice(region, n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     return mesh, np.column_stack([m.ravel() for m in mesh])
 
 
-def _model_seed(V: Potential, epsilon: float, k: int, region, mode: str,
-                gs: GroundState, rng: np.random.Generator) -> list[np.ndarray]:
-    """Seed configurations (in xi) from the asymptotic model over the region.
+def _model_seed(V: Potential, k: int, region, mode: str) -> np.ndarray:
+    """The one start of a search: k spike positions (rows, in xi).
 
-    Single spikes seed at extrema of V^theta on a region scan plus a few
-    random perturbations. Multi-spike seeds place spikes at the k best
-    distinct scan cells (minimize/maximize) and then relax the model energy
-    by coordinate descent on the scan lattice.
+    Scores the REGION_SCAN lattice over the region by V, or by |grad V| in
+    the degree_zero_of_gradV mode, and takes the k best cells (highest for
+    maximize_V, lowest otherwise) at least 0.25 of the region's shortest
+    span apart, or 0.08 of it when 0.25 cannot place k. ConfigError when
+    neither can.
     """
-    dim = gs.grid.dim
-    lows = np.array([r[0] for r in region], dtype=float)
-    highs = np.array([r[1] for r in region], dtype=float)
     mesh, pts = region_lattice(region, REGION_SCAN)
     if mode == "degree_zero_of_gradV":
         gcomps = V.grad(*mesh)
@@ -234,39 +229,16 @@ def _model_seed(V: Potential, epsilon: float, k: int, region, mode: str,
     order = np.argsort(score.ravel())
     if mode == "maximize_V":
         order = order[::-1]
-
-    def spread_pick(count, min_sep):
+    span = min(hi - lo for lo, hi in region)
+    for sep in (0.25 * span, 0.08 * span):
         chosen = []
         for idx in order:
-            x = pts[idx]
-            if all(np.linalg.norm(x - y) >= min_sep for y in chosen):
-                chosen.append(x)
-            if len(chosen) == count:
-                break
-        return chosen
-
-    span = float(np.min(highs - lows))
-    seeds = []
-    if k == 1:
-        best = pts[order[0]]
-        seeds.append(best.reshape(1, dim))
-        for _ in range(2):
-            jitter = rng.uniform(-0.05, 0.05, size=dim) * span
-            seeds.append(np.clip(best + jitter, lows, highs).reshape(1, dim))
-    else:
-        # one seed at well-separated top cells, one clustered near the best
-        sep = 0.25 * span
-        picks = spread_pick(k, sep)
-        if len(picks) == k:
-            seeds.append(np.array(picks))
-        tight = spread_pick(k, 0.08 * span)
-        if len(tight) == k:
-            seeds.append(np.array(tight))
-        if not seeds:
-            base = pts[order[0]]
-            offs = rng.uniform(-0.2, 0.2, size=(k, dim)) * span
-            seeds.append(np.clip(base + offs, lows, highs))
-    return seeds
+            if all(np.linalg.norm(pts[idx] - y) >= sep for y in chosen):
+                chosen.append(pts[idx])
+                if len(chosen) == k:
+                    return np.array(chosen)
+    raise ConfigError(f"the region scan cannot place {k} spikes at least "
+                      f"{0.08 * span:g} apart")
 
 
 def _c_scale(V: Potential, epsilon: float, region, gs: GroundState) -> float:
@@ -299,20 +271,16 @@ def _region_bounds(region, epsilon: float,
 
 
 def critical_point_search(V: Potential, epsilon: float, k: int, region,
-                          mode: str, gs: GroundState, *,
-                          seed: int = 0) -> SearchOutcome:
+                          mode: str, gs: GroundState) -> SearchOutcome:
     """Find a spike configuration with vanishing multipliers in the region.
 
     Since grad_xi I = -alpha_ij c_ij / eps, the zeros of c are the critical
     points of I, and c_ij = -eps (grad_xi I)_ij / alpha_ij is the reduced
     gradient scaled by eps; c_tol is C_TOL_SCALE c_* eps max|grad V^theta|
-    over the region. Seeds come from the asymptotic model, clipped to the
-    region; a seed that clips onto an earlier one is skipped. Each start runs
-    _quasi_newton with max|c| as its merit for up to SEARCH_MAX_STEPS steps;
-    the search stops at the first converged start. The returned outcome is
-    the start with the lowest max|c| even when none converges, with the
-    history of every start. Configurations have delta = SEARCH_DELTA and
-    SpikeConfig's r_min = 4.
+    over the region. One run of _quasi_newton, with max|c| as its merit for
+    up to SEARCH_MAX_STEPS steps, starts at _model_seed; its ConfigError or
+    SolverDivergence propagates when the start cannot be corrected.
+    Configurations have delta = SEARCH_DELTA and SpikeConfig's r_min = 4.
 
     region is a list of (lo, hi) intervals per axis in the outer variable
     xi; mode is one of minimize_V, maximize_V, degree_zero_of_gradV.
@@ -321,38 +289,17 @@ def critical_point_search(V: Potential, epsilon: float, k: int, region,
         raise ConfigError(f"unknown search mode {mode!r}")
     grid = gs.grid
     lows, highs = _region_bounds(region, epsilon, grid)
-    rng = np.random.default_rng(seed)
     c_tol = max(C_TOL_SCALE * _c_scale(V, epsilon, region, gs), 1e-10)
 
     def make_cfg(xi_pts):
         return SpikeConfig(grid, np.asarray(xi_pts) / epsilon, epsilon,
                            delta=SEARCH_DELTA)
 
-    best = None
-    history_all, started = [], []
-    for si, xi0 in enumerate(_model_seed(V, epsilon, k, region, mode, gs, rng)):
-        xi0 = np.clip(xi0, lows, highs)
-        if any(np.array_equal(xi0, x) for x in started):
-            continue
-        started.append(xi0)
-        try:
-            outcome = _quasi_newton(V, gs, make_cfg, xi0, lows, highs,
-                                    ascent=False, tol=c_tol,
-                                    max_steps=SEARCH_MAX_STEPS)
-        except (ConfigError, SolverDivergence) as exc:
-            log.warning("search start %d failed: %s", si, exc)
-            continue
-        history_all.extend(outcome.history)
-        if best is None or outcome.max_abs_c < best.max_abs_c:
-            best = outcome
-        if best.converged:
-            break
-    if best is None:
-        raise SolverDivergence("every search start failed")
-    best.history = history_all
-    best.mode = mode
-    best.c_tol = c_tol
-    return best
+    out = _quasi_newton(V, gs, make_cfg, _model_seed(V, k, region, mode),
+                        lows, highs, ascent=False, tol=c_tol,
+                        max_steps=SEARCH_MAX_STEPS)
+    out.mode, out.c_tol = mode, c_tol
+    return out
 
 
 def _floor_fraction(xi: np.ndarray, p: np.ndarray, floor: float) -> float:
@@ -497,47 +444,38 @@ def _quasi_newton(V: Potential, gs: GroundState, make_cfg,
 
 
 def cluster_search(V: Potential, epsilon: float, k: int, region,
-                   gs: GroundState, *, seed: int = 0) -> SearchOutcome:
+                   gs: GroundState) -> SearchOutcome:
     """Maximize I(q) under the cluster separation floor |xi_i - xi_j| >= eps^(1-s/4).
 
-    The first model seed, spread about its centroid to clear the floor, whose
-    correction converges starts _quasi_newton with I as its merit: steps on
+    The maximize_V model seed, spread about its centroid to clear the floor,
+    starts one run of _quasi_newton with I as its merit: steps on
     grad_xi I = -alpha_ij c_ij / eps, read off the correction at each trial,
     from the central-difference Hessian of asymptotic_energy, with the region
     bounds as an active set and steps shortened to the floor. converged means
     the free gradient met |grad| span <= CLUSTER_ASCENT_TOL |I| within
-    CLUSTER_MAX_STEPS steps; stop says why the ascent ended otherwise.
-    boundary_stuck reports a maximizer pinned on the floor. k = 1 reduces to
-    the maximize mode of critical_point_search.
+    CLUSTER_MAX_STEPS steps; stop says why the ascent ended otherwise, and a
+    start that cannot be corrected raises. boundary_stuck reports a
+    maximizer pinned on the floor. k = 1 reduces to the maximize mode of
+    critical_point_search.
     """
     if k == 1:
-        return critical_point_search(V, epsilon, 1, region, "maximize_V",
-                                     gs, seed=seed)
+        return critical_point_search(V, epsilon, 1, region, "maximize_V", gs)
     grid = gs.grid
     lows, highs = _region_bounds(region, epsilon, grid)
     floor_xi = epsilon ** (1.0 - gs.params.s / 4.0)
-    rng = np.random.default_rng(seed)
 
     def make_cfg(xi):
         return SpikeConfig(grid, xi / epsilon, epsilon, delta=SEARCH_DELTA,
                            r_min=0.98 * floor_xi / epsilon)
 
-    for cand in _model_seed(V, epsilon, k, region, "maximize_V", gs, rng):
-        d = min(float(np.linalg.norm(cand[i] - cand[j]))
-                for i, j in itertools.combinations(range(k), 2))
-        mid = cand.mean(axis=0)
-        xi = np.clip(mid + (cand - mid) * max(1.0, floor_xi / d), lows, highs)
-        try:
-            out = _quasi_newton(V, gs, make_cfg, xi, lows, highs,
-                                ascent=True, tol=CLUSTER_ASCENT_TOL,
-                                max_steps=CLUSTER_MAX_STEPS, floor=floor_xi)
-            break
-        except SolverDivergence:
-            continue
-    else:
-        raise SolverDivergence("correction diverged at every cluster seed; "
-                               "the separation floor admits no tractable "
-                               "starting configuration")
+    start = _model_seed(V, k, region, "maximize_V")
+    d = min(float(np.linalg.norm(start[i] - start[j]))
+            for i, j in itertools.combinations(range(k), 2))
+    mid = start.mean(axis=0)
+    xi = np.clip(mid + (start - mid) * max(1.0, floor_xi / d), lows, highs)
+    out = _quasi_newton(V, gs, make_cfg, xi, lows, highs, ascent=True,
+                        tol=CLUSTER_ASCENT_TOL, max_steps=CLUSTER_MAX_STEPS,
+                        floor=floor_xi)
     out.mode, out.c_tol = "cluster_max", np.inf
     out.boundary_stuck = bool(np.min(out.q_star.separations()) * epsilon
                               <= 1.02 * floor_xi)

@@ -42,7 +42,7 @@ MODES = ("ground_state", "solve_k_spike", "epsilon_sweep",
 TOLERANCES = {"ground_state": (), "solve_k_spike": ("delta", "eta", "r_min"),
               "epsilon_sweep": ("delta", "eta", "r_min"),
               "asymptotics_check": ("n_distances",), "degree_check": (),
-              "cluster": ("seed",)}
+              "cluster": ()}
 
 
 @dataclass
@@ -166,7 +166,7 @@ def parse_scenario(doc, origin: str = "scenario") -> Scenario:
             _fail(f"{origin}.potential", str(exc))
 
     eps_need = {"solve_k_spike": (1, 1), "epsilon_sweep": (3, None),
-                "asymptotics_check": (1, 1), "cluster": (1, 1)}
+                "cluster": (1, 1)}
     epsilons = ()
     if mode in eps_need:
         lo, hi = eps_need[mode]
@@ -206,6 +206,11 @@ def parse_scenario(doc, origin: str = "scenario") -> Scenario:
     if mode in ("degree_check", "cluster"):
         region = _parse_region(_get(doc, "region", origin), dim,
                                f"{origin}.region")
+        if mode == "cluster":
+            try:
+                rd._region_bounds(region, epsilons[0], grid)
+            except ConfigError as exc:
+                _fail(f"{origin}.region", str(exc))
     elif doc.get("region") is not None:
         # tolerate an explicit null so resolved configs re-parse cleanly
         region = _parse_region(doc["region"], dim, f"{origin}.region")
@@ -437,7 +442,6 @@ def _epsilon_sweep_mode(sc: Scenario, run_dir, cache_dir, files):
 
 
 def _asymptotics_mode(sc: Scenario, run_dir, cache_dir, files):
-    epsilon = sc.epsilons[0]
     gs = cache_io.cached_ground_state(sc.grid, sc.params, directory=cache_dir)
     L = sc.grid.half_width
     n_d = int(sc.tolerances.get("n_distances", 5))
@@ -462,7 +466,7 @@ def _asymptotics_mode(sc: Scenario, run_dir, cache_dir, files):
     scaled = np.array([r[1] for r in rows])
     variation = float((scaled.max() - scaled.min()) / scaled.mean())
     match = float(abs(scaled.mean() - model_c) / model_c)
-    return {"epsilon": epsilon, "lambda": lam, "power": power,
+    return {"lambda": lam, "power": power,
             "distances": [float(d) for d in d_list],
             "plateau_variation": variation, "model_constant": model_c,
             "model_match": match}
@@ -476,8 +480,7 @@ def _degree_mode(sc: Scenario, run_dir, cache_dir, files):
 def _cluster_mode(sc: Scenario, run_dir, cache_dir, files):
     epsilon = sc.epsilons[0]
     gs = cache_io.cached_ground_state(sc.grid, sc.params, directory=cache_dir)
-    out = rd.cluster_search(sc.potential, epsilon, sc.k, list(sc.region), gs,
-                            seed=int(sc.tolerances.get("seed", 0)))
+    out = rd.cluster_search(sc.potential, epsilon, sc.k, list(sc.region), gs)
     hist = run_dir / "cluster_history.csv"
     dim = sc.grid.dim
     header = ["step", "kind", "I", "max_abs_c"] + [

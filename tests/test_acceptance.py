@@ -168,7 +168,7 @@ def test_criterion_08_interaction_law(gs_store, tmp_path):
         "schema": SCHEMA, "name": "interaction", "mode": "asymptotics_check",
         "params": {"s": 0.5, "p": 2.0},
         "grid": {"dim": 1, "half_width": 80.0, "points": 4096},
-        "potential": {"kind": "constant", "lam": 1.0}, "epsilons": [0.1]}),
+        "potential": {"kind": "constant", "lam": 1.0}}),
         out_dir=tmp_path, cache_dir=tmp_path / "cache")
     assert run.status == 0
     results = json.loads((run.out_dir / "report.json").read_text())["results"]

@@ -223,9 +223,9 @@ SEARCH_BUDGETS = [
                  id="minimum_eps0.1"),
     pytest.param(_well_search(0.05, (-2.0, 2.0)), 1, _converged(),
                  id="minimum_eps0.05"),
-    pytest.param(_well_search(0.1, (0.5, 1.5)), 16, _pinned(1.5),
+    pytest.param(_well_search(0.1, (0.5, 1.5)), 7, _pinned(1.5),
                  id="pinned_upper"),
-    pytest.param(_well_search(0.1, (-1.5, -0.5)), 16, _pinned(-1.5),
+    pytest.param(_well_search(0.1, (-1.5, -0.5)), 7, _pinned(-1.5),
                  id="pinned_lower"),
     pytest.param(_cluster(1.0), 10, _criterion_12,
                  id="cluster_criterion_12"),
@@ -238,16 +238,28 @@ SEARCH_BUDGETS = [
 @pytest.mark.parametrize("search, budget, check", SEARCH_BUDGETS)
 def test_search_correction_budget(gs_store, monkeypatch, search, budget,
                                   check):
-    """Corrections per search, counting those that fail the eta gate. A
-    trial equal to a point already corrected in its step, and a seed that
-    clips onto an earlier start, cost none: the searches pinned on the
-    region boundary stay within 16."""
+    """Corrections per search, counting those that fail the eta gate. Each
+    search makes one start, and a trial equal to a point already corrected
+    in its step costs none: the searches pinned on the region boundary stay
+    within 7."""
     gs = gs_store(0.5, 2.0)
     calls = _count_corrections(monkeypatch)
     start = time.perf_counter()
     out = search(gs)
     check(out, gs, time.perf_counter() - start)
     assert len(calls) <= budget
+
+
+def test_failed_start_raises_the_gate_error(gs_store, monkeypatch):
+    """A search makes one start: when its correction fails the eta gate,
+    that SolverDivergence propagates unchanged."""
+    gs = gs_store(0.5, 2.0)
+    V = builtin_potentials("well", a=2.0, b=1.0)
+    monkeypatch.setattr(reduced, "SEARCH_ETA", 1e-6)
+    with pytest.raises(SolverDivergence, match="eta = 1e-06"):
+        critical_point_search(V, 0.1, 1, [(0.5, 1.5)], "minimize_V", gs)
+    with pytest.raises(SolverDivergence, match="eta = 1e-06"):
+        cluster_search(_bump(1.0), 0.1, 2, [(-1.5, 1.5)], gs)
 
 
 def test_search_reports_why_it_stopped(gs_store, monkeypatch):
@@ -326,8 +338,8 @@ def test_search_well_single_spike(gs_store):
 def test_search_deterministic(gs_store):
     gs = gs_store(0.5, 2.0)
     V = builtin_potentials("well", a=2.0, b=1.0)
-    a = critical_point_search(V, 0.1, 1, [(-2.0, 2.0)], "minimize_V", gs, seed=3)
-    b = critical_point_search(V, 0.1, 1, [(-2.0, 2.0)], "minimize_V", gs, seed=3)
+    a = critical_point_search(V, 0.1, 1, [(-2.0, 2.0)], "minimize_V", gs)
+    b = critical_point_search(V, 0.1, 1, [(-2.0, 2.0)], "minimize_V", gs)
     np.testing.assert_array_equal(a.xi_star, b.xi_star)
 
 
@@ -341,6 +353,8 @@ def test_search_region_validation(gs_store):
         critical_point_search(V, 0.1, 1, [(2.0, -2.0)], "minimize_V", gs)
     with pytest.raises(ConfigError):
         critical_point_search(V, 0.1, 1, [(-2.0, 2.0)], "spiral", gs)
+    with pytest.raises(ConfigError, match="cannot place 20 spikes"):
+        critical_point_search(V, 0.1, 20, [(-2.0, 2.0)], "minimize_V", gs)
 
 
 def test_cluster_search_k1_reduces_to_maximize(gs_store):

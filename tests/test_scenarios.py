@@ -31,7 +31,7 @@ def make_doc(mode="ground_state", **over):
            "params": dict(PARAMS), "grid": dict(GRID)}
     if mode != "ground_state":
         doc["potential"] = dict(WELL)
-    if mode in ("solve_k_spike", "asymptotics_check", "cluster"):
+    if mode in ("solve_k_spike", "cluster"):
         doc["epsilons"] = [0.1]
     elif mode == "epsilon_sweep":
         doc["epsilons"] = [0.2, 0.1, 0.05]
@@ -151,7 +151,8 @@ BAD_DOCS = [
     for mode, key in (("ground_state", "eta"), ("solve_k_spike", "seed"),
                       ("epsilon_sweep", "n_distances"),
                       ("asymptotics_check", "delta"),
-                      ("degree_check", "seed"), ("cluster", "eta"))
+                      ("degree_check", "seed"), ("cluster", "eta"),
+                      ("cluster", "seed"))
 ]
 
 
@@ -325,17 +326,22 @@ def test_2d_writers(tmp_path, cache_dir):
     assert rows[0] == "x,y,u" and len(rows) == 1 + 64 ** 2
 
 
-def test_cluster_region_must_fit_the_torus(tmp_path, cache_dir, capsys):
-    """|xi| / eps up to 50 on a box of L = 40: the cluster search refuses
-    the region, as the critical-point search does, rather than wrap a
-    spike around the torus; the command line exits 2."""
+def test_cluster_region_must_fit_the_torus(tmp_path, capsys):
+    """|xi| / eps up to 50 on a box of L = 40: the scenario refuses the
+    region when parsed, as the critical-point search does, rather than wrap
+    a spike around the torus. Nothing is written, neither a run directory
+    nor a profile in the cache, and the command line exits 2."""
     path = write_doc(tmp_path, make_doc("cluster", region=[[-5.0, 5.0]]))
-    with pytest.raises(ConfigError, match="does not fit inside the torus"):
-        run_scenario(path, out_dir=tmp_path / "out", cache_dir=cache_dir)
+    cache = tmp_path / "cache"
+    with pytest.raises(ConfigError, match=r"scenario\.json\.region: region "
+                       "does not fit inside the torus"):
+        run_scenario(path, out_dir=tmp_path / "out", cache_dir=cache)
     rc = cli.main(["run", str(path), "--out", str(tmp_path / "cli"),
-                   "--cache", str(cache_dir)])
+                   "--cache", str(cache)])
     assert "does not fit inside the torus" in capsys.readouterr().err
     assert rc == 2
+    for left in ("out", "cli", "cache"):
+        assert not (tmp_path / left).exists()
 
 
 def test_solver_failure_writes_report(tmp_path, cache_dir):
