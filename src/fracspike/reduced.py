@@ -8,12 +8,15 @@ configurations where all c_ij vanish. Every search step therefore costs one
 correction per configuration it visits. Minima, saddles and cluster maxima
 all come from one quasi-Newton driver on xi -> c (_quasi_newton); only the
 merit differs: critical_point_search accepts a trial when max|c| falls,
-cluster_search when I rises. Each search makes one start, at the best
-cells of a region scan of V. The asymptotic model c_* sum V^theta(xi_i) -
-(1/2) sum_{i!=j} c_ij |q_i-q_j|^{-(N+2s)} supplies, by central
-differences, the Hessian every search starts from; its constants
-were validated against measured overlap integrals (the pair factor 1/2 and
-the lambda exponents empirically, see tests).
+cluster_search when I rises. The asymptotic model c_* sum V^theta(xi_i) -
+(1/2) sum_{i!=j} c_ij |q_i-q_j|^{-(N+2s)} costs no correction; its
+constants were validated against measured overlap integrals (the pair
+factor 1/2 and the lambda exponents empirically, see tests). Each search
+makes one start, at the best cells of a region scan of V. Where the model
+Hessian there lacks the inertia of the critical point sought, damped Newton
+steps on the model move the start to a model critical point of that
+inertia, kept if its ansatz passes the search's eta gate. The model Hessian
+at the start, by central differences, is the search's first Jacobian.
 """
 
 from __future__ import annotations
@@ -72,7 +75,9 @@ class SearchOutcome:
     pointing out, a maximizer of I on the box, so converged is True); or
     "max_steps". history holds one {step, I, max_abs_c, xi, kind} entry per
     step of the search's one start, the start included, kind naming the
-    step: "start", "model", "secant", "fd" or "gradient"."""
+    step: "start" (the region-scan start) or "model_start" (the start
+    relaxed on the model energy), then "model", "secant", "fd" or
+    "gradient"."""
 
     q_star: SpikeConfig
     mode: str
@@ -176,7 +181,13 @@ def reduced_energy(V: Potential, cfg: SpikeConfig, gs: GroundState,
     configuration's correction. Raises SolverDivergence when the correction
     does not converge.
     """
-    bundle = build_ansatz(V, cfg, gs)
+    return _corrected(V, build_ansatz(V, cfg, gs), gs, phi0)
+
+
+def _corrected(V: Potential, bundle, gs: GroundState,
+               phi0: Field | None) -> ReducedPoint:
+    """reduced_energy at the configuration of an ansatz already built."""
+    cfg = bundle.cfg
     corr = nonlinear_correction(V, cfg, bundle,
                                 CorrectionOptions(eta=SEARCH_ETA), phi0=phi0)
     if not corr.converged:
@@ -203,6 +214,86 @@ def _model_hessian(V: Potential, xi: np.ndarray, epsilon: float,
     return H
 
 
+def _has_inertia(H: np.ndarray, mode: str) -> bool:
+    """Whether a model Hessian has the inertia of the mode's critical points:
+    positive definite (minimize_V), indefinite (degree_zero_of_gradV) or
+    negative definite (maximize_V, cluster_max)."""
+    ev = np.linalg.eigvalsh(H)
+    if mode == "minimize_V":
+        return bool(ev[0] > 0.0)
+    if mode == "degree_zero_of_gradV":
+        return bool(ev[0] < 0.0 < ev[-1])
+    return bool(ev[-1] < 0.0)
+
+
+def _model_relax(V: Potential, gs: GroundState, xi: np.ndarray, epsilon: float,
+                 lows: np.ndarray, highs: np.ndarray, mode: str, floor: float,
+                 h: float, max_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """(xi, _model_hessian there) after at most max_steps damped Newton steps
+    on the central-difference gradient g of asymptotic_energy, from xi.
+
+    With H = Q Lambda Q^T, minima and maxima take the saddle-free steps
+    -+Q |Lambda|^-1 Q^T g, halved until the model energy falls (rises); the
+    saddle mode takes plain Newton steps -H^-1 g. Each step is clipped to
+    the region and shortened to the separation floor. The relaxation stops
+    at a step below 1e-9 of the region's shortest span, or at a singular H.
+    """
+    c0 = _profile_constant(gs) if xi.shape[0] > 1 else None
+    E = h * np.eye(xi.size)
+    span = float(np.min(highs - lows))
+    sign = {"minimize_V": -1.0, "degree_zero_of_gradV": 0.0}.get(mode, 1.0)
+
+    def f(x):
+        return _model_energy(V, x, epsilon, gs, c0)
+
+    H = _model_hessian(V, xi, epsilon, gs, h)
+    for _ in range(max_steps):
+        g = np.array([f(xi.ravel() + e) - f(xi.ravel() - e)
+                      for e in E]) / (2.0 * h)
+        lam, Q = np.linalg.eigh(H)
+        w = -sign * np.abs(lam) if sign else lam
+        with np.errstate(all="ignore"):
+            p = -(Q @ ((Q.T @ g) / w)).reshape(xi.shape)
+        if not np.all(np.isfinite(p)):
+            break
+        f0, t = f(xi), 1.0
+        while True:
+            d = np.clip(xi + t * p, lows, highs) - xi
+            d *= _floor_fraction(xi, d, floor)
+            if np.linalg.norm(d) < 1e-9 * span:
+                return xi, H
+            if not sign or sign * (f(xi + d) - f0) > 0.0:
+                break
+            t *= 0.5
+        xi = xi + d
+        H = _model_hessian(V, xi, epsilon, gs, h)
+    return xi, H
+
+
+def _model_start(V: Potential, gs: GroundState, make_cfg, xi: np.ndarray,
+                 lows: np.ndarray, highs: np.ndarray, mode: str, floor: float,
+                 h: float, max_steps: int):
+    """(xi, _model_hessian at xi, ReducedPoint at xi, history kind) of a
+    search's start. The lattice start stays ("start") when its model Hessian
+    has the mode's inertia; otherwise _model_relax moves it, and the relaxed
+    point is kept ("model_start") when its model Hessian has that inertia
+    and its ansatz passes the search's gate, ||E||_Y <= SEARCH_ETA. The
+    ansatz is not held past its correction."""
+    epsilon = make_cfg(xi).epsilon
+    H = _model_hessian(V, xi, epsilon, gs, h)
+    if not _has_inertia(H, mode):
+        try:
+            xi_m, H_m = _model_relax(V, gs, xi, epsilon, lows, highs, mode,
+                                     floor, h, max_steps)
+            bundle = build_ansatz(V, make_cfg(xi_m), gs) \
+                if _has_inertia(H_m, mode) else None
+        except ConfigError:
+            bundle = None
+        if bundle is not None and bundle.E_norm_Y <= SEARCH_ETA:
+            return xi_m, H_m, _corrected(V, bundle, gs, None), "model_start"
+    return xi, H, reduced_energy(V, make_cfg(xi), gs), "start"
+
+
 def region_lattice(region, n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """The lattice of n points per axis over region, a (lo, hi) interval per
     axis: its meshgrid (indexing "ij") and its points, one row each."""
@@ -212,13 +303,14 @@ def region_lattice(region, n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
 
 
 def _model_seed(V: Potential, k: int, region, mode: str) -> np.ndarray:
-    """The one start of a search: k spike positions (rows, in xi).
+    """The lattice start of a search: k spike positions (rows, in xi).
 
     Scores the REGION_SCAN lattice over the region by V, or by |grad V| in
     the degree_zero_of_gradV mode, and takes the k best cells (highest for
     maximize_V, lowest otherwise) at least 0.25 of the region's shortest
     span apart, or 0.08 of it when 0.25 cannot place k. ConfigError when
-    neither can.
+    neither can. _model_start relaxes it on the model energy where its
+    model Hessian lacks the mode's inertia.
     """
     mesh, pts = region_lattice(region, REGION_SCAN)
     if mode == "degree_zero_of_gradV":
@@ -278,8 +370,11 @@ def critical_point_search(V: Potential, epsilon: float, k: int, region,
     points of I, and c_ij = -eps (grad_xi I)_ij / alpha_ij is the reduced
     gradient scaled by eps; c_tol is C_TOL_SCALE c_* eps max|grad V^theta|
     over the region. One run of _quasi_newton, with max|c| as its merit for
-    up to SEARCH_MAX_STEPS steps, starts at _model_seed; its ConfigError or
-    SolverDivergence propagates when the start cannot be corrected.
+    up to SEARCH_MAX_STEPS steps, starts at _model_seed, relaxed by
+    _model_start to a model minimum, maximum or saddle where the lattice
+    start's model Hessian is not positive definite, negative definite or
+    indefinite; its ConfigError or SolverDivergence propagates when the
+    start cannot be corrected.
     Configurations have delta = SEARCH_DELTA and SpikeConfig's r_min = 4.
 
     region is a list of (lo, hi) intervals per axis in the outer variable
@@ -296,9 +391,9 @@ def critical_point_search(V: Potential, epsilon: float, k: int, region,
                            delta=SEARCH_DELTA)
 
     out = _quasi_newton(V, gs, make_cfg, _model_seed(V, k, region, mode),
-                        lows, highs, ascent=False, tol=c_tol,
+                        lows, highs, mode=mode, tol=c_tol,
                         max_steps=SEARCH_MAX_STEPS)
-    out.mode, out.c_tol = mode, c_tol
+    out.c_tol = c_tol
     return out
 
 
@@ -316,21 +411,23 @@ def _floor_fraction(xi: np.ndarray, p: np.ndarray, floor: float) -> float:
 
 def _quasi_newton(V: Potential, gs: GroundState, make_cfg,
                   xi: np.ndarray, lows: np.ndarray, highs: np.ndarray, *,
-                  ascent: bool, tol: float, max_steps: int,
+                  mode: str, tol: float, max_steps: int,
                   floor: float = 0.0) -> SearchOutcome:
     """Damped quasi-Newton iteration on xi -> c from one start, in xi.
 
-    J, the Jacobian of xi -> c, starts as -(eps/alpha) times _model_hessian
-    and takes a good-Broyden update after each accepted step. The step solves
+    The start is _model_start's, from xi. J, the Jacobian of xi -> c,
+    starts as -(eps/alpha) times _model_hessian there and takes a
+    good-Broyden update after each accepted step. The step solves
     J p = -c on the free coordinates; since J = -diag(eps/alpha) hess I this
-    is also the Newton step on I. The merit decides what a trial must do:
-    max|c| falls (ascent False, converged at max|c| <= tol), or I rises
-    (ascent True, converged at |grad I| span <= tol |I| on the free
-    coordinates). Under the I merit a trial after a model, secant or fd step
-    is also accepted when it lowers max|c| on the free coordinates, since
-    near the maximizer the computed I cannot resolve the step; a step that is
-    not an ascent direction is replaced by a gradient step of 0.05 span, and
-    a coordinate on a region bound whose gradient points outward is frozen.
+    is also the Newton step on I. The mode's merit decides what a trial must
+    do: max|c| falls (minimize_V, maximize_V, degree_zero_of_gradV;
+    converged at max|c| <= tol), or I rises (cluster_max; converged at
+    |grad I| span <= tol |I| on the free coordinates). Under the I merit a
+    trial after a model, secant or fd step is also accepted when it lowers
+    max|c| on the free coordinates, since near the maximizer the computed I
+    cannot resolve the step; a step that is not an ascent direction is
+    replaced by a gradient step of 0.05 span, and a coordinate on a region
+    bound whose gradient points outward is frozen.
     Every step is capped at a quarter span and shortened to the separation
     floor; the trials xi + t p, t = 1, 1/2, ..., 1/16, are clipped to the
     region (and kept on the floor), and one equal to xi or already corrected
@@ -341,14 +438,14 @@ def _quasi_newton(V: Potential, gs: GroundState, make_cfg,
     point from the current phi. Raises SolverDivergence or ConfigError when
     the start itself cannot be corrected.
     """
-    cfg = make_cfg(xi)
-    epsilon = cfg.epsilon
-    pt = reduced_energy(V, cfg, gs)
+    epsilon = make_cfg(xi).epsilon
+    ascent = mode == "cluster_max"
     n = xi.size
     span = float(np.min(highs - lows))
     hx = max(1e-3 * span, 1e-3 * epsilon)  # small against the region
-    J = -(epsilon / pt.alphas.reshape(n, 1)) * _model_hessian(V, xi, epsilon,
-                                                              gs, hx)
+    xi, H, pt, start_kind = _model_start(V, gs, make_cfg, xi, lows, highs,
+                                         mode, floor, hx, max_steps)
+    J = -(epsilon / pt.alphas.reshape(n, 1)) * H
 
     def entry(step, kind):
         return {"step": step, "I": pt.I,
@@ -401,7 +498,7 @@ def _quasi_newton(V: Potential, gs: GroundState, make_cfg,
             J[:, col] = (near(xi + e.reshape(xi.shape)).c - pt.c).ravel() / hx
         return J
 
-    history = [entry(0, "start")]
+    history = [entry(0, start_kind)]
     kind = "model"
     for step in itertools.count(1):
         free = np.ones(n, dtype=bool)
@@ -437,7 +534,7 @@ def _quasi_newton(V: Potential, gs: GroundState, make_cfg,
         kind = "secant"
 
     cfg = make_cfg(xi)
-    return SearchOutcome(q_star=cfg, mode="", max_abs_c=history[-1]["max_abs_c"],
+    return SearchOutcome(q_star=cfg, mode=mode, max_abs_c=history[-1]["max_abs_c"],
                          V_at_spikes=np.array([float(V(*x)) for x in cfg.xi]),
                          converged=converged, history=history, I_value=pt.I,
                          correction=pt.correction, stop=stop)
@@ -447,8 +544,11 @@ def cluster_search(V: Potential, epsilon: float, k: int, region,
                    gs: GroundState) -> SearchOutcome:
     """Maximize I(q) under the cluster separation floor |xi_i - xi_j| >= eps^(1-s/4).
 
-    The maximize_V model seed, spread about its centroid to clear the floor,
-    starts one run of _quasi_newton with I as its merit: steps on
+    The maximize_V lattice seed, spread about its centroid to clear the
+    floor, and relaxed by _model_start to a model maximizer above the floor
+    where its model Hessian is not negative definite (for the criterion-12
+    bump, from (0, -0.75) to +-0.2282), starts one run of _quasi_newton
+    with I as its merit: steps on
     grad_xi I = -alpha_ij c_ij / eps, read off the correction at each trial,
     from the central-difference Hessian of asymptotic_energy, with the region
     bounds as an active set and steps shortened to the floor. converged means
@@ -473,10 +573,10 @@ def cluster_search(V: Potential, epsilon: float, k: int, region,
             for i, j in itertools.combinations(range(k), 2))
     mid = start.mean(axis=0)
     xi = np.clip(mid + (start - mid) * max(1.0, floor_xi / d), lows, highs)
-    out = _quasi_newton(V, gs, make_cfg, xi, lows, highs, ascent=True,
+    out = _quasi_newton(V, gs, make_cfg, xi, lows, highs, mode="cluster_max",
                         tol=CLUSTER_ASCENT_TOL, max_steps=CLUSTER_MAX_STEPS,
                         floor=floor_xi)
-    out.mode, out.c_tol = "cluster_max", np.inf
+    out.c_tol = np.inf
     out.boundary_stuck = bool(np.min(out.q_star.separations()) * epsilon
                               <= 1.02 * floor_xi)
     return out

@@ -43,6 +43,19 @@ TOLERANCES = {"ground_state": (), "solve_k_spike": ("delta", "eta", "r_min"),
               "epsilon_sweep": ("delta", "eta", "r_min"),
               "asymptotics_check": ("n_distances",), "degree_check": (),
               "cluster": ()}
+# the top-level keys each mode reads besides schema, name, mode, params, grid
+# and tolerances; a mode that does not read one of UNREAD's keys accepts it
+# only at the value resolved configs write for it
+READS = {"ground_state": (),
+         "solve_k_spike": ("potential", "epsilons", "seeds", "k"),
+         "epsilon_sweep": ("potential", "epsilons", "seeds", "k"),
+         "asymptotics_check": ("potential",),
+         "degree_check": ("potential", "region"),
+         "cluster": ("potential", "epsilons", "k", "region")}
+UNREAD = {"potential": None, "epsilons": [], "k": 1, "region": None,
+          "seeds": None}
+KEYS = ("schema", "name", "mode", "params", "grid", "tolerances") + \
+    tuple(UNREAD)
 
 
 @dataclass
@@ -125,6 +138,14 @@ def parse_scenario(doc, origin: str = "scenario") -> Scenario:
     mode = _get(doc, "mode", origin)
     if mode not in MODES:
         _fail(f"{origin}.mode", f"expected one of {list(MODES)}, got {mode!r}")
+    for key, val in doc.items():
+        if key not in KEYS:
+            _fail(f"{origin}.{key}", f"unknown key; expected one of "
+                  f"{list(KEYS)}")
+        blank = UNREAD.get(key, val)
+        if key not in READS[mode] and (type(val), val) != (type(blank), blank):
+            _fail(f"{origin}.{key}", f"not read in mode {mode!r}; omit it or "
+                  f"set it to {json.dumps(blank)}")
 
     pdoc = _get(doc, "params", origin)
     if not isinstance(pdoc, dict):
@@ -211,9 +232,6 @@ def parse_scenario(doc, origin: str = "scenario") -> Scenario:
                 rd._region_bounds(region, epsilons[0], grid)
             except ConfigError as exc:
                 _fail(f"{origin}.region", str(exc))
-    elif doc.get("region") is not None:
-        # tolerate an explicit null so resolved configs re-parse cleanly
-        region = _parse_region(doc["region"], dim, f"{origin}.region")
 
     tolerances = _get(doc, "tolerances", origin, required=False, default={})
     if not isinstance(tolerances, dict):

@@ -170,9 +170,11 @@ def _pinned(edge):
     return check
 
 
-def _converged(first_kind=None):
+def _converged(first_kind=None, start="start"):
+    """Converged, from the lattice start or the model-relaxed one."""
     def check(out, gs, elapsed):
         assert out.converged and out.stop == "converged"
+        assert out.history[0]["kind"] == start
         if first_kind is not None:
             assert out.history[1]["kind"] == first_kind
     return check
@@ -189,14 +191,15 @@ def _gated(out, gs, elapsed):
 def _criterion_12(out, gs, elapsed):
     """Ends on its gradient test, which the multiplier gradient -alpha c / eps
     of the final correction meets; the model Hessian is indefinite at the
-    seed, so the first step is a gradient step and the later ones not."""
+    lattice seed, so the search starts at the model's maximizer, and no
+    step is a gradient step."""
     assert out.converged and out.stop == "converged"
     alphas = build_ansatz(_bump(1.0), out.q_star, gs).alphas
     grad = -alphas * out.correction.c / 0.1
     assert np.linalg.norm(grad) * 3.0 <= 1e-4 * abs(out.I_value)
     assert out.I_value >= 11.293018363  # where gradient ascent stopped
     kinds = [h["kind"] for h in out.history[1:]]
-    assert kinds[0] == "gradient" and "gradient" not in kinds[1:]
+    assert out.history[0]["kind"] == "model_start" and "gradient" not in kinds
 
 
 def _edge_pin(out, gs, elapsed):
@@ -227,10 +230,11 @@ SEARCH_BUDGETS = [
                  id="pinned_upper"),
     pytest.param(_well_search(0.1, (-1.5, -0.5)), 7, _pinned(-1.5),
                  id="pinned_lower"),
-    pytest.param(_cluster(1.0), 10, _criterion_12,
+    pytest.param(_cluster(1.0), 3, _criterion_12,
                  id="cluster_criterion_12"),
     pytest.param(_cluster(0.3), 10, _edge_pin, id="cluster_sigma0.3"),
-    pytest.param(_cluster(0.7), 12, _converged(), id="cluster_sigma0.7"),
+    pytest.param(_cluster(0.7), 3, _converged(start="model_start"),
+                 id="cluster_sigma0.7"),
     pytest.param(_cluster(0.5), 24, _gated, id="cluster_sigma0.5"),
 ]
 
@@ -248,6 +252,58 @@ def test_search_correction_budget(gs_store, monkeypatch, search, budget,
     out = search(gs)
     check(out, gs, time.perf_counter() - start)
     assert len(calls) <= budget
+
+
+def test_relaxed_start_is_a_model_maximizer_near_xi_star(gs_store):
+    """The criterion-12 lattice start (0, -0.75) has an indefinite model
+    Hessian. The search starts instead where damped Newton on the model
+    energy ends: a negative definite model Hessian, inside the region, on
+    or above the separation floor, and within 2e-4 of the search's xi*."""
+    gs = gs_store(0.5, 2.0)
+    V, eps, h = _bump(1.0), 0.1, 3e-3
+    lattice = np.array([[0.0], [-0.75]])
+    assert np.ptp(np.sign(np.linalg.eigvalsh(
+        reduced._model_hessian(V, lattice, eps, gs, h)))) == 2
+    out = _cluster(1.0)(gs)
+    start = out.history[0]
+    xi = np.array(start["xi"]).reshape(2, 1)
+    assert start["kind"] == "model_start"
+    assert np.all(np.linalg.eigvalsh(
+        reduced._model_hessian(V, xi, eps, gs, h)) < 0.0)
+    assert np.all((-1.5 <= xi) & (xi <= 1.5))
+    assert abs(xi[0, 0] - xi[1, 0]) >= eps ** (1.0 - gs.params.s / 4.0)
+    assert np.max(np.abs(xi - out.xi_star)) <= 2e-4
+
+
+def test_relaxed_start_that_fails_the_gate_keeps_the_lattice_start(
+        gs_store, monkeypatch):
+    """On the sigma = 0.5 bump the model maximizer, +-0.165, has ||E||_Y
+    0.556, above SEARCH_ETA: the search keeps the lattice start, and its
+    path, without spending a correction on the relaxed point."""
+    gs = gs_store(0.5, 2.0)
+    calls = _count_corrections(monkeypatch)
+    out = _cluster(0.5)(gs)
+    assert out.history[0]["kind"] == "start"
+    assert out.history[0]["xi"] == [0.0, -0.75]
+    assert len(calls) == 24 and out.stop == "corrections_failed"
+
+
+def test_model_relax_finds_the_saddle_of_V(gs_store):
+    """The saddle mode relaxes by plain Newton steps on the model, which for
+    one spike is c_* V^theta: from three points of the box it ends at V's
+    saddle (0.0973, 0.0618), with an indefinite model Hessian."""
+    gs = gs_store(0.5, 2, dim=2, L=20.0, M=256)
+    V = builtin_potentials("gaussian_bumps", a=1.0, bumps=[
+        {"b": 0.6, "center": [-0.9, 0.13], "sigma": 0.8},
+        {"b": 0.5, "center": [1.0, 0.0], "sigma": 0.8}])
+    lows, highs = np.array([-0.45, -0.4]), np.array([0.55, 0.6])
+    for x0 in ([[0.3, 0.3]], [[-0.2, -0.3]], [[0.05, 0.05]]):
+        xi, H = reduced._model_relax(V, gs, np.array(x0), 0.1, lows, highs,
+                                     "degree_zero_of_gradV", 0.0, 1e-3,
+                                     reduced.SEARCH_MAX_STEPS)
+        assert reduced._has_inertia(H, "degree_zero_of_gradV")
+        np.testing.assert_allclose(xi, [[0.0973, 0.0618]], atol=5e-4)
+        assert np.hypot(*V.grad(*xi[0])) < 1e-6
 
 
 def test_failed_start_raises_the_gate_error(gs_store, monkeypatch):

@@ -153,6 +153,25 @@ BAD_DOCS = [
                       ("asymptotics_check", "delta"),
                       ("degree_check", "seed"), ("cluster", "eta"),
                       ("cluster", "seed"))
+] + [
+    # a top-level key outside the schema, or one the mode does not read
+    pytest.param(make_doc("asymptotics_check", tolerence={"n_distances": 3}),
+                 "scenario.tolerence: unknown key", id="unknown-top-key"),
+    pytest.param(make_doc("asymptotics_check", seeds=[[0.0]]),
+                 "scenario.seeds: not read in mode 'asymptotics_check'",
+                 id="seeds-in-asymptotics_check"),
+    pytest.param(make_doc("degree_check", epsilons=[0.1]),
+                 "scenario.epsilons: not read in mode 'degree_check'",
+                 id="epsilons-in-degree_check"),
+    pytest.param(make_doc("solve_k_spike", region=[[-1.0, 1.0]]),
+                 "scenario.region: not read in mode 'solve_k_spike'",
+                 id="region-in-solve_k_spike"),
+    pytest.param(make_doc(potential=dict(WELL)),
+                 "scenario.potential: not read in mode 'ground_state'",
+                 id="potential-in-ground_state"),
+    pytest.param(make_doc("degree_check", k=True),
+                 "scenario.k: not read in mode 'degree_check'",
+                 id="k-in-degree_check"),
 ]
 
 
@@ -188,6 +207,16 @@ def test_resolved_config_reparses_identically():
     sc = parse_scenario(make_doc("epsilon_sweep"))
     again = parse_scenario(json.loads(json.dumps(sc.resolved)))
     assert again.resolved == sc.resolved
+
+
+@pytest.mark.parametrize("mode", scenarios.MODES)
+def test_every_mode_reparses_its_resolved_config(mode):
+    """The resolved config writes null or empty values for the keys a mode
+    does not read, and those values parse."""
+    sc = parse_scenario(make_doc(mode))
+    assert set(sc.resolved) == set(scenarios.KEYS)
+    assert parse_scenario(json.loads(json.dumps(sc.resolved))).resolved \
+        == sc.resolved
 
 
 def test_load_reports_json_position(tmp_path):
@@ -268,7 +297,8 @@ def test_degree_mode_report(tmp_path):
 
 def test_cluster_report_says_why_the_ascent_stopped(tmp_path, cache_dir):
     """The cluster report carries the search's stop reason and its history
-    the kind of each step; warm-cache reruns are byte-identical."""
+    the kind of each step, from the model-relaxed start on; warm-cache
+    reruns are byte-identical."""
     doc = make_doc("cluster", potential={
         "kind": "gaussian_bumps", "a": 1.0,
         "bumps": [{"b": 1.0, "center": [0.0], "sigma": 1.0}]})
@@ -279,7 +309,7 @@ def test_cluster_report_says_why_the_ascent_stopped(tmp_path, cache_dir):
     assert report["results"]["stop"] == "converged"
     rows = (runs[0].out_dir / "cluster_history.csv").read_text().splitlines()
     assert rows[0].startswith("step,kind,I,max_abs_c,")
-    assert rows[1].split(",")[1] == "start"
+    assert rows[1].split(",")[1] == "model_start"
     for name in ("report.json", "cluster_history.csv"):
         assert (runs[0].out_dir / name).read_bytes() == \
             (runs[1].out_dir / name).read_bytes()
