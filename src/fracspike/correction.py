@@ -64,6 +64,13 @@ place and recomputes (L Q)^T Q; Q, R and gram_cond stay. A solve ends
 with P L phi = P g - (its residual) in hand. The next step moves that
 image with the operator, image -= P (dd phi), and starts from it, so its
 starting residual P g' - P L' phi costs no transform either.
+
+A search needs phi exact only where it may stop. The multipliers project
+the residual onto span{Z}, the near-kernel of L_W, so they barely feel an
+error in phi: `reduced`'s max|c| searches cut each trial's correction after
+one Newton step from the carried phi (two at the start), and let a step
+that does not contract, or whose max|c| meets the search's c_tol, run on
+to CORRECTION_TOL (`nonlinear_correction`'s _steps and _c_tol).
 """
 
 from __future__ import annotations
@@ -136,6 +143,10 @@ class CorrectionOptions:
 
 @dataclass
 class CorrectionResult:
+    """phi and c after `iterations` Newton steps. converged: the last
+    increment met CORRECTION_TOL, or a search trial's cut step contracted;
+    False when three ratios >= 1 or CORRECTION_MAX_ITER ended it."""
+
     phi: Field
     c: np.ndarray
     norm_Y: float
@@ -353,7 +364,8 @@ def projected_solve(g: Field, V: Potential, cfg: SpikeConfig,
 
 def nonlinear_correction(V: Potential, cfg: SpikeConfig, bundle: AnsatzBundle,
                          opts: CorrectionOptions | None = None,
-                         phi0: Field | None = None) -> CorrectionResult:
+                         phi0: Field | None = None, _steps: int = 0,
+                         _c_tol: float = 0.0) -> CorrectionResult:
     """The full correction Phi(q): the fixed point phi = T_q(E + N(phi)),
     found by inexact Newton steps.
 
@@ -376,6 +388,13 @@ def nonlinear_correction(V: Potential, cfg: SpikeConfig, bundle: AnsatzBundle,
 
     phi0, typically the correction at a nearby configuration, starts the
     fixed point from its projection onto span{Z}^perp instead of from 0.
+
+    A search trial passes _steps > 0: the correction then stops after that
+    many steps, converged, when the last one contracted (its increment
+    below the weighted sup norm of the phi it started from) and left
+    max|c| > _c_tol. A step that does not contract, or that meets _c_tol,
+    goes on by the rule above, so a correction whose c a search may stop
+    at is always converged to CORRECTION_TOL.
     """
     opts = opts or CorrectionOptions()
     if bundle.E_norm_Y > opts.eta:
@@ -419,8 +438,12 @@ def nonlinear_correction(V: Potential, cfg: SpikeConfig, bundle: AnsatzBundle,
             ratios.append(ratio)
             bad_streak = bad_streak + 1 if ratio >= 1.0 else 0
         prev_inc = inc
+        # a search trial's cut: this step contracted from the phi it
+        # started at, and its c is not one the search may stop at
+        cut = it == _steps and inc < float(np.max(np.abs(phi.values) / rho)) \
+            and float(np.max(np.abs(sol.c))) > _c_tol
         phi, c = sol.phi, sol.c
-        if inc <= CORRECTION_TOL:
+        if inc <= CORRECTION_TOL or cut:
             converged = True
             break
         if bad_streak >= 3:

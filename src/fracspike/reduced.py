@@ -8,7 +8,11 @@ configurations where all c_ij vanish. Every search step therefore costs one
 correction per configuration it visits. Minima, saddles and cluster maxima
 all come from one quasi-Newton driver on xi -> c (_quasi_newton); only the
 merit differs: critical_point_search accepts a trial when max|c| falls,
-cluster_search when I rises. The asymptotic model c_* sum V^theta(xi_i) -
+cluster_search when I rises. Under the max|c| merit a trial's correction
+takes one Newton step from the carried phi (the start two, from 0), since
+c barely feels an error in phi (correction module docstring); only one
+that meets c_tol, or does not contract, runs to CORRECTION_TOL. The
+asymptotic model c_* sum V^theta(xi_i) -
 (1/2) sum_{i!=j} c_ij |q_i-q_j|^{-(N+2s)} costs no correction; its
 constants were validated against measured overlap integrals (the pair
 factor 1/2 and the lambda exponents empirically, see tests). Each search
@@ -77,7 +81,11 @@ class SearchOutcome:
     step of the search's one start, the start included, kind naming the
     step: "start" (the region-scan start) or "model_start" (the start
     relaxed on the model energy), then "model", "secant", "fd" or
-    "gradient"."""
+    "gradient". correction is the correction at q_star: converged to
+    CORRECTION_TOL when the search converged, and otherwise, for
+    critical_point_search, the last accepted point's as the search took it,
+    cut after one Newton step (two at the start) unless that step did not
+    contract."""
 
     q_star: SpikeConfig
     mode: str
@@ -184,12 +192,15 @@ def reduced_energy(V: Potential, cfg: SpikeConfig, gs: GroundState,
     return _corrected(V, build_ansatz(V, cfg, gs), gs, phi0)
 
 
-def _corrected(V: Potential, bundle, gs: GroundState,
-               phi0: Field | None) -> ReducedPoint:
-    """reduced_energy at the configuration of an ansatz already built."""
+def _corrected(V: Potential, bundle, gs: GroundState, phi0: Field | None,
+               steps: int = 0, c_tol: float = 0.0) -> ReducedPoint:
+    """reduced_energy at the configuration of an ansatz already built; steps
+    and c_tol cut the correction as nonlinear_correction's _steps and
+    _c_tol do (0: converged to CORRECTION_TOL)."""
     cfg = bundle.cfg
     corr = nonlinear_correction(V, cfg, bundle,
-                                CorrectionOptions(eta=SEARCH_ETA), phi0=phi0)
+                                CorrectionOptions(eta=SEARCH_ETA), phi0=phi0,
+                                _steps=steps, _c_tol=c_tol)
     if not corr.converged:
         raise SolverDivergence(f"correction diverged at centers "
                                f"{cfg.centers.tolist()}")
@@ -273,15 +284,18 @@ def _model_relax(V: Potential, gs: GroundState, xi: np.ndarray, epsilon: float,
 def _model_start(V: Potential, gs: GroundState, make_cfg, xi: np.ndarray,
                  lows: np.ndarray, highs: np.ndarray, mode: str, floor: float,
                  h: float, max_steps: int):
-    """(xi, _model_hessian at xi, ReducedPoint at xi, history kind) of a
+    """(xi, _model_hessian at xi, the ansatz at xi, history kind) of a
     search's start. The lattice start stays ("start") when its model Hessian
-    has the mode's inertia; otherwise _model_relax moves it, and the relaxed
-    point is kept ("model_start") when its model Hessian has that inertia
-    and its ansatz passes the search's gate, ||E||_Y <= SEARCH_ETA. The
-    ansatz is not held past its correction."""
+    has the mode's inertia, or when no Hessian of its size can have it (the
+    saddle mode's indefinite inertia needs two coordinates, so one spike in
+    1d keeps its |grad V| lattice cell); otherwise _model_relax moves it,
+    and the relaxed point is kept ("model_start") when its model Hessian has
+    that inertia and its ansatz passes the search's gate, ||E||_Y <=
+    SEARCH_ETA."""
     epsilon = make_cfg(xi).epsilon
     H = _model_hessian(V, xi, epsilon, gs, h)
-    if not _has_inertia(H, mode):
+    if not _has_inertia(H, mode) and (mode != "degree_zero_of_gradV"
+                                      or xi.size > 1):
         try:
             xi_m, H_m = _model_relax(V, gs, xi, epsilon, lows, highs, mode,
                                      floor, h, max_steps)
@@ -290,8 +304,8 @@ def _model_start(V: Potential, gs: GroundState, make_cfg, xi: np.ndarray,
         except ConfigError:
             bundle = None
         if bundle is not None and bundle.E_norm_Y <= SEARCH_ETA:
-            return xi_m, H_m, _corrected(V, bundle, gs, None), "model_start"
-    return xi, H, reduced_energy(V, make_cfg(xi), gs), "start"
+            return xi_m, H_m, bundle, "model_start"
+    return xi, H, build_ansatz(V, make_cfg(xi), gs), "start"
 
 
 def region_lattice(region, n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
@@ -374,7 +388,10 @@ def critical_point_search(V: Potential, epsilon: float, k: int, region,
     _model_start to a model minimum, maximum or saddle where the lattice
     start's model Hessian is not positive definite, negative definite or
     indefinite; its ConfigError or SolverDivergence propagates when the
-    start cannot be corrected.
+    start cannot be corrected. No 1x1 Hessian is indefinite, so for one
+    spike in 1d the saddle mode keeps its lattice start and finds the
+    critical point of V nearest the |grad V| lattice cell, whatever its
+    kind (on double_well(1, 1) over (-0.6, 1.7), V's minimum: xi* = 1.008).
     Configurations have delta = SEARCH_DELTA and SpikeConfig's r_min = 4.
 
     region is a list of (lo, hi) intervals per axis in the outer variable
@@ -437,14 +454,24 @@ def _quasi_newton(V: Potential, gs: GroundState, make_cfg,
     search then stops with corrections_failed). Trials start their fixed
     point from the current phi. Raises SolverDivergence or ConfigError when
     the start itself cannot be corrected.
+    Under the max|c| merit every correction, the refresh's included, is cut
+    after one Newton step (two at the start, which has no phi to carry;
+    one from phi = 0 mis-steers the first step) unless that step does not
+    contract or meets tol: nonlinear_correction's _steps and _c_tol. A
+    converged outcome's correction is therefore at CORRECTION_TOL, and an
+    unconverged one keeps its last accepted point's as it was taken. The I
+    merit keeps full corrections.
     """
     epsilon = make_cfg(xi).epsilon
     ascent = mode == "cluster_max"
     n = xi.size
     span = float(np.min(highs - lows))
     hx = max(1e-3 * span, 1e-3 * epsilon)  # small against the region
-    xi, H, pt, start_kind = _model_start(V, gs, make_cfg, xi, lows, highs,
-                                         mode, floor, hx, max_steps)
+    steps = 0 if ascent else 1  # Newton steps of a trial's correction
+    xi, H, bundle, start_kind = _model_start(V, gs, make_cfg, xi, lows,
+                                             highs, mode, floor, hx, max_steps)
+    pt = _corrected(V, bundle, gs, None, 2 * steps, tol)
+    del bundle  # not held past its correction
     J = -(epsilon / pt.alphas.reshape(n, 1)) * H
 
     def entry(step, kind):
@@ -453,7 +480,8 @@ def _quasi_newton(V: Potential, gs: GroundState, make_cfg,
                 "xi": xi.ravel().tolist(), "kind": kind}
 
     def near(xi_new):
-        return reduced_energy(V, make_cfg(xi_new), gs, pt.correction.phi)
+        return _corrected(V, build_ansatz(V, make_cfg(xi_new), gs), gs,
+                          pt.correction.phi, steps, tol)
 
     def line_search(J, kind, free, tried):
         """(xi, point, kind, every trial raised) of the first accepted trial."""

@@ -5,8 +5,9 @@ import time
 import numpy as np
 import pytest
 
-from fracspike import reduced
+from fracspike import correction, reduced
 from fracspike.ansatz import SpikeConfig, build_ansatz
+from fracspike.correction import CorrectionOptions, nonlinear_correction
 from fracspike.errors import ConfigError, SolverDivergence
 from fracspike.ground_state import energy_scaling_exponent
 from fracspike.potentials import builtin_potentials, potential_from_config
@@ -164,6 +165,11 @@ def _cluster(sigma):
 
 
 def _pinned(edge):
+    """Stops line_search_failed on the region edge. Its correction is the
+    one the search took at the edge and is not polished, which would cost
+    these searches an 8th correction. Here it is converged to
+    CORRECTION_TOL after all: the trial moved a quarter span, so its one
+    Newton step from the carried phi did not contract and went on."""
     def check(out, gs, elapsed):
         assert not out.converged and out.stop == "line_search_failed"
         assert out.xi_star[0, 0] == edge
@@ -252,6 +258,81 @@ def test_search_correction_budget(gs_store, monkeypatch, search, budget,
     out = search(gs)
     check(out, gs, time.perf_counter() - start)
     assert len(calls) <= budget
+
+
+def test_search_trials_take_one_newton_step(gs_store, monkeypatch):
+    """On the 1d two-well the start's correction takes two projected solves
+    and each trial before the last one: the last meets c_tol, so its
+    correction goes on to CORRECTION_TOL."""
+    gs = gs_store(0.5, 2.0)
+    solves, per_correction = [], []
+    solve, correct = correction.projected_solve, reduced.nonlinear_correction
+
+    def counting_solve(*args, **kwargs):
+        solves.append(1)
+        return solve(*args, **kwargs)
+
+    def counting_correction(*args, **kwargs):
+        solves.clear()
+        res = correct(*args, **kwargs)
+        per_correction.append(len(solves))
+        return res
+
+    monkeypatch.setattr(correction, "projected_solve", counting_solve)
+    monkeypatch.setattr(reduced, "nonlinear_correction", counting_correction)
+    V = builtin_potentials("gaussian_bumps", **TWO_WELL_1D)
+    out = critical_point_search(V, 0.1, 2, [(-2.0, 2.0)], "minimize_V", gs)
+    assert out.converged and len(per_correction) == 3
+    assert per_correction[0] == 2 and per_correction[1] == 1
+    assert per_correction[2] > 1
+
+
+def test_converged_outcome_correction_is_at_correction_tol(gs_store):
+    """A search stops only on a correction converged to CORRECTION_TOL: the
+    correction at xi* from the outcome's phi stops after one step, and its
+    c is the outcome's to 1e-12."""
+    gs = gs_store(0.5, 2.0)
+    V = builtin_potentials("gaussian_bumps", **TWO_WELL_1D)
+    out = critical_point_search(V, 0.1, 2, [(-2.0, 2.0)], "minimize_V", gs)
+    again = nonlinear_correction(V, out.q_star, build_ansatz(V, out.q_star, gs),
+                                 CorrectionOptions(eta=SEARCH_ETA),
+                                 phi0=out.correction.phi)
+    assert out.converged and again.converged and again.iterations == 1
+    assert np.max(np.abs(again.c - out.correction.c)) <= 1e-12
+
+
+def test_cluster_ascent_takes_full_corrections(gs_store, monkeypatch):
+    """The I merit of the cluster ascent keeps full corrections: no
+    correction of the criterion-12 ascent is cut after a step."""
+    gs = gs_store(0.5, 2.0)
+    steps = []
+    correct = reduced.nonlinear_correction
+
+    def recording(*args, _steps=0, **kwargs):
+        steps.append(_steps)
+        return correct(*args, _steps=_steps, **kwargs)
+
+    monkeypatch.setattr(reduced, "nonlinear_correction", recording)
+    assert _cluster(1.0)(gs).converged
+    assert steps == [0, 0, 0]
+
+
+def test_1d_saddle_mode_keeps_its_lattice_start(gs_store, monkeypatch):
+    """A 1x1 model Hessian is never indefinite, so the 1d saddle mode never
+    relaxes its start: it finds the critical point of V nearest its |grad V|
+    lattice cell, here the double well's minimum (the spike at 1.008)."""
+    gs = gs_store(0.5, 2.0)
+
+    def refuse(*args):
+        raise AssertionError("_model_relax ran")
+
+    monkeypatch.setattr(reduced, "_model_relax", refuse)
+    out = critical_point_search(builtin_potentials("double_well", a=1.0,
+                                                   b=1.0),
+                                0.1, 1, [(-0.6, 1.7)], "degree_zero_of_gradV",
+                                gs)
+    assert out.converged and out.history[0]["kind"] == "start"
+    assert abs(out.xi_star[0, 0] - 1.008) < 1e-3
 
 
 def test_relaxed_start_is_a_model_maximizer_near_xi_star(gs_store):
