@@ -101,8 +101,6 @@ def _encode(fields: list[str], values: np.ndarray) -> bytes:
 
 
 def _decode(blob: bytes) -> tuple[list[str], np.ndarray]:
-    if len(blob) < len(MAGIC) + 4 + 8 + 8:
-        raise ValueError("file too short")
     if blob[:len(MAGIC)] != MAGIC:
         raise ValueError("bad magic")
     payload, digest = blob[len(MAGIC):-8], blob[-8:]
@@ -162,14 +160,14 @@ def load(directory, grid: Grid, params: FracParams) -> GroundState | None:
         return None
     try:
         fields, values = _decode(blob)
-    except (ValueError, UnicodeDecodeError) as exc:
+        meta = dict(f.partition("=")[::2] for f in fields)
+        lam = float(meta.get("lam", "1"))
+        iterations = int(meta.get("iterations", "0"))
+        newton_steps = int(meta.get("newton_steps", "0"))
+    except (ValueError, struct.error) as exc:
         log.warning("cache file %s unreadable (%s); treating as a miss",
                     path, exc)
         return None
-    meta = {}
-    for f in fields:
-        name, _, val = f.partition("=")
-        meta[name] = val
     expected = dict(kv.partition("=")[::2] for kv in cache_key(grid, params))
     for name, val in expected.items():
         if meta.get(name) != val:
@@ -181,13 +179,11 @@ def load(directory, grid: Grid, params: FracParams) -> GroundState | None:
                     path, values.size, int(np.prod(grid.shape)))
         return None
     values = values.reshape(grid.shape)
-    lam = float(meta.get("lam", "1"))
     return GroundState(
         grid=grid, params=params, lam=lam, values=values,
         residual_norm=_relative_residual(
             sp.FracOperator(grid, params.s, lam), values, params.p),
-        iterations=int(meta.get("iterations", "0")),
-        newton_steps=int(meta.get("newton_steps", "0")),
+        iterations=iterations, newton_steps=newton_steps,
         energy=energy(grid, params, lam, values),
         decay=decay_fit(grid, params, values),
         source="cache",

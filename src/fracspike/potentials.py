@@ -225,6 +225,9 @@ def _user_table(axes: Sequence[np.ndarray], values: np.ndarray) -> Potential:
         [np.gradient(vals, nodes[0])]
 
     def _pts(axes_in):
+        if len(axes_in) != len(nodes):
+            raise ConfigError(f"table has {len(nodes)} axes, coordinates "
+                              f"have {len(axes_in)}")
         xs = np.broadcast_arrays(*[np.asarray(x, dtype=float) for x in axes_in])
         cols = [np.clip(x, ax[0], ax[-1]).ravel() for x, ax in zip(xs, nodes)]
         return cols, xs[0].shape

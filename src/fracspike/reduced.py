@@ -19,8 +19,8 @@ factor 1/2 and the lambda exponents empirically, see tests). Each search
 makes one start, at the best cells of a region scan of V. Where the model
 Hessian there lacks the inertia of the critical point sought, damped Newton
 steps on the model move the start to a model critical point of that
-inertia, kept if its ansatz passes the search's eta gate. The model Hessian
-at the start, by central differences, is the search's first Jacobian.
+inertia; its model Hessian, by central differences, is the search's first
+Jacobian. Only a diverging correction refuses a configuration, not ||E||_Y.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ __all__ = [
     "brouwer_degree",
 ]
 
-SEARCH_ETA = 0.5  # fixed-point gate during searches; default 0.1 is for end use
 SEARCH_DELTA = 0.05  # SpikeConfig.delta of every configuration a search visits
 CLUSTER_MAX_STEPS = 40  # quasi-Newton steps of the cluster ascent
 CLUSTER_ASCENT_TOL = 1e-4  # cluster converges at |grad I| span <= tol |I|
@@ -74,7 +73,7 @@ class SearchOutcome:
     """Result of one search. stop says why its iteration ended:
     "converged"; "line_search_failed" (no trial met the merit, before or
     after the forward-difference refresh of J); "corrections_failed" (every
-    trial's correction, or the refresh, raised, e.g. on the eta gate);
+    trial's correction, or the refresh, diverged);
     "box_frozen" (every coordinate sits on a region bound with its gradient
     pointing out, a maximizer of I on the box, so converged is True); or
     "max_steps". history holds one {step, I, max_abs_c, xi, kind} entry per
@@ -185,7 +184,7 @@ def reduced_energy(V: Potential, cfg: SpikeConfig, gs: GroundState,
     estimate grad_xi I = -alpha_ij c_ij / eps: moving q_ij shifts W_q along
     -Z_ij, the corrected equation leaves the residual sum c_ij Z_ij, and
     xi = eps q contributes the 1/eps. It needs no correction beyond the one
-    at cfg, gated at SEARCH_ETA. phi0 starts the fixed point from a nearby
+    at cfg, whatever its ||E||_Y. phi0 starts the fixed point from a nearby
     configuration's correction. Raises SolverDivergence when the correction
     does not converge.
     """
@@ -199,7 +198,7 @@ def _corrected(V: Potential, bundle, gs: GroundState, phi0: Field | None,
     _c_tol do (0: converged to CORRECTION_TOL)."""
     cfg = bundle.cfg
     corr = nonlinear_correction(V, cfg, bundle,
-                                CorrectionOptions(eta=SEARCH_ETA), phi0=phi0,
+                                CorrectionOptions(eta=np.inf), phi0=phi0,
                                 _steps=steps, _c_tol=c_tol)
     if not corr.converged:
         raise SolverDivergence(f"correction diverged at centers "
@@ -290,8 +289,7 @@ def _model_start(V: Potential, gs: GroundState, make_cfg, xi: np.ndarray,
     saddle mode's indefinite inertia needs two coordinates, so one spike in
     1d keeps its |grad V| lattice cell); otherwise _model_relax moves it,
     and the relaxed point is kept ("model_start") when its model Hessian has
-    that inertia and its ansatz passes the search's gate, ||E||_Y <=
-    SEARCH_ETA."""
+    that inertia and its ansatz builds."""
     epsilon = make_cfg(xi).epsilon
     H = _model_hessian(V, xi, epsilon, gs, h)
     if not _has_inertia(H, mode) and (mode != "degree_zero_of_gradV"
@@ -299,12 +297,11 @@ def _model_start(V: Potential, gs: GroundState, make_cfg, xi: np.ndarray,
         try:
             xi_m, H_m = _model_relax(V, gs, xi, epsilon, lows, highs, mode,
                                      floor, h, max_steps)
-            bundle = build_ansatz(V, make_cfg(xi_m), gs) \
-                if _has_inertia(H_m, mode) else None
+            if _has_inertia(H_m, mode):
+                return (xi_m, H_m, build_ansatz(V, make_cfg(xi_m), gs),
+                        "model_start")
         except ConfigError:
-            bundle = None
-        if bundle is not None and bundle.E_norm_Y <= SEARCH_ETA:
-            return xi_m, H_m, bundle, "model_start"
+            pass
     return xi, H, build_ansatz(V, make_cfg(xi), gs), "start"
 
 

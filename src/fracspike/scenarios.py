@@ -183,6 +183,8 @@ def parse_scenario(doc, origin: str = "scenario") -> Scenario:
                   "key and family parameters")
         try:
             potential = potential_from_config(vdoc)
+            for f in (potential, potential.grad):  # refuses another dim
+                f(*np.zeros(dim))
         except ConfigError as exc:
             _fail(f"{origin}.potential", str(exc))
 
@@ -377,7 +379,7 @@ def _corrected_seeds(sc: Scenario, gs: GroundState, epsilon: float):
                       r_min=float(tol.get("r_min", 4.0)))
     bundle = build_ansatz(sc.potential, cfg, gs)
     corr = nonlinear_correction(sc.potential, cfg, bundle, CorrectionOptions(
-        eta=float(tol.get("eta", rd.SEARCH_ETA))))
+        eta=float(tol.get("eta", np.inf))))
     if not corr.converged:
         raise SolverDivergence(
             f"correction did not converge at epsilon = {epsilon}")

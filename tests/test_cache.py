@@ -1,12 +1,14 @@
 """Binary profile cache: bit-exact round trips and corruption handling."""
 
+import hashlib
 import logging
+import struct
 
 import numpy as np
 import pytest
 
-from fracspike.cache import (MAGIC, cache_key, cache_path, cached_ground_state,
-                             load, store)
+from fracspike.cache import (MAGIC, _encode, cache_key, cache_path,
+                             cached_ground_state, load, store)
 from fracspike.errors import ConfigError
 from fracspike.grid import FracParams, Grid
 from fracspike.ground_state import rescale, solve_ground_state
@@ -79,6 +81,35 @@ def test_checksum_guards_metadata_too(tmp_path, small_gs):
     blob[8] ^= 0x01
     path.write_bytes(bytes(blob))
     assert load(tmp_path, small_gs.grid, small_gs.params) is None
+
+
+def test_overrunning_field_count_is_a_miss(tmp_path, small_gs, caplog):
+    """A checksum-valid file whose n_fields counts one field more than it
+    holds: the extra field eats half of n_values, unpacking n_values then
+    overruns the payload, and load logs a miss."""
+    fields = cache_key(small_gs.grid, small_gs.params)
+    blob = _encode(fields, np.empty(0))
+    payload = bytearray(blob[len(MAGIC):-8])
+    struct.pack_into("<I", payload, 0, len(fields) + 1)
+    digest = hashlib.blake2b(payload, digest_size=8).digest()
+    path = cache_path(tmp_path, small_gs.grid, small_gs.params)
+    path.write_bytes(MAGIC + bytes(payload) + digest)
+    with caplog.at_level(logging.WARNING):
+        assert load(tmp_path, small_gs.grid, small_gs.params) is None
+    assert any("unreadable" in r.message for r in caplog.records)
+
+
+@pytest.mark.parametrize("field", ["lam=one", "iterations=3.5",
+                                   "newton_steps="])
+def test_non_numeric_metadata_is_a_miss(tmp_path, small_gs, caplog, field):
+    """A checksum-valid file whose lam, iterations or newton_steps does not
+    parse is a logged miss, not an exception."""
+    fields = cache_key(small_gs.grid, small_gs.params) + [field]
+    path = cache_path(tmp_path, small_gs.grid, small_gs.params)
+    path.write_bytes(_encode(fields, small_gs.values))
+    with caplog.at_level(logging.WARNING):
+        assert load(tmp_path, small_gs.grid, small_gs.params) is None
+    assert any("unreadable" in r.message for r in caplog.records)
 
 
 def test_cached_ground_state_solve_then_load(tmp_path, caplog):

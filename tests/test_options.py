@@ -1,5 +1,7 @@
 """Every settable value of the package, listed: a new knob fails here until
-it is added to OPTIONS, so adding one is a visible decision."""
+it is added to OPTIONS, so adding one is a visible decision. An underscore
+keyword of a public function is a knob too, only a private one, and is
+listed with the rest."""
 
 import ast
 from pathlib import Path
@@ -23,8 +25,13 @@ cli.main(argv=)
 correction.CorrectionOptions.eta
 correction.CorrectionResult.contraction_history
 correction.projected_solve(x0=)
+correction.projected_solve(_op=)
+correction.projected_solve(_reduce=)
+correction.projected_solve(_image=)
 correction.nonlinear_correction(opts=)
 correction.nonlinear_correction(phi0=)
+correction.nonlinear_correction(_steps=)
+correction.nonlinear_correction(_c_tol=)
 ground_state.GroundState.source
 ground_state.solve_ground_state(lam=)
 ground_state.linearization_spectrum(kernel_tol=)
@@ -58,7 +65,7 @@ def _defaulted(fn):
     positional = a.posonlyargs + a.args
     named = positional[len(positional) - len(a.defaults):] + [
         p for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
-    return [p.arg for p in named if not p.arg.startswith("_")]
+    return [p.arg for p in named]
 
 
 def scan_options(package=PACKAGE):
@@ -92,5 +99,5 @@ def test_scan_sees_a_new_keyword(tmp_path):
         "def f(a, b=1, *, c=None, _d=2):\n    pass\n"
         "class K:\n    x: int = 0\n    y: int\n"
         "    def m(self, z=3):\n        pass\n", encoding="utf-8")
-    assert scan_options(tmp_path) == ["mod.f(b=)", "mod.f(c=)", "mod.K.x",
-                                      "mod.K.m(z=)"]
+    assert scan_options(tmp_path) == ["mod.f(b=)", "mod.f(c=)", "mod.f(_d=)",
+                                      "mod.K.x", "mod.K.m(z=)"]

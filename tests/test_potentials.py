@@ -167,6 +167,17 @@ def test_user_table_validation():
                                    "values": [1.0] * len(axis)})
 
 
+def test_user_table_refuses_coordinates_of_another_dimension():
+    """zip would pair a 1d table's one axis with x and drop y, answering
+    T(x) for V(x, y) and one gradient component for two."""
+    V = potential_from_config({"kind": "user_table", "axes": [[0.0, 1.0]],
+                               "values": [1.0, 2.0]})
+    for f in (V, V.grad):
+        with pytest.raises(ConfigError, match="table has 1 axes, "
+                           "coordinates have 2"):
+            f(0.5, 0.5)
+
+
 def test_config_errors():
     with pytest.raises(ConfigError):
         builtin_potentials("nope")

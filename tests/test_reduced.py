@@ -11,7 +11,7 @@ from fracspike.correction import CorrectionOptions, nonlinear_correction
 from fracspike.errors import ConfigError, SolverDivergence
 from fracspike.ground_state import energy_scaling_exponent
 from fracspike.potentials import builtin_potentials, potential_from_config
-from fracspike.reduced import (SEARCH_ETA, asymptotic_energy, brouwer_degree,
+from fracspike.reduced import (asymptotic_energy, brouwer_degree,
                                cluster_search, critical_point_search,
                                interaction_constants, reduced_energy)
 
@@ -43,14 +43,16 @@ def test_reduced_gradient_tracks_multipliers(gs_store):
     assert center.I < off.I
 
 
-def test_reduced_energy_raises_on_failed_correction(gs_store, monkeypatch):
-    """A correction the SEARCH_ETA gate refuses raises; the searches catch
-    it as a failed trial."""
+def test_reduced_energy_raises_on_failed_correction(gs_store):
+    """No ||E||_Y ceiling refuses a configuration: a pair one q apart on the
+    bump at eps = 0.5 (||E||_Y 5.3) is corrected until three ratios >= 1
+    stop the correction, and that divergence raises; the searches catch it
+    as a failed trial."""
     gs = gs_store(0.5, 2.0)
-    V = builtin_potentials("well", a=2.0, b=1.0)
-    monkeypatch.setattr(reduced, "SEARCH_ETA", 1e-6)
-    with pytest.raises(SolverDivergence, match="eta = 1e-06"):
-        reduced_energy(V, SpikeConfig(gs.grid, [[4.0]], 0.1), gs)
+    cfg = SpikeConfig(gs.grid, [[0.5], [-0.5]], 0.5, r_min=0.5)
+    assert build_ansatz(_bump(1.0), cfg, gs).E_norm_Y > 5.0
+    with pytest.raises(SolverDivergence, match="correction diverged"):
+        reduced_energy(_bump(1.0), cfg, gs)
 
 
 CLUSTER_BUMP = dict(a=1.0, bumps=[{"b": 1.0, "center": [0.0], "sigma": 1.0}])
@@ -186,12 +188,22 @@ def _converged(first_kind=None, start="start"):
     return check
 
 
-def _gated(out, gs, elapsed):
-    """Every trial that brings the pair closer fails the eta gate; the J
-    refresh is skipped then, and the ascent stops where it stood."""
-    assert not out.converged and out.stop == "corrections_failed"
-    np.testing.assert_allclose(out.xi_star.ravel(), [0.1167015, -0.2451354],
-                               rtol=0, atol=1e-6)
+def _sigma05(out, gs, elapsed):
+    """Starts at the model maximizer +-0.1648 (||E||_Y 0.556 there) and
+    converges at +-0.1652, where W + phi certifies. V at the spikes, 1.8965,
+    is 5.2% below max V = 2: criterion 12's within-5% outcome is defined on
+    the sigma = 1 bump and does not apply to this one."""
+    assert out.converged and out.stop == "converged"
+    assert out.history[0]["kind"] == "model_start"
+    np.testing.assert_allclose(np.sort(out.history[0]["xi"]),
+                               [-0.1648, 0.1648], rtol=0, atol=1e-4)
+    np.testing.assert_allclose(np.sort(out.xi_star.ravel()),
+                               [-0.1652, 0.1652], rtol=0, atol=1e-4)
+    bundle = build_ansatz(_bump(0.5), out.q_star, gs)
+    newton = correction.certify(_bump(0.5), bundle, out.correction)
+    assert newton.certifies(out.q_star) and newton.iterations <= 3
+    np.testing.assert_allclose(out.V_at_spikes, 1.8965, atol=1e-4)
+    assert 1.0 - np.max(out.V_at_spikes) / 2.0 > 0.05
 
 
 def _criterion_12(out, gs, elapsed):
@@ -241,14 +253,14 @@ SEARCH_BUDGETS = [
     pytest.param(_cluster(0.3), 10, _edge_pin, id="cluster_sigma0.3"),
     pytest.param(_cluster(0.7), 3, _converged(start="model_start"),
                  id="cluster_sigma0.7"),
-    pytest.param(_cluster(0.5), 24, _gated, id="cluster_sigma0.5"),
+    pytest.param(_cluster(0.5), 3, _sigma05, id="cluster_sigma0.5"),
 ]
 
 
 @pytest.mark.parametrize("search, budget, check", SEARCH_BUDGETS)
 def test_search_correction_budget(gs_store, monkeypatch, search, budget,
                                   check):
-    """Corrections per search, counting those that fail the eta gate. Each
+    """Corrections per search, counting those that diverge. Each
     search makes one start, and a trial equal to a point already corrected
     in its step costs none: the searches pinned on the region boundary stay
     within 7."""
@@ -295,7 +307,7 @@ def test_converged_outcome_correction_is_at_correction_tol(gs_store):
     V = builtin_potentials("gaussian_bumps", **TWO_WELL_1D)
     out = critical_point_search(V, 0.1, 2, [(-2.0, 2.0)], "minimize_V", gs)
     again = nonlinear_correction(V, out.q_star, build_ansatz(V, out.q_star, gs),
-                                 CorrectionOptions(eta=SEARCH_ETA),
+                                 CorrectionOptions(eta=np.inf),
                                  phi0=out.correction.phi)
     assert out.converged and again.converged and again.iterations == 1
     assert np.max(np.abs(again.c - out.correction.c)) <= 1e-12
@@ -356,19 +368,6 @@ def test_relaxed_start_is_a_model_maximizer_near_xi_star(gs_store):
     assert np.max(np.abs(xi - out.xi_star)) <= 2e-4
 
 
-def test_relaxed_start_that_fails_the_gate_keeps_the_lattice_start(
-        gs_store, monkeypatch):
-    """On the sigma = 0.5 bump the model maximizer, +-0.165, has ||E||_Y
-    0.556, above SEARCH_ETA: the search keeps the lattice start, and its
-    path, without spending a correction on the relaxed point."""
-    gs = gs_store(0.5, 2.0)
-    calls = _count_corrections(monkeypatch)
-    out = _cluster(0.5)(gs)
-    assert out.history[0]["kind"] == "start"
-    assert out.history[0]["xi"] == [0.0, -0.75]
-    assert len(calls) == 24 and out.stop == "corrections_failed"
-
-
 def test_model_relax_finds_the_saddle_of_V(gs_store):
     """The saddle mode relaxes by plain Newton steps on the model, which for
     one spike is c_* V^theta: from three points of the box it ends at V's
@@ -388,25 +387,42 @@ def test_model_relax_finds_the_saddle_of_V(gs_store):
 
 
 def test_failed_start_raises_the_gate_error(gs_store, monkeypatch):
-    """A search makes one start: when its correction fails the eta gate,
-    that SolverDivergence propagates unchanged."""
+    """A search makes one start: when its correction does not converge, the
+    one rule that refuses a configuration, that SolverDivergence propagates
+    unchanged. At eps = 0.7 the cluster's lattice start (0, -0.75) puts the
+    spikes 1.07 apart in q, and its correction diverges; the well search's
+    start is refused by a correction allowed a single step."""
     gs = gs_store(0.5, 2.0)
+    with pytest.raises(SolverDivergence, match="correction diverged"):
+        cluster_search(_bump(1.0), 0.7, 2, [(-1.5, 1.5)], gs)
     V = builtin_potentials("well", a=2.0, b=1.0)
-    monkeypatch.setattr(reduced, "SEARCH_ETA", 1e-6)
-    with pytest.raises(SolverDivergence, match="eta = 1e-06"):
+    monkeypatch.setattr(correction, "CORRECTION_MAX_ITER", 1)
+    with pytest.raises(SolverDivergence, match="correction diverged"):
         critical_point_search(V, 0.1, 1, [(0.5, 1.5)], "minimize_V", gs)
-    with pytest.raises(SolverDivergence, match="eta = 1e-06"):
-        cluster_search(_bump(1.0), 0.1, 2, [(-1.5, 1.5)], gs)
 
 
 def test_search_reports_why_it_stopped(gs_store, monkeypatch):
-    """On a bump of sigma = 0.5 the eta gate rejects every trial that brings
-    the pair closer: the ascent says so instead of ending like a normal stop.
-    A minimum off the seed lattice (max|c| 2.6e-3 at the start, c_tol
+    """When every trial's correction fails after the start, the ascent says
+    so instead of ending like a normal stop, and stays at its start. A
+    minimum off the seed lattice (max|c| 2.6e-3 at the start, c_tol
     7.2e-7) with no step allowed stops on the step limit."""
     gs = gs_store(0.5, 2.0)
-    out = _cluster(0.5)(gs)
+    calls = []
+    correct = reduced.nonlinear_correction
+
+    def failing_after_start(*args, **kwargs):
+        res = correct(*args, **kwargs)
+        res.converged = res.converged and not calls
+        calls.append(res)
+        return res
+
+    with monkeypatch.context() as m:
+        m.setattr(reduced, "nonlinear_correction", failing_after_start)
+        out = _cluster(1.0)(gs)
     assert not out.converged and out.stop == "corrections_failed"
+    assert len(calls) > 1
+    np.testing.assert_allclose(out.xi_star.ravel(), out.history[0]["xi"],
+                               rtol=0, atol=1e-12)
     monkeypatch.setattr(reduced, "SEARCH_MAX_STEPS", 0)
     bump = builtin_potentials("gaussian_bumps", a=2.0, bumps=[
         {"b": -0.9, "center": [0.37], "sigma": 0.5}])
@@ -562,8 +578,3 @@ def test_brouwer_degree_2d_saddle():
     V = builtin_potentials("gaussian_bumps", a=3.0, bumps=bumps)
     assert brouwer_degree(V, [(-0.7, 0.7), (-0.7, 0.7)]) == -1
     assert brouwer_degree(V, [(-2.2, -0.8), (-0.7, 0.7)]) == 1
-
-
-def test_search_eta_constant():
-    # the search-time contraction gate is looser than the end-use default
-    assert SEARCH_ETA == 0.5

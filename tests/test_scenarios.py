@@ -374,6 +374,30 @@ def test_cluster_region_must_fit_the_torus(tmp_path, capsys):
         assert not (tmp_path / left).exists()
 
 
+@pytest.mark.parametrize("potential, needle", [
+    ({"kind": "user_table", "axes": [[-2.0, 0.0, 2.0]],
+      "values": [3.0, 1.0, 3.0]}, "table has 1 axes, coordinates have 2"),
+    ({"kind": "gaussian_bumps", "a": 2.0,
+      "bumps": [{"b": -0.9, "center": [0.0], "sigma": 0.5}]},
+     "bump center has 1 components, coordinates have 2"),
+], ids=["user_table", "gaussian_bumps"])
+def test_potential_of_another_dimension_is_refused(tmp_path, potential,
+                                                   needle):
+    """A 1d potential in a 2d scenario: the scenario evaluates V and grad V
+    once at the origin when parsed and refuses the potential there, before
+    a run directory or a cache file exists, rather than let a 1d table
+    answer T(x) for V(x, y)."""
+    path = write_doc(tmp_path, make_doc(
+        "degree_check", grid={"dim": 2, "half_width": 20.0, "points": 64},
+        potential=potential, region=[[-1.0, 1.0], [-1.0, 1.0]]))
+    with pytest.raises(ConfigError, match=r"scenario\.json\.potential: "
+                       + needle):
+        run_scenario(path, out_dir=tmp_path / "out",
+                     cache_dir=tmp_path / "cache")
+    for left in ("out", "cache"):
+        assert not (tmp_path / left).exists()
+
+
 def test_solver_failure_writes_report(tmp_path, cache_dir):
     doc = make_doc("solve_k_spike", name="diverge",
                    tolerances={"eta": 1e-9})
