@@ -368,6 +368,38 @@ def test_relaxed_start_is_a_model_maximizer_near_xi_star(gs_store):
     assert np.max(np.abs(xi - out.xi_star)) <= 2e-4
 
 
+class _StartMade(Exception):
+    pass
+
+
+def test_relaxed_start_that_fails_the_gate_keeps_the_lattice_start(
+        gs_store, monkeypatch):
+    """_model_start keeps a relaxed point only when its model Hessian has
+    the mode's inertia and its ansatz builds. A relaxed point that fails
+    either (here: the unmoved lattice point, whose model Hessian is
+    indefinite, or a relax that raises ConfigError) leaves the criterion-12
+    search at its lattice start (0, -0.75), and that start is the one
+    corrected first."""
+    gs = gs_store(0.5, 2.0)
+
+    def first_correction(V, bundle, *args):
+        raise _StartMade(bundle.cfg.xi)
+
+    def unmoved(V, gs, xi, epsilon, *args):
+        return xi, reduced._model_hessian(V, xi, epsilon, gs, 3e-3)
+
+    def refused(*args):
+        raise ConfigError("relaxed point refused")
+
+    monkeypatch.setattr(reduced, "_corrected", first_correction)
+    for relax in (unmoved, refused):
+        monkeypatch.setattr(reduced, "_model_relax", relax)
+        with pytest.raises(_StartMade) as made:
+            _cluster(1.0)(gs)
+        np.testing.assert_allclose(made.value.args[0], [[0.0], [-0.75]],
+                                   rtol=0, atol=1e-12)
+
+
 def test_model_relax_finds_the_saddle_of_V(gs_store):
     """The saddle mode relaxes by plain Newton steps on the model, which for
     one spike is c_* V^theta: from three points of the box it ends at V's
