@@ -149,8 +149,10 @@ def build_ansatz(V: Potential, cfg: SpikeConfig, gs: GroundState,
         E = sum_j (lambda_j - V(eps x)) w_j + (sum_j w_j)_+^p - sum_j w_j^p
 
     because each profile solves its own constant-coefficient equation. The
-    profile for each distinct lambda_j is rescaled once and band-limited
-    translation moves it to its center. lambda_j within LAMBDA_RTOL of an
+    profile for each distinct lambda_j is rescaled and transformed once;
+    `spectral.translates` then gives each of its spikes w_j and Z_ja from
+    one inverse transform each (1 + 6 transforms for the 2d two-well,
+    against 6 transform pairs). lambda_j within LAMBDA_RTOL of an
     earlier one counts as that one, so a mirror pair of wells whose
     lambdas differ by rounding shares one profile; the bundle's lambdas,
     and E with them, hold the values the profiles were rescaled to.
@@ -186,25 +188,25 @@ def build_ansatz(V: Potential, cfg: SpikeConfig, gs: GroundState,
             f"V(eps q_{j}) = {lambdas[j]:.4g} <= 0; spikes need positive "
             f"potential values")
 
-    profiles: dict[float, np.ndarray] = {}
+    profiles: dict[float, list[int]] = {}  # spikes per rescaled profile
     for j, lam in enumerate(lambdas):
         shared = next((mu for mu in profiles
                        if abs(lam - mu) <= LAMBDA_RTOL * mu), None)
         if shared is None:
-            profiles[float(lam)] = rescale(gs, lam).values
+            profiles[float(lam)] = [j]
         else:
             lambdas[j] = shared
+            profiles[shared].append(j)
 
-    spikes = []
-    Z = []
-    alphas = np.zeros((cfg.k, grid.dim))
-    for j, q in enumerate(cfg.centers):
-        wj = sp.translate(Field(grid, profiles[float(lambdas[j])]), q)
-        spikes.append(wj)
-        zj = [sp.spectral_derivative(wj, axis=a) for a in range(grid.dim)]
-        Z.append(zj)
-        for a in range(grid.dim):
-            alphas[j, a] = sp.inner(zj[a], zj[a])
+    spikes = [None] * cfg.k
+    Z = [None] * cfg.k
+    for lam, members in profiles.items():
+        moved = sp.translates(Field(grid, rescale(gs, lam).values),
+                              cfg.centers[members])
+        for j, (wj, dwj) in zip(members, moved):
+            spikes[j] = Field(grid, wj)
+            Z[j] = [Field(grid, dw) for dw in dwj]
+    alphas = np.array([[sp.inner(z, z) for z in zj] for zj in Z])
 
     w_stack = np.stack([w.values for w in spikes])
     W = Field(grid, np.sum(w_stack, axis=0))

@@ -16,7 +16,7 @@ over the whole far field and spread the spectrum over [1, V_max / V_min].
 Both operators are symmetric on span{Z}^perp and P T_m P is positive
 definite there, so `_krylov.minres` solves the system. With Z = Q R the
 QR factorization of the stacked Z_ij (Q orthonormal, R a (k N)^2
-triangle) and L_W Q computed once per operator,
+triangle, both by CholeskyQR2) and L_W Q computed once per operator,
 
     A y = P L_W P y = T_m^(-1) y + shift y - (L_W Q) c - Q e,
     shift = V(eps x) - m - p W^(p-1),
@@ -188,17 +188,33 @@ class NewtonResult:
         return self.failed_check(cfg) is None
 
 
+def _cholesky_qr(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """One CholeskyQR pass on the rows of Z^T: writes Q^T = R^(-T) Z^T into
+    out and returns R, R^T R = Z^T Z (LinAlgError if Z^T Z is not positive
+    definite in floats). Einsum and a (k N)^2 inverse keep BLAS and a
+    many-right-hand-side solve off the grid-sized rows. One pass leaves
+    ||Q^T Q - I|| near cond(Z)^2 eps, a second one on Q near eps
+    (CholeskyQR2; Yamamoto et al., ETNA 44, 2015)."""
+    lower = np.linalg.cholesky(np.einsum("ki,li->kl", rows, rows))
+    np.einsum("kl,li->ki", np.linalg.inv(lower), rows, out=out)
+    return lower.T
+
+
 class _ProjectedOperator:
     """Shared machinery: L_W, T_m, the Z projection, and the Gram system.
 
     Z = Q R is held as one (2 k dim, n) block of contiguous rows, Q^T over
     (L_W Q)^T (`qt` and `lq` are views of its halves), the (k dim)^2
-    matrix (L_W Q)^T Q and the triangle R; the stack of Z lives only for
-    its QR. One contraction with the block gives Q^T v and (L_W Q)^T v
-    together, and one expansion gives (L_W Q) a + Q b. shift is held flat,
-    and the Jacobian pair that `apply` and `precond` start from holds it
-    too: `relinearize` moves L_W to L_W - (d .) in place, and every L_W
-    here then stands for that operator.
+    matrix (L_W Q)^T Q and the triangle R. Z^T is stacked into the Q^T
+    half, and two `_cholesky_qr` passes move it to the other half and back,
+    so no grid-sized array is allocated beside the block. A Gram matrix not
+    positive definite in floats fails the GRAM_COND_LIMIT check like an
+    ill-conditioned one, as ConfigError. One contraction with the block
+    gives Q^T v and (L_W Q)^T v together, and one expansion gives
+    (L_W Q) a + Q b. shift is held flat, and the Jacobian pair that
+    `apply` and `precond` start from holds it too: `relinearize` moves L_W
+    to L_W - (d .) in place, and every L_W here then stands for that
+    operator.
     """
 
     def __init__(self, V: Potential, cfg: SpikeConfig, bundle: AnsatzBundle):
@@ -213,19 +229,22 @@ class _ProjectedOperator:
             bundle.W.values, params.p - 1.0)).ravel()
         self._jac, self._jac_pair = _krylov._jacobian(self.frac, self.shift)
 
-        q, self.R = np.linalg.qr(
-            np.stack([z.values.ravel() for z in bundle.z_flat()]).T)
-        # G = h^N Z^T Z = h^N R^T R
-        self.gram_cond = float(np.linalg.cond(self.R)) ** 2
-        if self.gram_cond > GRAM_COND_LIMIT:
+        zs = bundle.z_flat()
+        kn = len(zs)
+        self.block = np.empty((2 * kn, zs[0].values.size))
+        self.qt, self.lq = self.block[:kn], self.block[kn:]
+        np.stack([z.values.ravel() for z in zs], out=self.qt)
+        try:
+            r1 = _cholesky_qr(self.qt, self.lq)
+            self.R = _cholesky_qr(self.lq, self.qt) @ r1
+            # G = h^N Z^T Z = h^N R^T R
+            self.gram_cond = float(np.linalg.cond(self.R)) ** 2
+        except np.linalg.LinAlgError:  # G not positive definite in floats
+            self.gram_cond = np.inf
+        if not self.gram_cond <= GRAM_COND_LIMIT:
             raise ConfigError(
                 f"Z Gram system nearly singular (cond {self.gram_cond:.2e}); "
                 f"spikes too close for a stable projection")
-        kn = q.shape[1]
-        self.block = np.empty((2 * kn, q.shape[0]))
-        self.qt, self.lq = self.block[:kn], self.block[kn:]
-        self.qt[...] = q.T
-        del q  # before L_W Q is built
         for qi, lqi in zip(self.qt, self.lq):
             lqi[...] = self.apply_lw(qi.reshape(grid.shape)).ravel()
         self.lqq = np.einsum("ki,li->kl", self.lq, self.qt)

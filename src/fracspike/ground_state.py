@@ -10,7 +10,9 @@ a damped Newton polish takes over; on the 2d 512^2 profile that is 15
 fixed-point iterations and 4 Newton steps. Solutions at other lambda come
 from the exact scaling w_lambda(x) = lambda^(1/(p-1)) w(lambda^(1/(2s)) x)
 applied through band-limited dilation, so the discrete profile is only ever
-computed once per (s, p, N) at lambda = 1.
+computed once per (s, p, N) at lambda = 1. The dilated interpolant is
+kept only in a window about the core, and the fitted algebraic tail
+spliced in outside it; in 2d only that window is evaluated.
 
 Nondegeneracy (ker L = span{dw/dx_j} for L = (-Delta)^s + lambda - p w^(p-1))
 is read off the compact operator K = B^(-1/2) p w^(p-1) B^(-1/2),
@@ -251,29 +253,45 @@ def _dilate_free_space(gs: GroundState, scale: float) -> np.ndarray:
     scale > 1 wraps compressed copies of the core back into the box (the
     points scale * x sweep several periods). Inside |scale * x| <= 0.4 L the
     interpolant is kept minus the fitted image contribution; beyond 0.5 L the
-    fitted algebraic tail takes over, with a cosine blend between.
+    fitted algebraic tail takes over, with a cosine blend between. So only
+    the window |scale * x_j| < 0.5 L of each axis is dilated (117 of 256
+    rows at lambda = 1.1 on L = 20), and the radial parts, even in each
+    coordinate, are computed on the quadrant x_j <= 0 and mirrored. With no
+    finite tail fit, scale <= 1 returns the whole interpolant and scale > 1
+    raises SolverDivergence.
     """
-    grid = gs.grid
-    L = grid.half_width
-    w_t = sp.dilate(gs.field, scale).values
-    coords = [scale * c for c in grid.coords()]
-    y_r = np.sqrt(sum(c ** 2 for c in coords))
-    lo, hi = 0.40 * L, 0.50 * L
-    sigma = 0.5 * (1.0 + np.cos(np.pi * np.clip((y_r - lo) / (hi - lo), 0.0, 1.0)))
+    grid, L = gs.grid, gs.grid.half_width
     if not np.all(np.isfinite(gs.decay.coefficients)):
         if scale <= 1.0:
-            return w_t
+            return sp.dilate(gs.field, scale).values
         raise SolverDivergence(
             "rescale to lambda > 1 needs a converged far-field fit on the "
             "source profile to continue the tail across periods")
-    # sigma is exactly 0 beyond 0.5 L: sum the image tail only where it is not
-    near = sigma > 0.0
-    inner = np.zeros(grid.shape)
-    inner[near] = w_t[near] - _image_tail(
-        gs.decay, [np.broadcast_to(c, grid.shape)[near] for c in coords], L,
-        grid.dim)
-    outer = gs.decay.tail_model(np.maximum(y_r, 1e-6))
-    return sigma * inner + (1.0 - sigma) * outer
+
+    def mesh(v):  # per-axis coordinates v as broadcastable grid arrays
+        return [v] if grid.dim == 1 else [v[:, None], v[None, :]]
+
+    def mirror(idx):  # node i of every axis reads quadrant node |i - c|
+        return np.ix_(*[np.abs(idx - c)] * grid.dim)
+
+    # the radial parts on the nodes c, c - 1, ..., 0 of each axis
+    c = grid.points_per_axis // 2  # the node x = 0
+    half = np.abs(scale * grid.axis[c::-1])
+    lo, hi = 0.40 * L, 0.50 * L
+    K = int(np.count_nonzero(half < hi)) - 1
+    r = np.sqrt(sum(v ** 2 for v in mesh(half)))
+    outer = gs.decay.tail_model(np.maximum(r, 1e-6))
+    sigma = 0.5 * (1.0 + np.cos(np.pi * np.clip((r - lo) / (hi - lo), 0.0, 1.0)))
+    tail = _image_tail(gs.decay, mesh(half[:K + 1]), L, grid.dim)
+
+    rows = np.arange(c - K, c + K + 1)
+    w = mirror(rows)
+    inner = sp.dilate_window(gs.field, scale, rows) - tail[w]
+    # sigma is exactly 0 outside the window: the fitted tail alone
+    out = outer[mirror(np.arange(grid.points_per_axis))]
+    out[(slice(c - K, c + K + 1),) * grid.dim] = \
+        sigma[w] * inner + (1.0 - sigma[w]) * outer[w]
+    return out
 
 
 def rescale(gs: GroundState, lam_new: float) -> GroundState:

@@ -17,8 +17,11 @@ decay only algebraically (the result behaves like |x|^(-(1+2s)) at
 infinity). pv_gaussian_periodic sums those images through a large-argument
 moment expansion closed with Hurwitz zeta functions.
 
-resolvent_kernel is the one FFT-side helper here: the resolvent of the
-discrete delta, whose mass and far-field tail the acceptance suite checks.
+resolvent_kernel and chirp_z_dilate are the FFT-side helpers here: the
+resolvent of the discrete delta, whose mass and far-field tail the
+acceptance suite checks, and the band-limited dilation by scipy's chirp-z
+transform, one per axis over the whole grid, which the package's own
+dilation must reproduce.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.signal import czt
 from scipy.special import eval_hermite, gamma, hyp1f1, zeta
 
 from fracspike.spectral import FracOperator
@@ -133,3 +137,26 @@ def resolvent_kernel(grid, s: float, m: float) -> np.ndarray:
     delta = np.zeros(grid.shape)
     delta[(grid.points_per_axis // 2,) * grid.dim] = 1.0 / grid.cell_volume
     return FracOperator(grid, s, m).resolvent(delta)
+
+
+def chirp_z_dilate(values: np.ndarray, scale: float) -> np.ndarray:
+    """Samples of the trigonometric interpolant of values (on the grid
+    x_j = -L + h j, M points per axis) at scale * x_j on every axis.
+
+    Per axis, the spectrum in mode order -M/2 .. M/2 - 1 is twisted by
+    exp(i pi n (1 - scale)) and resampled along w = exp(2 pi i scale / M)
+    by `scipy.signal.czt`; the real part of the result is kept at the end.
+    """
+    out = values.astype(complex)
+    for axis in range(values.ndim):
+        M = values.shape[axis]
+        shape = [1] * values.ndim
+        shape[axis] = M
+        n = np.fft.fftfreq(M, d=1.0 / M).reshape(shape)
+        spec = np.fft.fftshift(np.fft.fft(out, axis=axis)
+                               * np.exp(1j * np.pi * n * (1.0 - scale)),
+                               axes=axis)
+        out = czt(spec, m=M, w=np.exp(2j * np.pi * scale / M), a=1.0,
+                  axis=axis)
+        out = out * np.exp(-1j * np.pi * scale * np.arange(M)).reshape(shape) / M
+    return out.real

@@ -107,14 +107,57 @@ def test_projected_solve_solves_equation(well_setup, rng):
     assert np.max(np.abs(lhs - rhs)) <= 1e-8 * np.max(np.abs(g.values))
 
 
+def _refuse_gram(gs, gap):
+    V = builtin_potentials("constant", lam=1.0)
+    cfg = SpikeConfig(gs.grid, [[0.0], [gap]], 0.1, r_min=gap / 2)
+    bundle = build_ansatz(V, cfg, gs)
+    with pytest.raises(ConfigError, match="Z Gram system nearly singular"):
+        projected_solve(bundle.E, V, cfg, bundle)
+
+
 def test_gram_guard_rejects_overlapping_spikes(gs_store):
+    """A sub-cell separation makes the Z Gram system numerically singular:
+    5e-5 apart, cond(G) is 5e8, past GRAM_COND_LIMIT."""
+    _refuse_gram(gs_store(0.5, 2.0), 5e-5)
+
+
+def test_gram_guard_refuses_what_cholesky_rejects(gs_store):
+    """1e-10 apart, Z^T Z is not positive definite in floats and its
+    Cholesky factorization fails: the same ConfigError, no LinAlgError."""
+    _refuse_gram(gs_store(0.5, 2.0), 1e-10)
+
+
+@pytest.mark.parametrize("gs_args, xi", [
+    (dict(), 1.0),
+    (dict(dim=2, L=10.0, M=128), 0.3),
+], ids=["1d", "2d"])
+def test_span_z_basis_is_orthonormal(gs_store, gs_args, xi):
+    """CholeskyQR2 leaves Q orthonormal to machine precision on a
+    well-separated pair, and Q R reproduces the stacked Z."""
+    gs = gs_store(0.5, 2.0, **gs_args)
+    V, cfg, bundle = _two_spike_setup(gs, xi)
+    op = _ProjectedOperator(V, cfg, bundle)
+    kn = cfg.k * gs.grid.dim
+    assert np.max(np.abs(np.einsum("ki,li->kl", op.qt, op.qt)
+                         - np.eye(kn))) <= 1e-14
+    zt = np.stack([z.values.ravel() for z in bundle.z_flat()])
+    assert np.max(np.abs(np.einsum("lk,li->ki", op.R, op.qt) - zt)) \
+        <= 1e-14 * np.max(np.abs(zt))
+    assert np.array_equal(op.R, np.triu(op.R))
+    assert op.gram_cond == pytest.approx(np.linalg.cond(zt) ** 2, rel=1e-8)
+
+
+def test_span_z_basis_is_orthonormal_near_the_gram_limit(gs_store):
+    """Spikes 1e-3 apart: cond(G) = 1.3e6, and Q is still orthonormal to
+    machine precision. One CholeskyQR pass alone leaves ||Q^T Q - I|| at
+    about cond(G) times machine epsilon, 7.7e-10 here."""
     gs = gs_store(0.5, 2.0)
     V = builtin_potentials("constant", lam=1.0)
-    # sub-cell separation makes the Z Gram system numerically singular
-    cfg = SpikeConfig(gs.grid, [[0.0], [5e-5]], 0.1, r_min=1e-6)
-    bundle = build_ansatz(V, cfg, gs)
-    with pytest.raises(ConfigError):
-        projected_solve(bundle.E, V, cfg, bundle)
+    cfg = SpikeConfig(gs.grid, [[0.0], [1e-3]], 0.1, r_min=5e-4)
+    op = _ProjectedOperator(V, cfg, build_ansatz(V, cfg, gs))
+    assert op.gram_cond > 1e6
+    assert np.max(np.abs(np.einsum("ki,li->kl", op.qt, op.qt)
+                         - np.eye(2))) <= 1e-14
 
 
 def test_nonlinear_correction_well(well_setup):

@@ -1,7 +1,11 @@
 """Profile solver: closed form, scaling law, decay, spectrum, rescaling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+
+from oracles import chirp_z_dilate
 
 from fracspike import ground_state, kernels, reduced
 from fracspike import spectral as sp
@@ -133,7 +137,10 @@ def test_rescale_fits_no_tail(gs_store, monkeypatch):
 
 @pytest.mark.parametrize("lam", [0.9, 1.05, 1.1, 1.2, 1.3])
 def test_dilation_image_tail_only_where_blended(gs_store, lam):
-    """Summing the image tail only where sigma > 0 changes no sample."""
+    """Evaluating the interpolant only in the window |scale x_j| < L/2 and
+    summing the image tail on its quadrant changes no sample beyond
+    roundoff. The oracle is the full-grid construction: the chirp-z
+    dilation minus the image tail at every point, blended everywhere."""
     gs = gs_store(0.5, 2.0, dim=2, L=10.0, M=128)
     scale = lam ** (1.0 / (2.0 * gs.params.s))
     L = gs.grid.half_width
@@ -143,11 +150,28 @@ def test_dilation_image_tail_only_where_blended(gs_store, lam):
     sigma = 0.5 * (1.0 + np.cos(np.pi * np.clip((y_r - lo) / (hi - lo),
                                                 0.0, 1.0)))
     assert np.any(sigma == 0.0)
-    inner = sp.dilate(gs.field, scale).values - ground_state._image_tail(
+    inner = chirp_z_dilate(gs.values, scale) - ground_state._image_tail(
         gs.decay, coords, L, 2)
     full = sigma * inner + (1.0 - sigma) * gs.decay.tail_model(
         np.maximum(y_r, 1e-6))
-    assert np.array_equal(ground_state._dilate_free_space(gs, scale), full)
+    out = ground_state._dilate_free_space(gs, scale)
+    assert np.max(np.abs(out - full)) <= 1e-12 * np.max(full)
+
+
+@pytest.mark.parametrize("gs_args", [dict(), dict(dim=2, L=10.0, M=128)],
+                         ids=["1d", "2d"])
+def test_dilation_without_a_tail_fit(gs_store, gs_args):
+    """With no finite far-field fit, widening returns the interpolant on
+    the whole grid, not only the splice window, and narrowing raises."""
+    gs = gs_store(0.5, 2.0, **gs_args)
+    nan_fit = dataclasses.replace(gs.decay, coefficients=(np.nan,) * 3)
+    bare = dataclasses.replace(gs, decay=nan_fit)
+    out = ground_state._dilate_free_space(bare, 0.9)
+    ref = chirp_z_dilate(gs.values, 0.9)
+    assert out.shape == gs.grid.shape
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(ref)
+    with pytest.raises(SolverDivergence):
+        ground_state._dilate_free_space(bare, 1.1)
 
 
 def test_rescale_validation(gs_store):

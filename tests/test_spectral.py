@@ -5,7 +5,7 @@ import pytest
 from scipy.signal import czt as scipy_czt
 from scipy.special import zeta as scipy_zeta
 
-from oracles import resolvent_kernel
+from oracles import chirp_z_dilate, resolvent_kernel
 
 from fracspike import spectral as sp
 from fracspike.grid import Field, Grid
@@ -216,6 +216,50 @@ def test_dilate_2d_separable():
     out = sp.dilate(f, 1.25)
     expect = np.exp(-((1.25 * x) ** 2 + 0.5 * (1.25 * y) ** 2))
     np.testing.assert_allclose(out.values, expect, atol=1e-9)
+
+
+@pytest.mark.parametrize("scale", [0.8, 1.1, 1.3])
+def test_dilate_2d_matches_the_chirp_z(gs_store, rng, scale):
+    """The separable 2d interpolation matrices give the chirp-z dilation's
+    samples to roundoff, on a field with content at every mode (Nyquist
+    included) and on the ground state; a window of rows gives the same
+    samples as the whole grid."""
+    gs = gs_store(0.5, 2.0, dim=2, L=10.0, M=128)
+    noise = Field(gs.grid, rng.standard_normal(gs.grid.shape))
+    for f in (gs.field, noise):
+        ref = chirp_z_dilate(f.values, scale)
+        out = sp.dilate(f, scale).values
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+        rows = np.arange(40, 89)
+        np.testing.assert_allclose(sp.dilate_window(f, scale, rows),
+                                   out[40:89, 40:89], rtol=0,
+                                   atol=1e-14 * np.max(np.abs(ref)))
+    with pytest.raises(ValueError):
+        sp.dilate_window(gs.field, 0.0, np.arange(4))
+
+
+@pytest.mark.parametrize("gs_args", [dict(), dict(dim=2, L=10.0, M=128)],
+                         ids=["1d", "2d"])
+def test_translates_match_translate_and_derivative(gs_store, gs_args):
+    """One forward transform per profile gives `translate` and
+    `spectral_derivative` of it to roundoff, with their Nyquist rules, at a
+    sub-cell shift; on the x <-> y symmetric 2d profile a move along x is
+    the transpose of the same move along y, derivatives included."""
+    gs = gs_store(0.5, 2.0, **gs_args)
+    grid, peak = gs.grid, np.max(gs.values)
+    a = 0.37 * grid.spacing
+    shifts = [np.full(grid.dim, a), np.arange(1, grid.dim + 1) * -1.3 * a]
+    for shift, (w, dw) in zip(shifts, sp.translates(gs.field, shifts)):
+        moved = sp.translate(gs.field, shift)
+        assert np.max(np.abs(w - moved.values)) <= 1e-14 * peak
+        for j in range(grid.dim):
+            ref = sp.spectral_derivative(moved, axis=j).values
+            assert np.max(np.abs(dw[j] - ref)) <= 1e-14 * np.max(np.abs(ref))
+    if grid.dim == 2:
+        (wx, (dxx, dyx)), (wy, (dxy, dyy)) = sp.translates(
+            gs.field, [(a, 0.0), (0.0, a)])
+        for u, v in ((wx, wy), (dxx, dyy), (dyx, dxy)):
+            assert np.max(np.abs(u - v.T)) <= 1e-14 * peak
 
 
 def test_inner_norm_consistency(rng):
