@@ -284,13 +284,14 @@ def _dilate_free_space(gs: GroundState, scale: float) -> np.ndarray:
     sigma = 0.5 * (1.0 + np.cos(np.pi * np.clip((r - lo) / (hi - lo), 0.0, 1.0)))
     tail = _image_tail(gs.decay, mesh(half[:K + 1]), L, grid.dim)
 
-    rows = np.arange(c - K, c + K + 1)
+    # a window wider than the box (scale < 1/2) is clipped to its M nodes
+    span = slice(max(c - K, 0), min(c + K + 1, grid.points_per_axis))
+    rows = np.arange(span.start, span.stop)
     w = mirror(rows)
     inner = sp.dilate_window(gs.field, scale, rows) - tail[w]
     # sigma is exactly 0 outside the window: the fitted tail alone
     out = outer[mirror(np.arange(grid.points_per_axis))]
-    out[(slice(c - K, c + K + 1),) * grid.dim] = \
-        sigma[w] * inner + (1.0 - sigma[w]) * outer[w]
+    out[(span,) * grid.dim] = sigma[w] * inner + (1.0 - sigma[w]) * outer[w]
     return out
 
 

@@ -135,13 +135,18 @@ def test_rescale_fits_no_tail(gs_store, monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("lam", [0.9, 1.05, 1.1, 1.2, 1.3])
-def test_dilation_image_tail_only_where_blended(gs_store, lam):
+@pytest.mark.parametrize(
+    "dim, lam",
+    [pytest.param(2, lam, id=str(lam)) for lam in (0.3, 0.9, 1.05, 1.1, 1.2, 1.3)]
+    + [pytest.param(1, lam, id=f"1d-{lam}") for lam in (0.3, 1.1)])
+def test_dilation_image_tail_only_where_blended(gs_store, dim, lam):
     """Evaluating the interpolant only in the window |scale x_j| < L/2 and
     summing the image tail on its quadrant changes no sample beyond
     roundoff. The oracle is the full-grid construction: the chirp-z
-    dilation minus the image tail at every point, blended everywhere."""
-    gs = gs_store(0.5, 2.0, dim=2, L=10.0, M=128)
+    dilation minus the image tail at every point, blended everywhere.
+    At lambda = 0.3 (scale < 1/2) the window is wider than the box and is
+    clipped to the grid."""
+    gs = gs_store(0.5, 2.0, **(dict(dim=2, L=10.0, M=128) if dim == 2 else {}))
     scale = lam ** (1.0 / (2.0 * gs.params.s))
     L = gs.grid.half_width
     coords = [scale * c for c in gs.grid.coords()]
@@ -149,9 +154,9 @@ def test_dilation_image_tail_only_where_blended(gs_store, lam):
     lo, hi = 0.40 * L, 0.50 * L
     sigma = 0.5 * (1.0 + np.cos(np.pi * np.clip((y_r - lo) / (hi - lo),
                                                 0.0, 1.0)))
-    assert np.any(sigma == 0.0)
+    assert np.any(sigma == 0.0) == (scale >= 0.5)
     inner = chirp_z_dilate(gs.values, scale) - ground_state._image_tail(
-        gs.decay, coords, L, 2)
+        gs.decay, coords, L, dim)
     full = sigma * inner + (1.0 - sigma) * gs.decay.tail_model(
         np.maximum(y_r, 1e-6))
     out = ground_state._dilate_free_space(gs, scale)

@@ -236,6 +236,9 @@ def test_dilate_2d_matches_the_chirp_z(gs_store, rng, scale):
                                    atol=1e-14 * np.max(np.abs(ref)))
     with pytest.raises(ValueError):
         sp.dilate_window(gs.field, 0.0, np.arange(4))
+    for rows in (np.arange(-1, 3), np.arange(120, 129)):
+        with pytest.raises(ValueError, match="window rows"):
+            sp.dilate_window(gs.field, 1.1, rows)
 
 
 @pytest.mark.parametrize("gs_args", [dict(), dict(dim=2, L=10.0, M=128)],
