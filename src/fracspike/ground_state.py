@@ -12,7 +12,8 @@ from the exact scaling w_lambda(x) = lambda^(1/(p-1)) w(lambda^(1/(2s)) x)
 applied through band-limited dilation, so the discrete profile is only ever
 computed once per (s, p, N) at lambda = 1. The dilated interpolant is
 kept only in a window about the core, and the fitted algebraic tail
-spliced in outside it; in 2d only that window is evaluated.
+spliced in outside it; in 2d only one quadrant of that window is
+evaluated, and mirrored.
 
 Nondegeneracy (ker L = span{dw/dx_j} for L = (-Delta)^s + lambda - p w^(p-1))
 is read off the compact operator K = B^(-1/2) p w^(p-1) B^(-1/2),
@@ -35,6 +36,7 @@ of 0.160 lambda; the 1d cases take 4-6 ms warm and give 0.245 lambda
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,29 +222,30 @@ def solve_ground_state(grid: Grid, params: FracParams,
     )
 
 
-def _image_tail(decay: sp.FarFieldFit, coords: list[np.ndarray], L: float,
-                dim: int) -> np.ndarray:
-    """Estimated wrap-around contribution sum_{k != 0} w(|y - 2Lk|).
+def _image_tail(decay: sp.FarFieldFit, half: np.ndarray, inside: np.ndarray,
+                L: float, dim: int) -> np.ndarray:
+    """Estimated wrap-around contribution sum_{k != 0} w(|y - 2Lk|) on the
+    quadrant mesh of the per-axis radii half (0 <= half < L), evaluated
+    where inside and 0 elsewhere.
 
     Uses the fitted tail model, valid because the estimate is only consumed
     at points whose images all sit at radius >= 1.5 L, well inside the
-    algebraic regime.
+    algebraic regime. In 2d the image lattice is symmetric under y0 <-> y1,
+    so only the upper triangle is evaluated and mirrored.
     """
-    out = np.zeros(np.broadcast_shapes(*(c.shape for c in coords)))
-    rng = range(-TAIL_IMAGES, TAIL_IMAGES + 1)
-    if dim == 1:
-        y = coords[0]
-        for k in rng:
-            if k != 0:
-                out += decay.tail_model(np.maximum(np.abs(y - 2.0 * L * k), 1e-6))
-    else:
-        y0, y1 = coords
-        for k0 in rng:
-            for k1 in rng:
-                if k0 == 0 and k1 == 0:
-                    continue
-                d = np.hypot(y0 - 2.0 * L * k0, y1 - 2.0 * L * k1)
-                out += decay.tail_model(np.maximum(d, 1e-6))
+    out = np.zeros(inside.shape)
+    at = np.nonzero(inside if dim == 1 else np.triu(inside))
+    y = [half[i] for i in at]
+    vals = np.zeros(y[0].shape)
+    for k in itertools.product(range(-TAIL_IMAGES, TAIL_IMAGES + 1),
+                               repeat=dim):
+        if any(k):
+            d = [yj - 2.0 * L * kj for yj, kj in zip(y, k)]
+            d = np.abs(d[0]) if dim == 1 else np.hypot(*d)
+            vals += decay.tail_model(np.maximum(d, 1e-6))
+    out[at] = vals
+    if dim == 2:
+        out.T[at] = vals
     return out
 
 
@@ -255,10 +258,15 @@ def _dilate_free_space(gs: GroundState, scale: float) -> np.ndarray:
     interpolant is kept minus the fitted image contribution; beyond 0.5 L the
     fitted algebraic tail takes over, with a cosine blend between. So only
     the window |scale * x_j| < 0.5 L of each axis is dilated (117 of 256
-    rows at lambda = 1.1 on L = 20), and the radial parts, even in each
-    coordinate, are computed on the quadrant x_j <= 0 and mirrored. With no
-    finite tail fit, scale <= 1 returns the whole interpolant and scale > 1
-    raises SolverDivergence.
+    rows at lambda = 1.1 on L = 20). The profile is even about the node
+    x = 0, and so is its dilation but for the rank-one Nyquist term: in 2d
+    the interpolant is evaluated on the window's quadrant x_j <= 0 (59 of
+    its 117 rows, against 129 folded columns) and mirrored
+    (`spectral.dilate_even_window`). The radial parts are computed on the
+    quadrant and mirrored too, the image sum only where the blend weight
+    is positive and, in 2d, on one side of the diagonal. With no finite
+    tail fit, scale <= 1 returns the whole interpolant and scale > 1 raises
+    SolverDivergence.
     """
     grid, L = gs.grid, gs.grid.half_width
     if not np.all(np.isfinite(gs.decay.coefficients)):
@@ -282,13 +290,14 @@ def _dilate_free_space(gs: GroundState, scale: float) -> np.ndarray:
     r = np.sqrt(sum(v ** 2 for v in mesh(half)))
     outer = gs.decay.tail_model(np.maximum(r, 1e-6))
     sigma = 0.5 * (1.0 + np.cos(np.pi * np.clip((r - lo) / (hi - lo), 0.0, 1.0)))
-    tail = _image_tail(gs.decay, mesh(half[:K + 1]), L, grid.dim)
+    near = (slice(0, K + 1),) * grid.dim
+    tail = _image_tail(gs.decay, half[:K + 1], sigma[near] > 0.0, L, grid.dim)
 
     # a window wider than the box (scale < 1/2) is clipped to its M nodes
     span = slice(max(c - K, 0), min(c + K + 1, grid.points_per_axis))
     rows = np.arange(span.start, span.stop)
     w = mirror(rows)
-    inner = sp.dilate_window(gs.field, scale, rows) - tail[w]
+    inner = sp.dilate_even_window(gs.field, scale, rows) - tail[w]
     # sigma is exactly 0 outside the window: the fitted tail alone
     out = outer[mirror(np.arange(grid.points_per_axis))]
     out[(span,) * grid.dim] = sigma[w] * inner + (1.0 - sigma[w]) * outer[w]

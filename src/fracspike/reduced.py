@@ -11,7 +11,8 @@ merit differs: critical_point_search accepts a trial when max|c| falls,
 cluster_search when I rises. Under the max|c| merit a trial's correction
 takes one Newton step from the carried phi (the start two, from 0), since
 c barely feels an error in phi (correction module docstring); only one
-that meets c_tol, or does not contract, runs to CORRECTION_TOL. The
+that meets c_tol, or does not contract, runs until its error estimate
+meets CORRECTION_TOL. The
 asymptotic model c_* sum V^theta(xi_i) -
 (1/2) sum_{i!=j} c_ij |q_i-q_j|^{-(N+2s)} costs no correction; its
 constants were validated against measured overlap integrals (the pair
@@ -80,8 +81,9 @@ class SearchOutcome:
     step of the search's one start, the start included, kind naming the
     step: "start" (the region-scan start) or "model_start" (the start
     relaxed on the model energy), then "model", "secant", "fd" or
-    "gradient". correction is the correction at q_star: converged to
-    CORRECTION_TOL when the search converged, and otherwise, for
+    "gradient". correction is the correction at q_star: within
+    CORRECTION_TOL by its error estimate when the search converged, and
+    otherwise, for
     critical_point_search, the last accepted point's as the search took it,
     cut after one Newton step (two at the start) unless that step did not
     contract."""
@@ -195,7 +197,7 @@ def _corrected(V: Potential, bundle, gs: GroundState, phi0: Field | None,
                steps: int = 0, c_tol: float = 0.0) -> ReducedPoint:
     """reduced_energy at the configuration of an ansatz already built; steps
     and c_tol cut the correction as nonlinear_correction's _steps and
-    _c_tol do (0: converged to CORRECTION_TOL)."""
+    _c_tol do (0: run until its error estimate meets CORRECTION_TOL)."""
     cfg = bundle.cfg
     corr = nonlinear_correction(V, cfg, bundle,
                                 CorrectionOptions(eta=np.inf), phi0=phi0,
@@ -455,7 +457,8 @@ def _quasi_newton(V: Potential, gs: GroundState, make_cfg,
     after one Newton step (two at the start, which has no phi to carry;
     one from phi = 0 mis-steers the first step) unless that step does not
     contract or meets tol: nonlinear_correction's _steps and _c_tol. A
-    converged outcome's correction is therefore at CORRECTION_TOL, and an
+    converged outcome's correction is therefore within CORRECTION_TOL by
+    its error estimate, and an
     unconverged one keeps its last accepted point's as it was taken. The I
     merit keeps full corrections.
     """

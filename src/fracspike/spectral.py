@@ -37,6 +37,7 @@ __all__ = [
     "translates",
     "dilate",
     "dilate_window",
+    "dilate_even_window",
     "inner",
 ]
 
@@ -197,7 +198,8 @@ def _dilate_1d(values: np.ndarray, scale: float) -> np.ndarray:
     return (X * np.exp(-1j * np.pi * scale * np.arange(M))).real / M
 
 
-def _dilate_2d(values: np.ndarray, scale: float, rows: np.ndarray) -> np.ndarray:
+def _dilate_2d(values: np.ndarray, scale: float, rows: np.ndarray,
+               even: bool = False) -> np.ndarray:
     """The 2d interpolant at (scale x_j, scale x_k) for j, k in rows.
 
     It is D f D^T with the periodic sinc D_jl = sin(pi t) / (M tan(pi t/M)),
@@ -205,18 +207,33 @@ def _dilate_2d(values: np.ndarray, scale: float, rows: np.ndarray) -> np.ndarray
     sin(pi scale x_j / h), v_l = cos(pi x_l / h): D splits the Nyquist
     mode evenly between +-pi/h, and the rank-one term makes it the chirp-z
     convention (the mode at -pi/h alone on each axis, real part taken).
-    The products run on `np.einsum`: a windowed gemm beside the FFT work
-    let OpenBLAS threads spin, doubling CPU time at the same wall time.
+    For f even about the node c = M/2 on both axes (even=True), D f D^T is
+    even too: it is F f_q F^T on the quadrant nodes c, c - 1, ..., with f_q
+    the quadrant and F the sum of D's columns c - i and c + i (columns c
+    and 0, each its own mirror, taken once), M/2 + 1 columns instead of M,
+    mirrored onto rows. The rank-one term is odd under mirroring one axis,
+    so it is subtracted after the mirror. The products run on `np.einsum`:
+    a windowed gemm beside the FFT work let OpenBLAS threads spin, doubling
+    CPU time at the same wall time.
     """
     M = values.shape[0]
-    t = scale * (rows[:, None] - M // 2) - (np.arange(M)[None, :] - M // 2)
+    c = M // 2
+    fold = np.abs(rows - c)
+    at = c - np.arange(fold.max() + 1) if even else rows  # D's rows
+    t = scale * (at[:, None] - c) - (np.arange(M)[None, :] - c)
     t -= M * np.round(t / M)  # D is M-periodic in t
     with np.errstate(divide="ignore", invalid="ignore"):
         D = np.sin(np.pi * t) / (M * np.tan(np.pi * t / M))
     D[t == 0.0] = 1.0
-    out = np.einsum("jl,lk->jk", D, np.einsum("lm,km->lk", values, D))
+    f = values
+    if even:
+        D[:, c - 1:0:-1] += D[:, c + 1:]  # column c - i gains column c + i
+        D, f = D[:, c::-1], values[c::-1, c::-1]
+    out = np.einsum("jl,lk->jk", D, np.einsum("lm,km->lk", f, D))
+    if even:
+        out = out[np.ix_(fold, fold)]
     v = 1.0 - 2.0 * (np.arange(M) % 2)
-    u = np.sin(np.pi * scale * (rows - M // 2))
+    u = np.sin(np.pi * scale * (rows - c))
     out -= np.einsum("l,lm,m->", v, values, v) / M ** 2 * np.outer(u, u)
     return out
 
@@ -225,6 +242,18 @@ def dilate_window(f: Field, scale: float, rows: np.ndarray) -> np.ndarray:
     """`dilate` at the grid indices rows of every axis. In 2d only those
     points are evaluated; in 1d the whole-grid chirp-z is cheaper than a
     K x M window matrix, so it runs in full and is sliced."""
+    return _window(f, scale, rows, even=False)
+
+
+def dilate_even_window(f: Field, scale: float, rows: np.ndarray) -> np.ndarray:
+    """`dilate_window` for f even about the centre node of each axis (not
+    checked): in 2d only the mirror images of rows in one quadrant are
+    evaluated (`_dilate_2d`)."""
+    return _window(f, scale, rows, even=True)
+
+
+def _window(f: Field, scale: float, rows: np.ndarray,
+            even: bool) -> np.ndarray:
     if not scale > 0.0:
         raise ValueError(f"dilate scale must be positive, got {scale}")
     M = f.grid.points_per_axis
@@ -233,7 +262,7 @@ def dilate_window(f: Field, scale: float, rows: np.ndarray) -> np.ndarray:
                          f"{rows.min()}..{rows.max()}")
     if f.grid.dim == 1:
         return _dilate_1d(f.values, scale)[rows]
-    return _dilate_2d(f.values, scale, rows)
+    return _dilate_2d(f.values, scale, rows, even)
 
 
 def dilate(f: Field, scale: float) -> Field:

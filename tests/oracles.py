@@ -21,11 +21,13 @@ resolvent_kernel and chirp_z_dilate are the FFT-side helpers here: the
 resolvent of the discrete delta, whose mass and far-field tail the
 acceptance suite checks, and the band-limited dilation by scipy's chirp-z
 transform, one per axis over the whole grid, which the package's own
-dilation must reproduce.
+dilation must reproduce. image_tail is the periodic image sum that
+`rescale` subtracts, every image at every point.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -160,3 +162,14 @@ def chirp_z_dilate(values: np.ndarray, scale: float) -> np.ndarray:
                   axis=axis)
         out = out * np.exp(-1j * np.pi * scale * np.arange(M)).reshape(shape) / M
     return out.real
+
+
+def image_tail(decay, coords, L: float, images: int = 3) -> np.ndarray:
+    """sum_{k != 0} decay.tail_model(|y - 2Lk|) at every point y of the
+    broadcast coords, k over the (2 images + 1)^N - 1 image shells."""
+    out = np.zeros(np.broadcast_shapes(*(c.shape for c in coords)))
+    for k in itertools.product(range(-images, images + 1), repeat=len(coords)):
+        if any(k):
+            d = np.sqrt(sum((y - 2.0 * L * kj) ** 2 for y, kj in zip(coords, k)))
+            out += decay.tail_model(np.maximum(d, 1e-6))
+    return out

@@ -605,6 +605,57 @@ def test_forced_fixed_point_lands_on_the_exact_one(gs_store):
         1e-9 * np.max(np.abs(phi.values))
 
 
+def test_correction_stops_at_its_error_estimate(gs_store, monkeypatch):
+    """A contraction with ratio theta bounds the error of its iterate by
+    theta / (1 - theta) times the last increment. The cold 1d two-well
+    correction stops at the first step where that estimate (or the
+    increment itself) meets CORRECTION_TOL, while its increment is still
+    above it: one step before the increment rule would stop. One more step
+    from the returned phi moves it by at most 2.3e-10, the largest such
+    step over every full correction of the test suite."""
+    gs = gs_store(0.5, 2.0)
+    V, cfg, bundle = _two_spike_setup(gs)
+    inner, incs = correction.projected_solve, []
+
+    def recording(g, *args, x0=None, **kwargs):
+        sol = inner(g, *args, x0=x0, **kwargs)
+        incs.append(float(np.max(np.abs(sol.phi.values - x0.values)
+                                 / bundle.rho)))
+        return sol
+
+    monkeypatch.setattr(correction, "projected_solve", recording)
+    opts = CorrectionOptions(eta=0.5)
+    res = nonlinear_correction(V, cfg, bundle, opts)
+    inc = np.array(incs)
+    theta = inc[1:] / inc[:-1]
+    est = np.where(theta < 0.5, theta / (1.0 - theta), 1.0) * inc[1:]
+    tol = correction.CORRECTION_TOL
+    assert res.converged and res.iterations == inc.size >= 3
+    np.testing.assert_array_equal(res.contraction_history, theta)
+    assert est[-1] <= tol < min(inc[0], est[:-1].min())
+    assert inc[-1] > tol
+    incs.clear()
+    again = nonlinear_correction(V, cfg, bundle, opts, phi0=res.phi)
+    assert again.iterations == 1 and incs[0] <= 2.3e-10
+
+
+def test_close_pair_converges_through_a_rising_ratio(gs_store):
+    """The sigma = 0.5 bump pair two q apart at eps 0.1 (||E||_Y 1.45)
+    contracts by 0.44 and 0.43, then takes a step of ratio 1.10 before it
+    converges: one ratio >= 1 does not end the iteration, and at theta >=
+    1/2 the stop reads the increment itself, not theta / (1 - theta)."""
+    gs = gs_store(0.5, 2.0)
+    V = builtin_potentials("gaussian_bumps", a=1.0, bumps=[
+        {"b": 1.0, "center": [0.0], "sigma": 0.5}])
+    cfg = SpikeConfig(gs.grid, [[-1.0], [1.0]], epsilon=0.1, r_min=0.5)
+    bundle = build_ansatz(V, cfg, gs)
+    assert bundle.E_norm_Y == pytest.approx(1.45, abs=0.01)
+    res = nonlinear_correction(V, cfg, bundle, CorrectionOptions(eta=np.inf))
+    assert res.converged
+    np.testing.assert_allclose(res.contraction_history[:3],
+                               [0.44, 0.43, 1.10], atol=0.01)
+
+
 def test_correction_translates_with_seeds_under_constant_v(gs_store):
     """Metamorphic: under constant V, moving both seeds by whole grid cells
     rolls phi by the same cells and leaves c as it is."""

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracles import chirp_z_dilate
+from oracles import chirp_z_dilate, image_tail
 
 from fracspike import ground_state, kernels, reduced
 from fracspike import spectral as sp
@@ -140,10 +140,11 @@ def test_rescale_fits_no_tail(gs_store, monkeypatch):
     [pytest.param(2, lam, id=str(lam)) for lam in (0.3, 0.9, 1.05, 1.1, 1.2, 1.3)]
     + [pytest.param(1, lam, id=f"1d-{lam}") for lam in (0.3, 1.1)])
 def test_dilation_image_tail_only_where_blended(gs_store, dim, lam):
-    """Evaluating the interpolant only in the window |scale x_j| < L/2 and
-    summing the image tail on its quadrant changes no sample beyond
-    roundoff. The oracle is the full-grid construction: the chirp-z
-    dilation minus the image tail at every point, blended everywhere.
+    """Evaluating the interpolant only in the window |scale x_j| < L/2, on
+    one quadrant in 2d, and summing the image tail on one triangle of it
+    where blended changes no sample beyond roundoff. The oracle is the
+    full-grid construction: the chirp-z dilation minus the image tail at
+    every point, blended everywhere.
     At lambda = 0.3 (scale < 1/2) the window is wider than the box and is
     clipped to the grid."""
     gs = gs_store(0.5, 2.0, **(dict(dim=2, L=10.0, M=128) if dim == 2 else {}))
@@ -155,12 +156,73 @@ def test_dilation_image_tail_only_where_blended(gs_store, dim, lam):
     sigma = 0.5 * (1.0 + np.cos(np.pi * np.clip((y_r - lo) / (hi - lo),
                                                 0.0, 1.0)))
     assert np.any(sigma == 0.0) == (scale >= 0.5)
-    inner = chirp_z_dilate(gs.values, scale) - ground_state._image_tail(
-        gs.decay, coords, L, dim)
+    inner = chirp_z_dilate(gs.values, scale) - image_tail(
+        gs.decay, coords, L, ground_state.TAIL_IMAGES)
     full = sigma * inner + (1.0 - sigma) * gs.decay.tail_model(
         np.maximum(y_r, 1e-6))
     out = ground_state._dilate_free_space(gs, scale)
     assert np.max(np.abs(out - full)) <= 1e-12 * np.max(full)
+
+
+@pytest.mark.parametrize(
+    "dim, lam",
+    [pytest.param(2, lam, id=str(lam)) for lam in (0.3, 1.1, 2.0)]
+    + [pytest.param(1, 1.1, id="1d-1.1")])
+def test_image_tail_on_one_triangle_where_blended(gs_store, dim, lam):
+    """The image sum, evaluated on the upper triangle of the quadrant where
+    the blend weight is positive and mirrored across the diagonal, equals
+    the full loop over every image at every quadrant point to 1e-15
+    wherever sigma > 0, and is 0 elsewhere."""
+    gs = gs_store(0.5, 2.0, **(dict(dim=2, L=10.0, M=128) if dim == 2 else {}))
+    scale = lam ** (1.0 / (2.0 * gs.params.s))
+    L, c = gs.grid.half_width, gs.grid.points_per_axis // 2
+    half = np.abs(scale * gs.grid.axis[c::-1])
+    mesh = [half] if dim == 1 else [half[:, None], half[None, :]]
+    r = np.sqrt(sum(v ** 2 for v in mesh))
+    inside = r < 0.5 * L
+    tail = ground_state._image_tail(gs.decay, half, inside, L, dim)
+    full = image_tail(gs.decay, mesh, L, ground_state.TAIL_IMAGES)
+    assert np.max(np.abs(tail - full)[inside]) <= 1e-15 * np.max(full)
+    assert not np.any(tail[~inside])
+
+
+def _full_window(monkeypatch):
+    """Patch rescale back to the full-window construction: the generic 2d
+    dilation on every window row and the full image loop on the quadrant."""
+    monkeypatch.setattr(ground_state.sp, "dilate_even_window",
+                        sp.dilate_window)
+    monkeypatch.setattr(ground_state, "_image_tail",
+                        lambda decay, half, inside, L, dim: image_tail(
+                            decay, [half[:, None], half[None, :]], L,
+                            ground_state.TAIL_IMAGES))
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.5, 1.1, 1.5, 2.0])
+def test_rescale_on_one_quadrant(gs_store, monkeypatch, lam):
+    """A 2d rescale evaluated on one quadrant and mirrored, with the
+    rank-one Nyquist term subtracted on the whole window, stays within
+    1e-14 of the full-window construction. Mirroring that term with the
+    quadrant instead is wrong: it is odd under mirroring one axis, and u_j
+    = sin(pi scale x_j / h) is nonzero at every scale but an integer."""
+    gs = gs_store(0.5, 2.0, dim=2, L=10.0, M=128)
+    out = rescale(gs, lam).values
+    with monkeypatch.context() as mp:
+        _full_window(mp)
+        ref = rescale(gs, lam).values
+    assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(ref)
+
+    c = gs.grid.points_per_axis // 2
+    generic = sp.dilate_window
+
+    def mirrored(f, scale, rows):
+        fold = np.abs(rows - c)
+        quad = generic(f, scale, c - np.arange(fold.max() + 1))
+        return quad[np.ix_(fold, fold)]
+
+    monkeypatch.setattr(ground_state.sp, "dilate_even_window", mirrored)
+    gap = np.max(np.abs(rescale(gs, lam).values - ref)) / np.max(ref)
+    # at lambda = 2 (scale 2) u vanishes on the grid, and so does the term
+    assert gap > 1e-12 if lam != 2.0 else gap <= 1e-14
 
 
 @pytest.mark.parametrize("gs_args", [dict(), dict(dim=2, L=10.0, M=128)],

@@ -241,6 +241,23 @@ def test_dilate_2d_matches_the_chirp_z(gs_store, rng, scale):
             sp.dilate_window(gs.field, 1.1, rows)
 
 
+@pytest.mark.parametrize("scale", [0.4, 1.1, 1.3])
+def test_dilate_even_window_matches_the_generic_one(rng, scale):
+    """On a field even about the centre node of both axes, with content at
+    every mode, Nyquist included, the quadrant evaluation gives the
+    generic window's samples to roundoff, on a centred window and on one
+    off centre."""
+    grid = Grid(2, 10.0, 64)
+    c = grid.points_per_axis // 2
+    fold = np.abs(np.arange(grid.points_per_axis) - c)
+    f = Field(grid, rng.standard_normal((c + 1, c + 1))[np.ix_(fold, fold)])
+    for rows in (np.arange(c - 20, c + 21), np.arange(3, 40)):
+        ref = sp.dilate_window(f, scale, rows)
+        np.testing.assert_allclose(sp.dilate_even_window(f, scale, rows),
+                                   ref, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(ref)))
+
+
 @pytest.mark.parametrize("gs_args", [dict(), dict(dim=2, L=10.0, M=128)],
                          ids=["1d", "2d"])
 def test_translates_match_translate_and_derivative(gs_store, gs_args):
