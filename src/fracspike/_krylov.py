@@ -74,13 +74,15 @@ class KrylovResult(NamedTuple):
     """x; info (0 on convergence, maxiter otherwise, as in scipy); history,
     the residual estimate over ||b|| after each iteration (len(history) is
     the number of Krylov iterations); residual, b - A x as last computed;
-    atol, the bound on ||residual|| that the solve aimed at."""
+    atol, the bound on ||residual|| that the solve aimed at; start,
+    ||b - A x0||, the residual norm it started from."""
 
     x: np.ndarray
     info: int
     history: list
     residual: np.ndarray
     atol: float
+    start: float
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -112,7 +114,7 @@ def minres(apply: Apply, precond: Precond, b: np.ndarray,
     history: list[float] = []
     bnrm2 = norm(b)
     if bnrm2 == 0.0:
-        return KrylovResult(np.zeros(n), 0, history, np.zeros(n), 0.0)
+        return KrylovResult(np.zeros(n), 0, history, np.zeros(n), 0.0, 0.0)
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float).ravel()
     atol = rtol * bnrm2
     eps = np.finfo(float).eps
@@ -126,9 +128,9 @@ def minres(apply: Apply, precond: Precond, b: np.ndarray,
         r2 = r0.ravel()
     else:
         r2 = residual(x) if x.any() else b.copy()
-    rnorm = norm(r2)
+    rnorm = start = norm(r2)
     if rnorm < atol:
-        return KrylovResult(x, 0, history, r2, atol)
+        return KrylovResult(x, 0, history, r2, atol, start)
     atol = max(atol, reduce * rnorm)
     y, ay = precond(r2)
     beta = math.sqrt(dot(r2, y))
@@ -183,7 +185,8 @@ def minres(apply: Apply, precond: Precond, b: np.ndarray,
     else:
         r = residual(x)
         rnorm = norm(r)
-    return KrylovResult(x, 0 if rnorm <= atol else maxiter, history, r, atol)
+    return KrylovResult(x, 0 if rnorm <= atol else maxiter, history, r, atol,
+                        start)
 
 
 def lanczos(apply: Apply, v0: np.ndarray, tols: Sequence[float],

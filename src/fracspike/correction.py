@@ -74,7 +74,10 @@ theta_k) inc_k) <= CORRECTION_TOL, the first step on inc_1 alone. Past
 the quadratic phase theta_k is near the forcing term, and the estimate
 spares the solve that would only show an increment at the Krylov floor:
 over the full corrections of the test suite one more step moved phi by
-at most 2.3e-10.
+at most 2.3e-10. A step is kept only when it lowers the residual, as in
+`_krylov.newton`: step k's MINRES starts from P (E + N(phi_k) - L_W
+phi_k), and a start no smaller than step k - 1's ends the correction
+unconverged at phi_(k-1).
 
 A search needs phi exact only where it may stop. The multipliers project
 the residual onto span{Z}, the near-kernel of L_W, so they barely feel an
@@ -139,6 +142,7 @@ class ProjectedSolution:
     # ||L_W phi - g - sum c Z|| / ||g||, the part of the residual that the
     # multipliers cannot absorb: the Krylov residual norm over ||g||
     consistency: float
+    start: float  # ||P g - P L_W x0||; ||P g|| when g lies in span{Z}
     # P L phi, flat, L the operator's current linearization, as a
     # correction step's solve ended with it (P g minus the final residual):
     # set only under _reduce > 0, for the next step to start from; not a
@@ -160,8 +164,8 @@ class CorrectionOptions:
 class CorrectionResult:
     """phi and c after `iterations` Newton steps. converged: the last
     step's error estimate met CORRECTION_TOL, or a search trial's cut step
-    contracted; False when three ratios >= 1 or CORRECTION_MAX_ITER ended
-    it."""
+    contracted; False when a step raised the residual or
+    CORRECTION_MAX_ITER ended it."""
 
     phi: Field
     c: np.ndarray
@@ -361,6 +365,7 @@ def projected_solve(g: Field, V: Potential, cfg: SpikeConfig,
         phi_flat = np.zeros(b.size)
         resid = -g_flat
         consistency = bnorm / max(gnorm, 1e-300)
+        start = bnorm
         b = None
     else:
         y0 = None if x0 is None else x0.values.ravel()
@@ -379,6 +384,7 @@ def projected_solve(g: Field, V: Potential, cfg: SpikeConfig,
                     f"{true_rel:.3e}, last estimates [{tail}])")
             log.debug("projected solve: accepting true residual %.3e", true_rel)
         iterations = len(history)
+        start = sol.start
         phi_flat = op.project(sol.x)
         # L_W phi - g = -(P g - P L_W phi) + Q Q^T (L_W phi - g), where
         # Q^T L_W phi = (L_W Q)^T phi needs no transform
@@ -391,7 +397,7 @@ def projected_solve(g: Field, V: Potential, cfg: SpikeConfig,
         consistency = rnorm / gnorm
     c = op.gram_solve(resid)
     out = ProjectedSolution(Field(grid, phi_flat.reshape(shape)), c,
-                            iterations, consistency)
+                            iterations, consistency, start)
     if _reduce > 0.0:
         out._image = b
     return out
@@ -402,26 +408,16 @@ def nonlinear_correction(V: Potential, cfg: SpikeConfig, bundle: AnsatzBundle,
                          phi0: Field | None = None, _steps: int = 0,
                          _c_tol: float = 0.0) -> CorrectionResult:
     """The full correction Phi(q): the fixed point phi = T_q(E + N(phi)),
-    found by inexact Newton steps.
+    found by the inexact Newton steps of the module docstring, N(phi) the
+    quadratic-and-higher remainder of the nonlinearity around W.
 
-    N(phi) is the quadratic-and-higher remainder of the nonlinearity around
-    W. Step k solves P L_(W+phi_k) P phi_(k+1) = P (E + N(phi_k) -
-    N'(phi_k) phi_k) through `projected_solve`, on one operator that
-    `relinearize` moves in place by the step's change in N' (module
-    docstring). Each solve starts MINRES from the current iterate, which
-    already lies in span{Z}^perp, and stops once the residual of that start
-    has fallen by FIXED_POINT_REDUCE (floor KRYLOV_RTOL ||P g||). Each step
-    hands the next the image P L phi its solve ended with, moved to the
-    next linearization as image -= P (dd phi), so the next starting
-    residual costs no transform. The iteration is converged once the error
-    estimate of the new phi, min(inc, theta / (1 - theta) inc) for the
-    weighted sup norm inc of the increment and the ratio theta of the last
-    two increments (inc alone at the first step), is at most
-    CORRECTION_TOL, within CORRECTION_MAX_ITER steps. contraction_history
-    holds the ratios theta, which after the second step sit near the
-    forcing term; three consecutive ratios >= 1 abort the iteration with
-    converged = False (the configuration is outside the contraction regime
-    at this epsilon).
+    The iteration is converged once the error estimate of the new phi,
+    min(inc, theta / (1 - theta) inc), is at most CORRECTION_TOL, within
+    CORRECTION_MAX_ITER steps; contraction_history holds the ratios theta
+    of successive weighted-sup increments inc. A step that raises the
+    residual ||P (E + N(phi) - L_W phi)|| ends it with converged = False
+    and the phi and c from before that step (the configuration is outside
+    the contraction regime at this epsilon).
 
     phi0, typically the correction at a nearby configuration, starts the
     fixed point from its projection onto span{Z}^perp instead of from 0.
@@ -451,7 +447,8 @@ def nonlinear_correction(V: Potential, cfg: SpikeConfig, bundle: AnsatzBundle,
     prev_inc = 0.0
     ratios: list[float] = []
     converged = False
-    bad_streak = 0
+    res = np.inf  # the residual norm at the last accepted phi
+    last = phi, c
     it = 0
     image = None
     for it in range(1, CORRECTION_MAX_ITER + 1):
@@ -469,12 +466,15 @@ def nonlinear_correction(V: Potential, cfg: SpikeConfig, bundle: AnsatzBundle,
                               _op=op, _reduce=FIXED_POINT_REDUCE,
                               _image=image)
         image = sol._image
+        if sol.start >= res:  # the last step raised the residual
+            phi, c = last
+            break
+        res, last = sol.start, (phi, c)
         inc = float(np.max(np.abs(sol.phi.values - phi.values) / rho))
         err = inc  # the error estimate of the new phi
         if prev_inc > 0:
             ratio = inc / prev_inc
             ratios.append(ratio)
-            bad_streak = bad_streak + 1 if ratio >= 1.0 else 0
             if ratio < 0.5:  # theta / (1 - theta) < 1
                 err = ratio / (1.0 - ratio) * inc
         prev_inc = inc
@@ -485,10 +485,6 @@ def nonlinear_correction(V: Potential, cfg: SpikeConfig, bundle: AnsatzBundle,
         phi, c = sol.phi, sol.c
         if err <= CORRECTION_TOL or cut:
             converged = True
-            break
-        if bad_streak >= 3:
-            log.warning("correction fixed point diverging at eps=%g "
-                        "(three non-contracting steps)", cfg.epsilon)
             break
 
     norm_Y = float(np.max(np.abs(phi.values) / rho))

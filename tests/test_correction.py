@@ -656,6 +656,65 @@ def test_close_pair_converges_through_a_rising_ratio(gs_store):
                                [0.44, 0.43, 1.10], atol=0.01)
 
 
+def _bump_pair(gs, sigma, apart, eps):
+    """Two spikes `apart` in q around the bump of width sigma at eps."""
+    V = builtin_potentials("gaussian_bumps", a=1.0, bumps=[
+        {"b": 1.0, "center": [0.0], "sigma": sigma}])
+    cfg = SpikeConfig(gs.grid, [[-apart / 2], [apart / 2]], epsilon=eps,
+                      r_min=0.5)
+    return V, cfg, build_ansatz(V, cfg, gs)
+
+
+@pytest.mark.parametrize("sigma, apart, eps", [
+    (1.0, 1.0, 0.5), (1.0, 1.0, 0.7), (0.5, 2.0, 0.3), (0.5, 2.0, 0.5),
+    (1.0, 2.0, 0.5), (1.0, 2.0, 0.3)])
+def test_correction_refuses_a_step_that_raises_the_residual(gs_store, sigma,
+                                                            apart, eps):
+    """Bump pairs outside the contraction regime (||E||_Y 1.3 to 5.3): the
+    first step's phi starts the second solve from a residual above that of
+    phi = 0, so the correction stops there, unconverged, with the phi = 0
+    and c = 0 it started from. Three ratios >= 1 in a row refused them
+    only after 5 to 40 steps."""
+    V, cfg, bundle = _bump_pair(gs_store(0.5, 2.0), sigma, apart, eps)
+    res = nonlinear_correction(V, cfg, bundle, CorrectionOptions(eta=np.inf))
+    assert not res.converged and res.iterations == 2
+    assert res.norm_Y == 0.0 and not res.c.any()
+
+
+def _stall_minres(monkeypatch):
+    """Cut every `_krylov.minres` call after one iteration."""
+    inner = _krylov.minres
+    monkeypatch.setattr(_krylov, "minres",
+                        lambda *args, **kwargs: inner(*args, **dict(
+                            kwargs, maxiter=1)))
+
+
+def test_stalled_projected_solve_raises(well_setup, monkeypatch):
+    """A projected solve whose MINRES stops far above its tolerance raises
+    SolverDivergence, with the stop reason."""
+    gs, V, cfg, bundle = well_setup
+    _stall_minres(monkeypatch)
+    with pytest.raises(SolverDivergence,
+                       match=r"did not converge \(info=1, 1 iterations"):
+        projected_solve(bundle.E, V, cfg, bundle)
+
+
+def test_stalled_certificate_fails_on_its_residual(gs_store, monkeypatch):
+    """A Newton certificate whose first MINRES stalls takes no step: it
+    returns its seed, unconverged, and names the residual check. The seed
+    is the corrected sigma = 1 bump pair at +-5, eps = 0.1 (residual
+    2.97e-2)."""
+    V, cfg, bundle = _bump_pair(gs_store(0.5, 2.0), 1.0, 10.0, 0.1)
+    corr = nonlinear_correction(V, cfg, bundle, CorrectionOptions(eta=np.inf))
+    assert corr.converged
+    _stall_minres(monkeypatch)
+    out = correction.certify(V, bundle, corr)
+    assert not out.converged and out.iterations == 0
+    assert out.residual_norm == out.initial_residual == \
+        pytest.approx(2.97e-2, rel=1e-2)
+    assert out.failed_check(cfg) == "residual"
+
+
 def test_correction_translates_with_seeds_under_constant_v(gs_store):
     """Metamorphic: under constant V, moving both seeds by whole grid cells
     rolls phi by the same cells and leaves c as it is."""

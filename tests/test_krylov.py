@@ -157,6 +157,7 @@ def test_reduce_stops_at_a_fraction_of_the_initial_residual(projected_system):
     sol = _solve(op, b, x0=x0, rtol=1e-10, reduce=1e-3)
     bound = max(1e-10 * np.linalg.norm(b), 1e-3 * r0)
     assert sol.info == 0 and sol.atol == pytest.approx(bound, rel=1e-12)
+    assert sol.start == pytest.approx(r0, rel=1e-12)
     assert np.linalg.norm(b - a(sol.x)) <= bound
     assert 0 < len(sol.history) < len(full.history)
     for reduce in (0.0, 1e-10 * np.linalg.norm(b) / r0 / 2):

@@ -45,9 +45,9 @@ def test_reduced_gradient_tracks_multipliers(gs_store):
 
 def test_reduced_energy_raises_on_failed_correction(gs_store):
     """No ||E||_Y ceiling refuses a configuration: a pair one q apart on the
-    bump at eps = 0.5 (||E||_Y 5.3) is corrected until three ratios >= 1
-    stop the correction, and that divergence raises; the searches catch it
-    as a failed trial."""
+    bump at eps = 0.5 (||E||_Y 5.3) is corrected until a step raises the
+    residual, at the second, and that divergence raises; the searches
+    catch it as a failed trial."""
     gs = gs_store(0.5, 2.0)
     cfg = SpikeConfig(gs.grid, [[0.5], [-0.5]], 0.5, r_min=0.5)
     assert build_ansatz(_bump(1.0), cfg, gs).E_norm_Y > 5.0

@@ -268,19 +268,26 @@ def test_ground_state_run_artifacts(tmp_path):
     assert report["scenario"] == parse_scenario(doc).resolved
 
 
-def test_ground_state_cache_hit_and_byte_determinism(tmp_path, cache_dir):
-    doc = make_doc()
-    path = write_doc(tmp_path, doc)
+@pytest.mark.parametrize("mode", scenarios.MODES)
+def test_warm_cache_reruns_are_byte_identical(tmp_path, cache_dir, mode):
+    """Every mode, rerun on a warm cache, once with workers=2, writes the
+    same artifacts byte for byte; the ground state comes from the cache."""
+    path = write_doc(tmp_path, make_doc(mode))
     run_scenario(path, out_dir=tmp_path / "seed", cache_dir=cache_dir)
     run_a = run_scenario(path, out_dir=tmp_path / "a", cache_dir=cache_dir)
     run_b = run_scenario(path, out_dir=tmp_path / "b", cache_dir=cache_dir,
                          workers=2)
-    rep = json.loads((run_a.out_dir / "report.json").read_text())
-    assert rep["results"]["source"] == "cache"
-    assert rep["results"]["spectrum"]["kernel_dim"] == 1
-    for name in ("report.json", "profile.csv"):
+    assert run_a.status == run_b.status == 0
+    names = sorted(f.name for f in run_a.out_dir.iterdir())
+    assert names == sorted(f.name for f in run_b.out_dir.iterdir())
+    assert "report.json" in names
+    for name in names:
         assert (run_a.out_dir / name).read_bytes() == \
             (run_b.out_dir / name).read_bytes()
+    if mode == "ground_state":
+        rep = json.loads((run_a.out_dir / "report.json").read_text())
+        assert rep["results"]["source"] == "cache"
+        assert rep["results"]["spectrum"]["kernel_dim"] == 1
 
 
 def test_degree_mode_report(tmp_path):
