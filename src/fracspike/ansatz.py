@@ -76,8 +76,8 @@ class SpikeConfig:
         return self.epsilon * self.centers
 
     def lambdas(self, V: Potential) -> np.ndarray:
-        """lambda_j = V(eps q_j), recomputed on demand (never cached)."""
-        return np.array([float(V(*xi)) for xi in self.xi])
+        """lambda_j = V(eps q_j), from one call of V, never cached."""
+        return np.asarray(V(*self.xi.T), dtype=float)
 
     def separations(self) -> np.ndarray:
         """Pairwise periodic distances, shape (k, k), inf on the diagonal."""

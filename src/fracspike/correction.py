@@ -77,7 +77,7 @@ over the full corrections of the test suite one more step moved phi by
 at most 2.3e-10. A step is kept only when it lowers the residual, as in
 `_krylov.newton`: step k's MINRES starts from P (E + N(phi_k) - L_W
 phi_k), and a start no smaller than step k - 1's ends the correction
-unconverged at phi_(k-1).
+unconverged at phi_(k-1), before that MINRES runs.
 
 A search needs phi exact only where it may stop. The multipliers project
 the residual onto span{Z}, the near-kernel of L_W, so they barely feel an
@@ -126,7 +126,9 @@ GRAM_COND_LIMIT = 1e8
 FIXED_POINT_REDUCE = 1e-3
 # the estimated weighted-sup error of the phi a full correction returns:
 # min(inc, theta / (1 - theta) inc) for the last increment inc and ratio
-# theta of increments (inc alone at the first step)
+# theta of increments (inc alone at the first step). An estimate, not a
+# bound: theta grows near the Krylov floor, and over the full corrections
+# of the test suite one more step moved phi by up to 2.25e-10
 CORRECTION_TOL = 1e-10
 CORRECTION_MAX_ITER = 40  # steps before a correction gives up
 SPIKE_FRACTION = 0.5  # detect_spike_centers' threshold over sup u
@@ -162,16 +164,17 @@ class CorrectionOptions:
 
 @dataclass
 class CorrectionResult:
-    """phi and c after `iterations` Newton steps. converged: the last
-    step's error estimate met CORRECTION_TOL, or a search trial's cut step
-    contracted; False when a step raised the residual or
-    CORRECTION_MAX_ITER ended it."""
+    """phi and c after `iterations` Newton steps; stop says why they ended:
+    "converged" (error estimate within CORRECTION_TOL), "cut" (a search
+    trial's cut step contracted), "residual_rose" (a step raised the
+    residual) or "max_iter". converged is True for the first two."""
 
     phi: Field
     c: np.ndarray
     norm_Y: float
     iterations: int
     converged: bool
+    stop: str
     contraction_history: list = field(default_factory=list)
 
 
@@ -366,7 +369,7 @@ def projected_solve(g: Field, V: Potential, cfg: SpikeConfig,
         resid = -g_flat
         consistency = bnorm / max(gnorm, 1e-300)
         start = bnorm
-        b = None
+        b = np.zeros_like(b)  # P L_W phi, phi = 0
     else:
         y0 = None if x0 is None else x0.values.ravel()
         r0 = None if _image is None else np.subtract(b, _image, out=_image)
@@ -417,7 +420,7 @@ def nonlinear_correction(V: Potential, cfg: SpikeConfig, bundle: AnsatzBundle,
     of successive weighted-sup increments inc. A step that raises the
     residual ||P (E + N(phi) - L_W phi)|| ends it with converged = False
     and the phi and c from before that step (the configuration is outside
-    the contraction regime at this epsilon).
+    the contraction regime at this epsilon); stop says which rule ended it.
 
     phi0, typically the correction at a nearby configuration, starts the
     fixed point from its projection onto span{Z}^perp instead of from 0.
@@ -446,7 +449,7 @@ def nonlinear_correction(V: Potential, cfg: SpikeConfig, bundle: AnsatzBundle,
     d = 0.0  # the N'(phi) that op is linearized at
     prev_inc = 0.0
     ratios: list[float] = []
-    converged = False
+    stop = "max_iter"
     res = np.inf  # the residual norm at the last accepted phi
     last = phi, c
     it = 0
@@ -462,13 +465,16 @@ def nonlinear_correction(V: Potential, cfg: SpikeConfig, bundle: AnsatzBundle,
         del dd  # before the solve allocates its vectors
         rhs = bundle.E.values + kernels.nonlinear_remainder(
             W, phi.values, p) - d * phi.values
+        # from step 2 on, the start P rhs - image is checked before MINRES
+        if image is not None and _krylov.norm(
+                op.project(rhs.ravel()) - image) >= res:
+            phi, c = last
+            stop = "residual_rose"
+            break
         sol = projected_solve(Field(grid, rhs), V, cfg, bundle, x0=phi,
                               _op=op, _reduce=FIXED_POINT_REDUCE,
                               _image=image)
         image = sol._image
-        if sol.start >= res:  # the last step raised the residual
-            phi, c = last
-            break
         res, last = sol.start, (phi, c)
         inc = float(np.max(np.abs(sol.phi.values - phi.values) / rho))
         err = inc  # the error estimate of the new phi
@@ -484,13 +490,13 @@ def nonlinear_correction(V: Potential, cfg: SpikeConfig, bundle: AnsatzBundle,
             and float(np.max(np.abs(sol.c))) > _c_tol
         phi, c = sol.phi, sol.c
         if err <= CORRECTION_TOL or cut:
-            converged = True
+            stop = "converged" if err <= CORRECTION_TOL else "cut"
             break
 
     norm_Y = float(np.max(np.abs(phi.values) / rho))
-    return CorrectionResult(phi=phi, c=c, norm_Y=norm_Y,
-                            iterations=it, converged=converged,
-                            contraction_history=ratios)
+    return CorrectionResult(phi=phi, c=c, norm_Y=norm_Y, iterations=it,
+                            converged=stop in ("converged", "cut"),
+                            stop=stop, contraction_history=ratios)
 
 
 def detect_spike_centers(u: Field) -> np.ndarray:

@@ -228,10 +228,11 @@ def _image_tail(decay: sp.FarFieldFit, half: np.ndarray, inside: np.ndarray,
     quadrant mesh of the per-axis radii half (0 <= half < L), evaluated
     where inside and 0 elsewhere.
 
-    Uses the fitted tail model, valid because the estimate is only consumed
-    at points whose images all sit at radius >= 1.5 L, well inside the
-    algebraic regime. In 2d the image lattice is symmetric under y0 <-> y1,
-    so only the upper triangle is evaluated and mirrored.
+    Uses the fitted tail model, two powers per image (`tail_model`), valid
+    because the estimate is only consumed at points whose images all sit
+    at radius >= 1.5 L, well inside the algebraic regime. In 2d the image
+    lattice is symmetric under y0 <-> y1, so only the upper triangle is
+    evaluated and mirrored.
     """
     out = np.zeros(inside.shape)
     at = np.nonzero(inside if dim == 1 else np.triu(inside))

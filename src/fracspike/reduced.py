@@ -129,7 +129,7 @@ def _scaled_constants(gs: GroundState, c0: float, lambdas) -> np.ndarray:
     alpha = 1.0 / (p - 1.0) - (dim + 2.0 * s) / (2.0 * s)
     beta = p / (p - 1.0) - dim / (2.0 * s)
     lam = np.asarray(lambdas, dtype=float)
-    return c0 * np.outer(lam ** alpha, lam ** beta)
+    return c0 * (lam[..., :, None] ** alpha * lam[..., None, :] ** beta)
 
 
 def asymptotic_energy(V: Potential, xi_list, epsilon: float,
@@ -141,29 +141,31 @@ def asymptotic_energy(V: Potential, xi_list, epsilon: float,
     deficit; the constants are validated against measured overlap integrals
     in the test suite.
     """
-    return _model_energy(V, xi_list, epsilon, gs, None)
+    xi = np.asarray(xi_list, dtype=float).reshape(1, -1, gs.grid.dim)
+    return float(_model_energies(V, xi, epsilon, gs, None)[0])
 
 
-def _model_energy(V: Potential, xi_list, epsilon: float, gs: GroundState,
-                  c0: float | None) -> float:
-    """asymptotic_energy, given c0 of interaction_constants (None: computed
-    here when there is a pair)."""
-    xi = np.asarray(xi_list, dtype=float).reshape(-1, gs.grid.dim)
-    theta = energy_scaling_exponent(gs.params, gs.grid.dim)
-    lam = np.array([float(V(*x)) for x in xi])
+def _model_energies(V: Potential, xi: np.ndarray, epsilon: float,
+                    gs: GroundState, c0: float | None) -> np.ndarray:
+    """asymptotic_energy of each configuration xi[m] of an (m, k, N) stack,
+    given c0 of interaction_constants (None: computed here when there is a
+    pair), from one call of V; the pair law runs over m pair by pair with
+    the operations of one configuration (np.linalg.norm's dot product)."""
+    lam = np.asarray(V(*np.moveaxis(xi, -1, 0)), dtype=float)
     if np.any(lam <= 0):
         raise ConfigError("V must be positive at every spike position")
-    c_star = gs.energy
-    total = c_star * float(np.sum(lam ** theta))
-    if xi.shape[0] > 1:
+    theta = energy_scaling_exponent(gs.params, gs.grid.dim)
+    total = gs.energy * np.sum(lam ** theta, axis=-1)
+    if xi.shape[1] > 1:
         cij = _scaled_constants(gs, _profile_constant(gs) if c0 is None
                                 else c0, lam)
         beta_exp = gs.grid.dim + 2.0 * gs.params.s
-        for i, j in itertools.combinations(range(xi.shape[0]), 2):
-            d = float(np.linalg.norm(xi[i] - xi[j])) / epsilon
-            if d == 0.0:
+        for i, j in itertools.combinations(range(xi.shape[1]), 2):
+            r = (xi[:, i] - xi[:, j])[:, None, :]
+            d = np.sqrt(np.matmul(r, r.transpose(0, 2, 1))[:, 0, 0]) / epsilon
+            if np.any(d == 0.0):
                 raise ConfigError("coincident spike positions in the model")
-            total -= 0.5 * (cij[i, j] + cij[j, i]) / d ** beta_exp
+            total -= 0.5 * (cij[:, i, j] + cij[:, j, i]) / d ** beta_exp
     return total
 
 
@@ -213,16 +215,18 @@ def _corrected(V: Potential, bundle, gs: GroundState, phi0: Field | None,
 
 def _model_hessian(V: Potential, xi: np.ndarray, epsilon: float,
                    gs: GroundState, h: float) -> np.ndarray:
-    """Central-difference Hessian of asymptotic_energy in the flattened xi."""
-    E, H = h * np.eye(xi.size), np.empty((xi.size, xi.size))
-    c0 = _profile_constant(gs) if xi.size > gs.grid.dim else None
-
-    def f(d):
-        return _model_energy(V, xi.ravel() + d, epsilon, gs, c0)
-
-    for i, j in itertools.combinations_with_replacement(range(xi.size), 2):
-        H[i, j] = H[j, i] = (f(E[i] + E[j]) - f(E[i] - E[j])
-                             - f(E[j] - E[i]) + f(-E[i] - E[j])) / (4 * h * h)
+    """Central-difference Hessian of asymptotic_energy in the flattened xi,
+    from one _model_energies call on the whole stencil."""
+    n = xi.size
+    E, H = h * np.eye(n), np.empty((n, n))
+    c0 = _profile_constant(gs) if n > gs.grid.dim else None
+    pairs = list(itertools.combinations_with_replacement(range(n), 2))
+    steps = [d for i, j in pairs for d in (E[i] + E[j], E[i] - E[j],
+                                           E[j] - E[i], -E[i] - E[j])]
+    f = _model_energies(V, (xi.ravel() + np.array(steps)).reshape(
+        -1, *xi.shape), epsilon, gs, c0).reshape(-1, 4)
+    for (i, j), (pp, pm, mp, mm) in zip(pairs, f):
+        H[i, j] = H[j, i] = (pp - pm - mp + mm) / (4 * h * h)
     return H
 
 
@@ -255,26 +259,27 @@ def _model_relax(V: Potential, gs: GroundState, xi: np.ndarray, epsilon: float,
     span = float(np.min(highs - lows))
     sign = {"minimize_V": -1.0, "degree_zero_of_gradV": 0.0}.get(mode, 1.0)
 
-    def f(x):
-        return _model_energy(V, x, epsilon, gs, c0)
+    def f(x):  # the model energy of each configuration in x
+        return _model_energies(V, np.reshape(x, (-1,) + xi.shape), epsilon,
+                               gs, c0)
 
     H = _model_hessian(V, xi, epsilon, gs, h)
     for _ in range(max_steps):
-        g = np.array([f(xi.ravel() + e) - f(xi.ravel() - e)
-                      for e in E]) / (2.0 * h)
+        up, down = f(xi.ravel() + np.concatenate((E, -E))).reshape(2, -1)
+        g = (up - down) / (2.0 * h)
         lam, Q = np.linalg.eigh(H)
         w = -sign * np.abs(lam) if sign else lam
         with np.errstate(all="ignore"):
             p = -(Q @ ((Q.T @ g) / w)).reshape(xi.shape)
         if not np.all(np.isfinite(p)):
             break
-        f0, t = f(xi), 1.0
+        f0, t = f(xi)[0], 1.0
         while True:
             d = np.clip(xi + t * p, lows, highs) - xi
             d *= _floor_fraction(xi, d, floor)
             if np.linalg.norm(d) < 1e-9 * span:
                 return xi, H
-            if not sign or sign * (f(xi + d) - f0) > 0.0:
+            if not sign or sign * (f(xi + d)[0] - f0) > 0.0:
                 break
             t *= 0.5
         xi = xi + d
@@ -563,7 +568,7 @@ def _quasi_newton(V: Potential, gs: GroundState, make_cfg,
 
     cfg = make_cfg(xi)
     return SearchOutcome(q_star=cfg, mode=mode, max_abs_c=history[-1]["max_abs_c"],
-                         V_at_spikes=np.array([float(V(*x)) for x in cfg.xi]),
+                         V_at_spikes=cfg.lambdas(V),
                          converged=converged, history=history, I_value=pt.I,
                          correction=pt.correction, stop=stop)
 

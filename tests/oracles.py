@@ -19,10 +19,10 @@ moment expansion closed with Hurwitz zeta functions.
 
 resolvent_kernel and chirp_z_dilate are the FFT-side helpers here: the
 resolvent of the discrete delta, whose mass and far-field tail the
-acceptance suite checks, and the band-limited dilation by scipy's chirp-z
-transform, one per axis over the whole grid, which the package's own
-dilation must reproduce. image_tail is the periodic image sum that
-`rescale` subtracts, every image at every point.
+acceptance suite checks, and the band-limited dilation summed directly
+from the spectrum, one axis at a time over the whole grid, which the
+package's own dilation must reproduce. image_tail is the periodic image
+sum that `rescale` subtracts, every image at every point.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.signal import czt
 from scipy.special import eval_hermite, gamma, hyp1f1, zeta
 
 from fracspike.spectral import FracOperator
@@ -143,24 +142,29 @@ def resolvent_kernel(grid, s: float, m: float) -> np.ndarray:
 
 def chirp_z_dilate(values: np.ndarray, scale: float) -> np.ndarray:
     """Samples of the trigonometric interpolant of values (on the grid
-    x_j = -L + h j, M points per axis) at scale * x_j on every axis.
+    x_j = -L + h j, M points per axis) at scale * x_j on every axis, in the
+    chirp-z convention: modes n = -M/2 .. M/2 - 1, so the Nyquist mode
+    sits at -M/2 alone, and the real part kept at the end.
 
-    Per axis, the spectrum in mode order -M/2 .. M/2 - 1 is twisted by
-    exp(i pi n (1 - scale)) and resampled along w = exp(2 pi i scale / M)
-    by `scipy.signal.czt`; the real part of the result is kept at the end.
+    Per axis the interpolant is summed directly, mode by mode: the
+    spectrum from one FFT, times exp(i phi_jn), phi_jn = pi n (1 - scale)
+    + 2 pi n j scale / M, divided by M. The phases are reduced mod 2 pi in
+    long double (on platforms where it is wider than double), so no
+    chirp, power or large rounded angle enters.
     """
     out = values.astype(complex)
+    turn = 8.0 * np.arctan(np.longdouble(1.0))
+    s = np.longdouble(scale)
     for axis in range(values.ndim):
         M = values.shape[axis]
-        shape = [1] * values.ndim
-        shape[axis] = M
-        n = np.fft.fftfreq(M, d=1.0 / M).reshape(shape)
-        spec = np.fft.fftshift(np.fft.fft(out, axis=axis)
-                               * np.exp(1j * np.pi * n * (1.0 - scale)),
-                               axes=axis)
-        out = czt(spec, m=M, w=np.exp(2j * np.pi * scale / M), a=1.0,
-                  axis=axis)
-        out = out * np.exp(-1j * np.pi * scale * np.arange(M)).reshape(shape) / M
+        n = np.arange(-(M // 2), M - M // 2, dtype=np.longdouble)
+        j = np.arange(M, dtype=np.longdouble)[:, None]
+        cycles = n * (1 - s) / 2 + n * j * s / M
+        phase = (np.mod(cycles, 1) * turn).astype(float)
+        spec = np.fft.fftshift(np.fft.fft(out, axis=axis), axes=axis)
+        out = np.moveaxis(np.tensordot(np.exp(1j * phase),
+                                       np.moveaxis(spec, axis, 0), axes=1),
+                          0, axis) / M
     return out.real
 
 

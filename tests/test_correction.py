@@ -668,17 +668,49 @@ def _bump_pair(gs, sigma, apart, eps):
 @pytest.mark.parametrize("sigma, apart, eps", [
     (1.0, 1.0, 0.5), (1.0, 1.0, 0.7), (0.5, 2.0, 0.3), (0.5, 2.0, 0.5),
     (1.0, 2.0, 0.5), (1.0, 2.0, 0.3)])
-def test_correction_refuses_a_step_that_raises_the_residual(gs_store, sigma,
-                                                            apart, eps):
+def test_correction_refuses_a_step_that_raises_the_residual(
+        gs_store, monkeypatch, sigma, apart, eps):
     """Bump pairs outside the contraction regime (||E||_Y 1.3 to 5.3): the
-    first step's phi starts the second solve from a residual above that of
-    phi = 0, so the correction stops there, unconverged, with the phi = 0
-    and c = 0 it started from. Three ratios >= 1 in a row refused them
-    only after 5 to 40 steps."""
+    first step's phi would start the second solve from a residual above
+    that of phi = 0, so the correction stops there, before that solve's
+    MINRES runs, unconverged, with the phi = 0 and c = 0 it started from.
+    Three ratios >= 1 in a row refused them only after 5 to 40 steps."""
     V, cfg, bundle = _bump_pair(gs_store(0.5, 2.0), sigma, apart, eps)
+    runs = []
+    inner = _krylov.minres
+
+    def counting(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        runs.append(len(out.history))
+        return out
+
+    monkeypatch.setattr(_krylov, "minres", counting)
     res = nonlinear_correction(V, cfg, bundle, CorrectionOptions(eta=np.inf))
     assert not res.converged and res.iterations == 2
+    assert res.stop == "residual_rose"
     assert res.norm_Y == 0.0 and not res.c.any()
+    assert len(runs) == 1 and runs[0] > 0  # step 1's; the refused step runs none
+
+
+def test_correction_says_why_it_stopped(gs_store, monkeypatch):
+    """stop names the rule that ended a correction: its error estimate
+    ("converged"), a search trial's cut after a contracting step ("cut"),
+    or CORRECTION_MAX_ITER ("max_iter", unconverged); a rising residual
+    ("residual_rose") is the refusal test's. One spike off the well's
+    minimum, so c does not vanish by symmetry."""
+    gs = gs_store(0.5, 2.0)
+    V = builtin_potentials("well", a=2.0, b=1.0)
+    cfg = SpikeConfig(gs.grid, [[4.0]], epsilon=0.1)
+    bundle, opts = build_ansatz(V, cfg, gs), CorrectionOptions(eta=np.inf)
+    full = nonlinear_correction(V, cfg, bundle, opts)
+    assert full.converged and full.stop == "converged"
+    assert full.iterations > 2
+    cut = nonlinear_correction(V, cfg, bundle, opts, _steps=2)
+    assert cut.converged and cut.stop == "cut" and cut.iterations == 2
+    monkeypatch.setattr(correction, "CORRECTION_MAX_ITER", 1)
+    capped = nonlinear_correction(V, cfg, bundle, opts)
+    assert not capped.converged and capped.stop == "max_iter"
+    assert capped.iterations == 1
 
 
 def _stall_minres(monkeypatch):

@@ -1,5 +1,7 @@
 """Reduced energy, multiplier-driven searches, and degree counting."""
 
+import hashlib
+import itertools
 import time
 
 import numpy as np
@@ -550,6 +552,73 @@ def test_cluster_search_k1_reduces_to_maximize(gs_store):
     out = cluster_search(V, 0.1, 1, [(-1.5, 1.5)], gs)
     assert out.mode == "maximize_V"
     assert abs(out.xi_star[0, 0]) < 1e-4
+
+
+def _scalar_model_energy(V, xi, epsilon, gs):
+    """The model energy of one configuration, V spike by spike and the pair
+    law pair by pair, as the package computed it before the batched path."""
+    p, s, dim = gs.params.p, gs.params.s, gs.grid.dim
+    lam = np.array([float(V(*x)) for x in xi])
+    total = gs.energy * float(np.sum(lam ** energy_scaling_exponent(
+        gs.params, dim)))
+    if len(xi) > 1:
+        alpha = 1.0 / (p - 1.0) - (dim + 2.0 * s) / (2.0 * s)
+        beta = p / (p - 1.0) - dim / (2.0 * s)
+        cij = reduced._profile_constant(gs) * np.outer(lam ** alpha,
+                                                       lam ** beta)
+        for i, j in itertools.combinations(range(len(xi)), 2):
+            d = float(np.linalg.norm(xi[i] - xi[j])) / epsilon
+            total -= 0.5 * (cij[i, j] + cij[j, i]) / d ** (dim + 2.0 * s)
+    return total
+
+
+TWO_WELL_2D = dict(a=2.0, bumps=[{"b": -0.9, "center": c, "sigma": 0.6}
+                                 for c in ([-1.0, 0.0], [1.0, 0.0])])
+
+
+# sha256 of each _model_hessian below as computed before the batched path
+HESSIAN_DIGESTS = {
+    "two_well_1d":
+        "b5c746aad65d43083f3beba2b36749b97aba18e516c92b01a97b1ea36049bade",
+    "two_well_2d":
+        "0707a4bcf55386efa651fab700f2ab0db3d180d4e450b257613fdbdd6f2cb999",
+    "criterion_12":
+        "50a83266dceef5a3803f166a0c2d1e369da3c7da6aaafd60d0007dd69dfbea48",
+}
+
+
+@pytest.mark.parametrize("dim, potential, xi, h, digest", [
+    pytest.param(1, TWO_WELL_1D, [[-1.0], [1.0]], 4e-3,
+                 HESSIAN_DIGESTS["two_well_1d"], id="two_well_1d"),
+    pytest.param(2, TWO_WELL_2D, [[-1.0, 0.0], [1.0, 0.0]], 1.2e-3,
+                 HESSIAN_DIGESTS["two_well_2d"], id="two_well_2d"),
+    pytest.param(1, CLUSTER_BUMP, [[0.0], [-0.75]], 3e-3,
+                 HESSIAN_DIGESTS["criterion_12"], id="criterion_12")])
+def test_batched_model_energy_is_the_scalar_one(gs_store, rng, dim,
+                                                potential, xi, h, digest):
+    """_model_energies over a stack gives each configuration's scalar model
+    energy bit for bit, on the central-difference stencil of the search
+    start and on random configurations near it; so _model_hessian, which
+    takes its stencil in one call, is bit-identical to the point-by-point
+    Hessian, whose sha256 digest is pinned here (numpy 2.4, OpenBLAS,
+    x86-64)."""
+    gs = gs_store(0.5, 2.0, **(dict(dim=2, L=20.0, M=256) if dim == 2
+                               else {}))
+    V = builtin_potentials("gaussian_bumps", **potential)
+    xi, eps = np.array(xi), 0.1
+    n = xi.size
+    E = h * np.eye(n)
+    stencil = [xi + (a * E[i] + b * E[j]).reshape(xi.shape)
+               for i, j in itertools.combinations_with_replacement(range(n), 2)
+               for a, b in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+    stack = np.array(stencil + list(xi + 0.05 * rng.standard_normal(
+        (20,) + xi.shape)))
+    batched = reduced._model_energies(V, stack, eps, gs,
+                                      reduced._profile_constant(gs))
+    scalar = [_scalar_model_energy(V, x, eps, gs) for x in stack]
+    np.testing.assert_array_equal(batched, scalar)
+    H = reduced._model_hessian(V, xi, eps, gs, h)
+    assert hashlib.sha256(H.tobytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("potential, xi, rel", [

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy.signal import czt as scipy_czt
 from scipy.special import zeta as scipy_zeta
 
 from oracles import chirp_z_dilate, resolvent_kernel
@@ -187,26 +186,29 @@ def test_dilate_against_analytic():
         sp.dilate(f, -1.0)
 
 
+def _direct_czt(x, w, axis):
+    """X_k = sum_j x_j w^(jk) by the sum itself, the phases jk angle(w)
+    reduced mod 2 pi in long double."""
+    n = x.shape[axis]
+    jk = np.arange(n, dtype=np.longdouble)[:, None] * np.arange(n)
+    turn = 8.0 * np.arctan(np.longdouble(1.0))
+    phase = np.mod(jk * np.longdouble(np.angle(w)), turn).astype(float)
+    return np.moveaxis(np.tensordot(np.exp(1j * phase),
+                                    np.moveaxis(x, axis, 0), axes=1), 0, axis)
+
+
 @pytest.mark.parametrize("shape,axis", [((256, 256), 0), ((256, 256), 1),
-                                        ((1024,), 0)])
+                                        ((1024,), 0), ((96, 3), 0)])
 @pytest.mark.parametrize("scale", [0.8, 1.25])
-def test_czt_matches_scipy_bitwise(shape, axis, scale, rng):
-    """At power-of-two M both run the same FFT length: identical bits."""
+def test_czt_matches_a_direct_sum(shape, axis, scale, rng):
+    """Within 1e-13 of max|X| of the direct sum, at power-of-two M and at
+    M = 96 (padded to 256). A chirp taken as the power w^(k^2/2), as scipy's
+    czt takes it, misses by 1.0e-11 to 1.7e-11 at M = 1024."""
     x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    M = shape[axis]
-    w = np.exp(2j * np.pi * scale / M)
-    ref = scipy_czt(x, m=M, w=w, a=1.0, axis=axis)
-    assert np.array_equal(sp.czt(x, w, axis=axis), ref)
-
-
-@pytest.mark.parametrize("scale", [0.8, 1.25])
-def test_czt_matches_scipy_off_power_of_two(scale, rng):
-    """M = 96: scipy pads to 192, this czt to 256; same transform."""
-    x = rng.standard_normal((96, 3)) + 1j * rng.standard_normal((96, 3))
-    w = np.exp(2j * np.pi * scale / 96)
-    ref = scipy_czt(x, m=96, w=w, a=1.0, axis=0)
-    err = np.max(np.abs(sp.czt(x, w, axis=0) - ref)) / np.max(np.abs(ref))
-    assert err < 1e-13
+    w = np.exp(2j * np.pi * scale / shape[axis])
+    ref = _direct_czt(x, w, axis)
+    err = np.max(np.abs(sp.czt(x, w, axis=axis) - ref)) / np.max(np.abs(ref))
+    assert err <= 1e-13
 
 
 def test_dilate_2d_separable():
