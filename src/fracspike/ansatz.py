@@ -122,7 +122,6 @@ class AnsatzBundle:
     cfg: SpikeConfig
     params: FracParams
     lambdas: np.ndarray
-    spikes: list
     W: Field
     Z: list
     E: Field
@@ -198,17 +197,16 @@ def build_ansatz(V: Potential, cfg: SpikeConfig, gs: GroundState,
             lambdas[j] = shared
             profiles[shared].append(j)
 
-    spikes = [None] * cfg.k
+    w_stack = np.empty((cfg.k,) + grid.shape)  # w_j, one row per spike
     Z = [None] * cfg.k
     for lam, members in profiles.items():
         moved = sp.translates(Field(grid, rescale(gs, lam).values),
                               cfg.centers[members])
         for j, (wj, dwj) in zip(members, moved):
-            spikes[j] = Field(grid, wj)
+            w_stack[j] = wj
             Z[j] = [Field(grid, dw) for dw in dwj]
     alphas = np.array([[sp.inner(z, z) for z in zj] for zj in Z])
 
-    w_stack = np.stack([w.values for w in spikes])
     W = Field(grid, np.sum(w_stack, axis=0))
     V_grid = V.on_grid(grid, cfg.epsilon)
     E = Field(grid, kernels.ansatz_error(w_stack, lambdas, V_grid, params.p))
@@ -216,5 +214,5 @@ def build_ansatz(V: Potential, cfg: SpikeConfig, gs: GroundState,
     E_norm_Y = float(np.max(np.abs(E.values) / rho))
 
     return AnsatzBundle(cfg=cfg, params=params, lambdas=lambdas,
-                        spikes=spikes, W=W, Z=Z, E=E, E_norm_Y=E_norm_Y,
+                        W=W, Z=Z, E=E, E_norm_Y=E_norm_Y,
                         rho=rho, alphas=alphas, V_grid=V_grid)

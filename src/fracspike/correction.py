@@ -331,7 +331,7 @@ def projected_solve(g: Field, V: Potential, cfg: SpikeConfig,
                     bundle: AnsatzBundle, x0: Field | None = None,
                     _op: _ProjectedOperator | None = None,
                     _reduce: float = 0.0,
-                    _image: np.ndarray | None = None) -> ProjectedSolution:
+                    _start: tuple | None = None) -> ProjectedSolution:
     """Solve L_W phi = g + sum c_ij Z_ij with phi orthogonal to every Z_ij.
 
     Galerkin form: P L_W P phi = P g on span{Z}^perp, preconditioned by
@@ -349,17 +349,18 @@ def projected_solve(g: Field, V: Potential, cfg: SpikeConfig,
     tolerance stays relative to ||P g||, so a guess near the solution only
     saves iterations. `nonlinear_correction` passes _reduce > 0 to stop
     instead once the residual of x0 has fallen by that factor (or at the
-    KRYLOV_RTOL floor, whichever comes first), and _image, P L x0 for its
-    previous step's solution x0 and the operator's current linearization L,
-    which this solve overwrites with its starting residual P g - P L x0
-    instead of applying A. Under _reduce > 0 the result carries its own
-    P L phi as `_image` for the next step.
+    KRYLOV_RTOL floor, whichever comes first), and _start, the pair (P g,
+    P g - P L x0) it has already formed for x0 and the operator's current
+    linearization L: the solve then projects g no second time and takes
+    the second array over as its starting residual instead of applying A.
+    Under _reduce > 0 the result carries its own P L phi as `_image` for
+    the next step.
     """
     op = _op if _op is not None else _ProjectedOperator(V, cfg, bundle)
     grid = op.grid
     shape = grid.shape
     g_flat = g.values.ravel()
-    b = op.project(g_flat)
+    b, r0 = (op.project(g_flat), None) if _start is None else _start
     gnorm = _krylov.norm(g_flat)
     iterations = 0
     bnorm = _krylov.norm(b)
@@ -372,7 +373,6 @@ def projected_solve(g: Field, V: Potential, cfg: SpikeConfig,
         b = np.zeros_like(b)  # P L_W phi, phi = 0
     else:
         y0 = None if x0 is None else x0.values.ravel()
-        r0 = None if _image is None else np.subtract(b, _image, out=_image)
         sol = _krylov.minres(op.apply, op.precond, b, x0=y0, r0=r0,
                              rtol=_krylov.KRYLOV_RTOL, reduce=_reduce)
         history = sol.history
@@ -466,14 +466,18 @@ def nonlinear_correction(V: Potential, cfg: SpikeConfig, bundle: AnsatzBundle,
         rhs = bundle.E.values + kernels.nonlinear_remainder(
             W, phi.values, p) - d * phi.values
         # from step 2 on, the start P rhs - image is checked before MINRES
-        if image is not None and _krylov.norm(
-                op.project(rhs.ravel()) - image) >= res:
-            phi, c = last
-            stop = "residual_rose"
-            break
+        # and handed to it, with P rhs
+        start = None
+        if image is not None:
+            b = op.project(rhs.ravel())
+            start = b, np.subtract(b, image, out=image)
+            if _krylov.norm(start[1]) >= res:
+                phi, c = last
+                stop = "residual_rose"
+                break
         sol = projected_solve(Field(grid, rhs), V, cfg, bundle, x0=phi,
                               _op=op, _reduce=FIXED_POINT_REDUCE,
-                              _image=image)
+                              _start=start)
         image = sol._image
         res, last = sol.start, (phi, c)
         inc = float(np.max(np.abs(sol.phi.values - phi.values) / rho))

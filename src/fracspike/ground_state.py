@@ -260,14 +260,16 @@ def _dilate_free_space(gs: GroundState, scale: float) -> np.ndarray:
     fitted algebraic tail takes over, with a cosine blend between. So only
     the window |scale * x_j| < 0.5 L of each axis is dilated (117 of 256
     rows at lambda = 1.1 on L = 20). The profile is even about the node
-    x = 0, and so is its dilation but for the rank-one Nyquist term: in 2d
-    the interpolant is evaluated on the window's quadrant x_j <= 0 (59 of
-    its 117 rows, against 129 folded columns) and mirrored
-    (`spectral.dilate_even_window`). The radial parts are computed on the
-    quadrant and mirrored too, the image sum only where the blend weight
-    is positive and, in 2d, on one side of the diagonal. With no finite
-    tail fit, scale <= 1 returns the whole interpolant and scale > 1 raises
-    SolverDivergence.
+    x = 0, as `spectral.dilate_even_window` requires, and so is its
+    dilation but for the rank-one Nyquist term: in 2d the interpolant is
+    evaluated on the window's quadrant x_j <= 0 (59 of its 117 rows,
+    against 129 folded columns) and mirrored. The radial parts are
+    computed on the quadrant and mirrored too, the image sum only where
+    the blend weight is positive and, in 2d, on one side of the diagonal.
+    With no finite tail fit (on grids of 64 points per axis or fewer the
+    fit window holds too few radial bins), scale <= 1 returns the
+    interpolant on every node (`spectral.dilate`, the same even path) and
+    scale > 1 raises SolverDivergence.
     """
     grid, L = gs.grid, gs.grid.half_width
     if not np.all(np.isfinite(gs.decay.coefficients)):

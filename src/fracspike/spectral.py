@@ -13,9 +13,9 @@ and `translates`), dilation a resampling of the trigonometric interpolant,
 by chirp-z (`czt`, Bluestein's on `numpy.fft`: the 1d profile's dilation
 within 3.9e-15 of the exact sum at scale 1.1, 2.9e-15 at 0.3, where
 scipy's power chirp gave 1.3e-11, 8.7e-12) in 1d and by separable
-interpolation matrices in 2d. The 1d far-field fit closes its image sums
-with an in-house Hurwitz zeta (`_hurwitz_zeta`), so this module loads no
-scipy.
+interpolation matrices on one quadrant of an even field in 2d. The 1d
+far-field fit closes its image sums with an in-house Hurwitz zeta
+(`_hurwitz_zeta`), so this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -37,9 +37,6 @@ __all__ = [
     "spectral_derivative",
     "translate",
     "translates",
-    "dilate",
-    "dilate_window",
-    "dilate_even_window",
     "inner",
 ]
 
@@ -207,62 +204,55 @@ def _dilate_1d(values: np.ndarray, scale: float) -> np.ndarray:
     return (X * np.exp(-1j * np.pi * scale * np.arange(M))).real / M
 
 
-def _dilate_2d(values: np.ndarray, scale: float, rows: np.ndarray,
-               even: bool = False) -> np.ndarray:
-    """The 2d interpolant at (scale x_j, scale x_k) for j, k in rows.
+def _dilate_2d(values: np.ndarray, scale: float, rows: np.ndarray) -> np.ndarray:
+    """The 2d interpolant at (scale x_j, scale x_k) for j, k in rows, for
+    values f even about the node c = M/2 on both axes.
 
-    It is D f D^T with the periodic sinc D_jl = sin(pi t) / (M tan(pi t/M)),
-    t = (scale x_j - x_l) / h, minus (v^T f v / M^2) u u^T, u_j =
-    sin(pi scale x_j / h), v_l = cos(pi x_l / h): D splits the Nyquist
-    mode evenly between +-pi/h, and the rank-one term makes it the chirp-z
-    convention (the mode at -pi/h alone on each axis, real part taken).
-    For f even about the node c = M/2 on both axes (even=True), D f D^T is
-    even too: it is F f_q F^T on the quadrant nodes c, c - 1, ..., with f_q
-    the quadrant and F the sum of D's columns c - i and c + i (columns c
-    and 0, each its own mirror, taken once), M/2 + 1 columns instead of M,
-    mirrored onto rows. The rank-one term is odd under mirroring one axis,
-    so it is subtracted after the mirror. The products run on `np.einsum`:
-    a windowed gemm beside the FFT work let OpenBLAS threads spin, doubling
-    CPU time at the same wall time.
+    The interpolant is D f D^T with the periodic sinc D_jl = sin(pi t) /
+    (M tan(pi t/M)), t = (scale x_j - x_l) / h, minus (v^T f v / M^2) u
+    u^T, u_j = sin(pi scale x_j / h), v_l = cos(pi x_l / h): D splits the
+    Nyquist mode evenly between +-pi/h, and the rank-one term makes it the
+    chirp-z convention (the mode at -pi/h alone on each axis, real part
+    taken). D f D^T is even like f: it is F f_q F^T on the quadrant nodes
+    c, c - 1, ..., with f_q the quadrant and F the sum of D's columns c - i
+    and c + i (columns c and 0, each its own mirror, taken once), M/2 + 1
+    columns instead of M, mirrored onto rows. The rank-one term is odd
+    under mirroring one axis, so it is subtracted after the mirror. The
+    products run on `np.einsum`: a windowed gemm beside the FFT work let
+    OpenBLAS threads spin, doubling CPU time at the same wall time.
     """
     M = values.shape[0]
     c = M // 2
     fold = np.abs(rows - c)
-    at = c - np.arange(fold.max() + 1) if even else rows  # D's rows
+    at = c - np.arange(fold.max() + 1)  # the quadrant rows of D
     t = scale * (at[:, None] - c) - (np.arange(M)[None, :] - c)
     t -= M * np.round(t / M)  # D is M-periodic in t
     with np.errstate(divide="ignore", invalid="ignore"):
         D = np.sin(np.pi * t) / (M * np.tan(np.pi * t / M))
     D[t == 0.0] = 1.0
-    f = values
-    if even:
-        D[:, c - 1:0:-1] += D[:, c + 1:]  # column c - i gains column c + i
-        D, f = D[:, c::-1], values[c::-1, c::-1]
+    D[:, c - 1:0:-1] += D[:, c + 1:]  # column c - i gains column c + i
+    D, f = D[:, c::-1], values[c::-1, c::-1]
     out = np.einsum("jl,lk->jk", D, np.einsum("lm,km->lk", f, D))
-    if even:
-        out = out[np.ix_(fold, fold)]
+    out = out[np.ix_(fold, fold)]
     v = 1.0 - 2.0 * (np.arange(M) % 2)
     u = np.sin(np.pi * scale * (rows - c))
     out -= np.einsum("l,lm,m->", v, values, v) / M ** 2 * np.outer(u, u)
     return out
 
 
-def dilate_window(f: Field, scale: float, rows: np.ndarray) -> np.ndarray:
-    """`dilate` at the grid indices rows of every axis. In 2d only those
-    points are evaluated; in 1d the whole-grid chirp-z is cheaper than a
-    K x M window matrix, so it runs in full and is sliced."""
-    return _window(f, scale, rows, even=False)
-
-
 def dilate_even_window(f: Field, scale: float, rows: np.ndarray) -> np.ndarray:
-    """`dilate_window` for f even about the centre node of each axis (not
-    checked): in 2d only the mirror images of rows in one quadrant are
-    evaluated (`_dilate_2d`)."""
-    return _window(f, scale, rows, even=True)
+    """Samples of the band-limited interpolant of f at scale*x (periodically
+    wrapped) at the grid indices rows of every axis, for f even about the
+    centre node c = M/2 of each axis, f[c + i] = f[c - i]: not checked,
+    and a field that is not even is read as the fold of its quadrant x_j
+    <= 0. The profiles that `ground_state.rescale` dilates are even.
 
-
-def _window(f: Field, scale: float, rows: np.ndarray,
-            even: bool) -> np.ndarray:
+    The interpolant is the trigonometric polynomial through the samples in
+    the chirp-z convention, exact for band-limited data; scale > 1 narrows
+    f. In 1d the whole-grid `czt` runs (cheaper than a K x M window matrix,
+    and blind to evenness) and is sliced; in 2d only the mirror images of
+    rows in one quadrant are evaluated (`_dilate_2d`).
+    """
     if not scale > 0.0:
         raise ValueError(f"dilate scale must be positive, got {scale}")
     M = f.grid.points_per_axis
@@ -271,22 +261,18 @@ def _window(f: Field, scale: float, rows: np.ndarray,
                          f"{rows.min()}..{rows.max()}")
     if f.grid.dim == 1:
         return _dilate_1d(f.values, scale)[rows]
-    return _dilate_2d(f.values, scale, rows, even)
+    return _dilate_2d(f.values, scale, rows)
 
 
 def dilate(f: Field, scale: float) -> Field:
-    """Samples of the band-limited interpolant at scale*x (periodically wrapped).
-
-    scale > 1 narrows the profile, scale < 1 widens it. The interpolant is the
-    trigonometric polynomial through the samples, so the result is exact for
-    band-limited data up to the usual Nyquist-mode convention. In 2d the
-    whole grid goes through `_dilate_2d`'s M x M matrices, O(M^3) on einsum
-    where a chirp-z pass is O(M^2 log M): about 0.15 s at 512^2 against
-    0.07 s for chirp-z (2 vCPUs), a cost paid only where a caller needs
-    every sample rather than a window.
+    """`dilate_even_window` on every node of the grid, as a Field, under
+    the same evenness requirement in 2d. In 2d that is O(M^3) on einsum
+    where a chirp-z pass is O(M^2 log M), a cost paid only where a caller
+    needs every sample rather than a window: `ground_state.rescale`
+    without a tail fit, on grids of 64 points per axis or fewer.
     """
     rows = np.arange(f.grid.points_per_axis)
-    return Field(f.grid, dilate_window(f, scale, rows))
+    return Field(f.grid, dilate_even_window(f, scale, rows))
 
 
 def inner(f: Field, g: Field) -> float:

@@ -7,7 +7,8 @@ from fracspike import ansatz, kernels
 from fracspike import spectral as sp
 from fracspike.ansatz import SpikeConfig, build_ansatz, config_valid, default_mu
 from fracspike.errors import ConfigError
-from fracspike.grid import Grid
+from fracspike.grid import Field, Grid
+from fracspike.ground_state import rescale
 from fracspike.potentials import Potential, builtin_potentials
 
 
@@ -69,20 +70,26 @@ def test_constant_potential_single_spike_error_vanishes(gs_store):
     assert bundle.E.sup < 1e-9
 
 
+def _spikes(gs, lambdas, centers):
+    """w_j: the ground state rescaled to lambda_j and moved to q_j."""
+    return np.stack([sp.translates(rescale(gs, lam).field, [q])[0][0]
+                     for lam, q in zip(lambdas, centers)])
+
+
 def test_ansatz_translation_consistency(gs_store):
     gs = gs_store(0.5, 2.0)
     V = builtin_potentials("well", a=2.0, b=1.0)
     c = 2.5
     bundle = build_ansatz(V, SpikeConfig(gs.grid, [[c]], 0.1), gs)
-    # the spike profile is the lambda-rescaled ground state moved to c
-    w_at = bundle.spikes[0]
-    i = gs.grid.nearest_index(c)[0]
-    assert float(w_at.values[i]) == pytest.approx(float(np.max(w_at.values)),
-                                                  rel=1e-4)
     lam = float(V(0.1 * c))
     np.testing.assert_allclose(bundle.lambdas, [lam])
+    # the one spike is the lambda-rescaled ground state moved to c
+    (w_at,) = _spikes(gs, bundle.lambdas, [[c]])
+    np.testing.assert_array_equal(bundle.W.values, w_at)
+    i = gs.grid.nearest_index(c)[0]
+    assert float(w_at[i]) == pytest.approx(float(np.max(w_at)), rel=1e-4)
     # peak amplitude follows the lambda^(1/(p-1)) scaling
-    assert float(np.max(w_at.values)) == pytest.approx(
+    assert float(np.max(w_at)) == pytest.approx(
         lam * float(np.max(gs.values)), rel=1e-2)
 
 
@@ -113,7 +120,8 @@ def test_mirror_pair_one_ulp_apart_shares_one_rescale(gs_store,
     bundle = build_ansatz(V, cfg, gs)
     assert calls == [lam[0]]
     np.testing.assert_array_equal(bundle.lambdas, [lam[0], lam[0]])
-    w_stack = np.stack([w.values for w in bundle.spikes])
+    w_stack = _spikes(gs, bundle.lambdas, cfg.centers)
+    np.testing.assert_array_equal(bundle.W.values, np.sum(w_stack, axis=0))
     np.testing.assert_array_equal(bundle.E.values, kernels.ansatz_error(
         w_stack, bundle.lambdas, bundle.V_grid, gs.params.p))
 
@@ -124,8 +132,9 @@ def test_kernel_basis_orthogonal_to_profile(gs_store):
     V = builtin_potentials("well", a=2.0, b=1.0)
     cfg = SpikeConfig(gs.grid, [[-6.0], [6.0]], 0.1)
     bundle = build_ansatz(V, cfg, gs)
+    spikes = _spikes(gs, bundle.lambdas, cfg.centers)
     for j in range(2):
-        w, z = bundle.spikes[j], bundle.Z[j][0]
+        w, z = Field(gs.grid, spikes[j]), bundle.Z[j][0]
         ip = sp.inner(w, z)
         scale = np.sqrt(sp.inner(w, w) * sp.inner(z, z))
         assert abs(ip) <= 1e-10 * scale

@@ -492,7 +492,7 @@ def test_carried_image_saves_a_transform_per_step(gs_store, monkeypatch):
     iterations.clear()
     inner = correction.projected_solve
 
-    def uncarried(*args, _image=None, **kwargs):
+    def uncarried(*args, _start=None, **kwargs):
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(correction, "projected_solve", uncarried)

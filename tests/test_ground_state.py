@@ -187,10 +187,12 @@ def test_image_tail_on_one_triangle_where_blended(gs_store, dim, lam):
 
 
 def _full_window(monkeypatch):
-    """Patch rescale back to the full-window construction: the generic 2d
-    dilation on every window row and the full image loop on the quadrant."""
+    """Patch rescale back to the full-window construction: the chirp-z
+    oracle's dilation on every window row and the full image loop on the
+    quadrant."""
     monkeypatch.setattr(ground_state.sp, "dilate_even_window",
-                        sp.dilate_window)
+                        lambda f, scale, rows: chirp_z_dilate(
+                            f.values, scale)[np.ix_(rows, rows)])
     monkeypatch.setattr(ground_state, "_image_tail",
                         lambda decay, half, inside, L, dim: image_tail(
                             decay, [half[:, None], half[None, :]], L,
@@ -212,12 +214,10 @@ def test_rescale_on_one_quadrant(gs_store, monkeypatch, lam):
     assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(ref)
 
     c = gs.grid.points_per_axis // 2
-    generic = sp.dilate_window
 
-    def mirrored(f, scale, rows):
-        fold = np.abs(rows - c)
-        quad = generic(f, scale, c - np.arange(fold.max() + 1))
-        return quad[np.ix_(fold, fold)]
+    def mirrored(f, scale, rows):  # the oracle's quadrant, mirrored
+        quad = c - np.abs(rows - c)
+        return chirp_z_dilate(f.values, scale)[np.ix_(quad, quad)]
 
     monkeypatch.setattr(ground_state.sp, "dilate_even_window", mirrored)
     gap = np.max(np.abs(rescale(gs, lam).values - ref)) / np.max(ref)
@@ -225,20 +225,26 @@ def test_rescale_on_one_quadrant(gs_store, monkeypatch, lam):
     assert gap > 1e-12 if lam != 2.0 else gap <= 1e-14
 
 
-@pytest.mark.parametrize("gs_args", [dict(), dict(dim=2, L=10.0, M=128)],
-                         ids=["1d", "2d"])
+@pytest.mark.parametrize("gs_args", [
+    dict(), dict(dim=2, L=10.0, M=128), dict(L=10.0, M=64),
+    dict(dim=2, L=10.0, M=64)], ids=["1d", "2d", "1d-64", "2d-64"])
 def test_dilation_without_a_tail_fit(gs_store, gs_args):
     """With no finite far-field fit, widening returns the interpolant on
-    the whole grid, not only the splice window, and narrowing raises."""
+    the whole grid, not only the splice window, and narrowing raises. On
+    64 points per axis the profile has no finite fit of its own (the fit
+    window holds too few radial bins); on the finer grids its fit is
+    replaced by NaN."""
     gs = gs_store(0.5, 2.0, **gs_args)
-    nan_fit = dataclasses.replace(gs.decay, coefficients=(np.nan,) * 3)
-    bare = dataclasses.replace(gs, decay=nan_fit)
-    out = ground_state._dilate_free_space(bare, 0.9)
-    ref = chirp_z_dilate(gs.values, 0.9)
+    if gs.grid.points_per_axis > 64:
+        nan_fit = dataclasses.replace(gs.decay, coefficients=(np.nan,) * 3)
+        gs = dataclasses.replace(gs, decay=nan_fit)
+    assert not np.all(np.isfinite(gs.decay.coefficients))
+    out = rescale(gs, 0.9).values  # s = 1/2, p = 2: scale and factor 0.9
+    ref = 0.9 * chirp_z_dilate(gs.values, 0.9)
     assert out.shape == gs.grid.shape
     assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(ref)
     with pytest.raises(SolverDivergence):
-        ground_state._dilate_free_space(bare, 1.1)
+        rescale(gs, 1.1)
 
 
 def test_rescale_validation(gs_store):

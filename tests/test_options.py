@@ -27,7 +27,7 @@ correction.CorrectionResult.contraction_history
 correction.projected_solve(x0=)
 correction.projected_solve(_op=)
 correction.projected_solve(_reduce=)
-correction.projected_solve(_image=)
+correction.projected_solve(_start=)
 correction.nonlinear_correction(opts=)
 correction.nonlinear_correction(phi0=)
 correction.nonlinear_correction(_steps=)

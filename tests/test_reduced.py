@@ -485,6 +485,36 @@ def test_mirror_symmetric_potential_gives_mirror_symmetric_outcome(
     assert np.max(np.abs(phi - mirrored)) <= 1e-4 * np.max(np.abs(phi))
 
 
+def _shifted_two_well(d):
+    V = builtin_potentials("gaussian_bumps", a=2.0, bumps=[
+        {"b": -0.9, "center": [c + d], "sigma": 0.5} for c in (-1.0, 1.0)])
+    return lambda gs: critical_point_search(V, 0.1, 2, [(-2.0 + d, 2.0 + d)],
+                                            "minimize_V", gs)
+
+
+def _shifted_cluster(d):
+    V = builtin_potentials("gaussian_bumps", a=1.0, bumps=[
+        {"b": 1.0, "center": [d], "sigma": 1.0}])
+    return lambda gs: cluster_search(V, 0.1, 2, [(-1.5 + d, 1.5 + d)], gs)
+
+
+@pytest.mark.parametrize("cells", [0.37, 0.81])
+@pytest.mark.parametrize("shifted", [_shifted_two_well, _shifted_cluster],
+                         ids=["two_well", "cluster_criterion_12"])
+def test_sub_cell_shift_moves_xi_star_with_it(gs_store, shifted, cells):
+    """Moving V and the region by a fraction of a grid cell, d = eps h
+    cells in xi, moves xi* by d: the spikes are translated off the grid by
+    phase, not rounded to nodes. Measured within 5.5e-14; a translation
+    that rounds shifts to whole cells stops line_search_failed, 1.5e-3 to
+    4.4e-3 off. Half a cell is avoided, where such rounding ties."""
+    gs = gs_store(0.5, 2.0)
+    d = 0.1 * cells * gs.grid.spacing
+    ref = shifted(0.0)(gs)
+    out = shifted(d)(gs)
+    assert ref.stop == out.stop == "converged"
+    assert np.max(np.abs(out.xi_star - d - ref.xi_star)) <= 1e-10
+
+
 def test_interaction_constants_shape_and_symmetry(gs_store):
     gs = gs_store(0.5, 2.0, L=80.0, M=2048)
     lam = np.array([1.0, 1.5])

@@ -177,13 +177,13 @@ def test_translate_2d_roundtrip(rng):
 def test_dilate_against_analytic():
     grid = Grid(1, 20.0, 512)
     f = Field(grid, np.exp(-grid.axis ** 2))
+    rows = np.arange(grid.points_per_axis)
     for scale in (0.8, 1.0, 1.3):
-        out = sp.dilate(f, scale)
-        np.testing.assert_allclose(out.values,
-                                   np.exp(-(scale * grid.axis) ** 2),
+        out = sp.dilate_even_window(f, scale, rows)
+        np.testing.assert_allclose(out, np.exp(-(scale * grid.axis) ** 2),
                                    atol=1e-10)
     with pytest.raises(ValueError):
-        sp.dilate(f, -1.0)
+        sp.dilate_even_window(f, -1.0, rows)
 
 
 def _direct_czt(x, w, axis):
@@ -215,46 +215,54 @@ def test_dilate_2d_separable():
     grid = Grid(2, 10.0, 64)
     x, y = grid.coords()
     f = Field(grid, np.exp(-(x ** 2 + 0.5 * y ** 2)))
-    out = sp.dilate(f, 1.25)
+    out = sp.dilate_even_window(f, 1.25, np.arange(grid.points_per_axis))
     expect = np.exp(-((1.25 * x) ** 2 + 0.5 * (1.25 * y) ** 2))
-    np.testing.assert_allclose(out.values, expect, atol=1e-9)
+    np.testing.assert_allclose(out, expect, atol=1e-9)
+
+
+def even_noise(grid, rng):
+    """A random field even about the centre node of both axes, with content
+    at every mode, Nyquist included: one quadrant, folded."""
+    c = grid.points_per_axis // 2
+    fold = np.abs(np.arange(grid.points_per_axis) - c)
+    return Field(grid, rng.standard_normal((c + 1, c + 1))[np.ix_(fold, fold)])
 
 
 @pytest.mark.parametrize("scale", [0.8, 1.1, 1.3])
 def test_dilate_2d_matches_the_chirp_z(gs_store, rng, scale):
-    """The separable 2d interpolation matrices give the chirp-z dilation's
-    samples to roundoff, on a field with content at every mode (Nyquist
-    included) and on the ground state; a window of rows gives the same
-    samples as the whole grid."""
+    """The separable 2d interpolation matrices, evaluated on one quadrant,
+    give the chirp-z dilation's samples to roundoff on every node, on an
+    even field with content at every mode and on the ground state; a
+    window of rows gives the same samples as the whole grid, and
+    `spectral.dilate` is the whole grid."""
     gs = gs_store(0.5, 2.0, dim=2, L=10.0, M=128)
-    noise = Field(gs.grid, rng.standard_normal(gs.grid.shape))
-    for f in (gs.field, noise):
+    every = np.arange(gs.grid.points_per_axis)
+    for f in (gs.field, even_noise(gs.grid, rng)):
         ref = chirp_z_dilate(f.values, scale)
-        out = sp.dilate(f, scale).values
+        out = sp.dilate_even_window(f, scale, every)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+        np.testing.assert_array_equal(sp.dilate(f, scale).values, out)
         rows = np.arange(40, 89)
-        np.testing.assert_allclose(sp.dilate_window(f, scale, rows),
+        np.testing.assert_allclose(sp.dilate_even_window(f, scale, rows),
                                    out[40:89, 40:89], rtol=0,
                                    atol=1e-14 * np.max(np.abs(ref)))
     with pytest.raises(ValueError):
-        sp.dilate_window(gs.field, 0.0, np.arange(4))
+        sp.dilate_even_window(gs.field, 0.0, np.arange(4))
     for rows in (np.arange(-1, 3), np.arange(120, 129)):
         with pytest.raises(ValueError, match="window rows"):
-            sp.dilate_window(gs.field, 1.1, rows)
+            sp.dilate_even_window(gs.field, 1.1, rows)
 
 
 @pytest.mark.parametrize("scale", [0.4, 1.1, 1.3])
-def test_dilate_even_window_matches_the_generic_one(rng, scale):
-    """On a field even about the centre node of both axes, with content at
-    every mode, Nyquist included, the quadrant evaluation gives the
-    generic window's samples to roundoff, on a centred window and on one
-    off centre."""
+def test_dilate_even_window_matches_the_chirp_z(rng, scale):
+    """On an even field with content at every mode, Nyquist included, the
+    quadrant evaluation gives the chirp-z dilation's samples to roundoff,
+    on a centred window and on one off centre."""
     grid = Grid(2, 10.0, 64)
     c = grid.points_per_axis // 2
-    fold = np.abs(np.arange(grid.points_per_axis) - c)
-    f = Field(grid, rng.standard_normal((c + 1, c + 1))[np.ix_(fold, fold)])
+    f = even_noise(grid, rng)
     for rows in (np.arange(c - 20, c + 21), np.arange(3, 40)):
-        ref = sp.dilate_window(f, scale, rows)
+        ref = chirp_z_dilate(f.values, scale)[np.ix_(rows, rows)]
         np.testing.assert_allclose(sp.dilate_even_window(f, scale, rows),
                                    ref, rtol=0,
                                    atol=1e-13 * np.max(np.abs(ref)))
